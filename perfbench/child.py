@@ -1,7 +1,7 @@
 """One sweep process of the benchmark: set up, sweep, check, report.
 
-``perfbench/run.py`` starts this module as a fresh interpreter per probe,
-store fill or measured sweep::
+``perfbench/run.py`` starts this module as a fresh interpreter per set-up
+sample or sweep run::
 
     python3 -m perfbench.child '<request as JSON>'
 
@@ -24,7 +24,7 @@ from dataclasses import replace
 
 
 def monotonic() -> float:
-    """The clock shared by parent and child (system-wide on Linux)."""
+    """The clock shared by parent, child and speed probe (system-wide on Linux)."""
     return time.clock_gettime(time.CLOCK_MONOTONIC)
 
 
@@ -36,8 +36,8 @@ def main(argv) -> int:
     imported = monotonic()
     store = ResultStore(request["store"])
     ready = monotonic()
-    report = {"import_s": imported - launched, "setup_s": ready - launched}
-    if request["mode"] != "probe":
+    report = {"launched": launched, "imported": imported, "ready": ready}
+    if request["mode"] == "sweep":
         report.update(sweep(request, store))
     print(json.dumps(report))
     return 0
@@ -54,18 +54,20 @@ def timed_sweep(families, config, store, workers, tracer):
 
     own0 = resource.getrusage(resource.RUSAGE_SELF)
     kids0 = resource.getrusage(resource.RUSAGE_CHILDREN)
-    started = time.perf_counter()
+    started = monotonic()
     with tracer.span(layers.ROOT) if tracer else nullcontext():
         result = run_sweep(families=families, config=config, store=store, workers=workers)
         with tracer.span(layers.RENDER) if tracer else nullcontext():
             render_sweep(result)
-    wall_s = time.perf_counter() - started
+    ended = monotonic()
     own1 = resource.getrusage(resource.RUSAGE_SELF)
     kids1 = resource.getrusage(resource.RUSAGE_CHILDREN)
     # Pooled workers are joined inside run_sweep, so the children's usage
     # covers them; ru_maxrss is in KiB on Linux.
     return result, {
-        "wall_s": wall_s,
+        "started": started,
+        "ended": ended,
+        "wall_s": ended - started,
         "cpu_s": cpu_seconds(own1) - cpu_seconds(own0) + cpu_seconds(kids1) - cpu_seconds(kids0),
         "peak_rss_mb": max(own1.ru_maxrss, kids1.ru_maxrss) / 1024.0,
         "sim_hours": sum(task.spec.duration_s for task in result.tasks) / 3600.0,
@@ -102,8 +104,8 @@ def spec_facts(specs):
 def stored_records(result, fresh_store):
     """Key -> stored record of every grid cell (None when missing).
 
-    A fresh sweep's records are read back from its store; a re-run's are
-    the ones the re-run itself read from the store.
+    A fresh sweep's records are read back from its store; a cached
+    re-run's are the ones the re-run itself read from the store.
     """
     from perfbench.check import key
     from repro.sweep import ResultStore
@@ -114,12 +116,13 @@ def stored_records(result, fresh_store):
     return {key(task.digest): reader.get(task.digest) for task in result.tasks}
 
 
-def check_sweep(result, stored, expected, resumed: bool, rules: bool):
+def check_sweep(result, stored, expected, cached: bool, rules: bool):
     """Fingerprints of the stored records, and key -> problem per failed cell.
 
     A cell fails when it failed in the sweep, has no stored record, was
-    executed by a re-run of a filled store (``resumed``), differs from the
-    ``expected`` fingerprints, or (with ``rules``) breaks a rule.
+    executed by a re-run that must serve every cell from the store
+    (``cached``), differs from the ``expected`` fingerprints, or (with
+    ``rules``) breaks a rule.
     """
     from perfbench import check
 
@@ -134,7 +137,7 @@ def check_sweep(result, stored, expected, resumed: bool, rules: bool):
         check.key(failure.digest): f"{failure.cell}: failed ({failure.kind}: {failure.reason})"
         for failure in result.failures
     }
-    if resumed:
+    if cached:
         for digest in result.task_stats:
             record = check.key(digest)
             failed.setdefault(record, f"{cells[record]}: not served from the cache")
@@ -164,70 +167,67 @@ def check_sweep(result, stored, expected, resumed: bool, rules: bool):
 
 
 def sweep(request, store) -> dict:
-    """Fill a store, or run the measured sweeps; check every stored record."""
+    """Run the measured sweeps, or one traced sweep and its cached re-run.
+
+    Untraced, fresh sweeps into empty stores repeat until
+    ``request["seconds"]`` of sweeping is measured (at least one).  Traced,
+    one fresh sweep runs with the layer wrappers installed, then a cached
+    re-run of its store with wrappers of its own, as every CI sweep job
+    re-runs its grid: the re-run is where the store's read path works.
+    Every stored record is checked.
+    """
     from perfbench import check, layers
     from perfbench.workloads import WORKLOADS, build_families
-    from repro.sweep import ResultStore, SweepConfig, run_sweep
+    from repro.sweep import ResultStore, SweepConfig
 
     workload = WORKLOADS[request["workload"]]
     families = build_families(workload, request["seed"])
     config = SweepConfig(runs_per_scheme=workload.runs_per_scheme)
-    measuring = request["mode"] == "sweep"
-    # Measured sweeps of the resumed workload re-run the filled store;
-    # every other sweep starts from an empty one.
-    resumed = measuring and workload.resume
     expected = check.load_fingerprints(request["expect"]) if request.get("expect") else None
-    if request.get("warmup"):
-        run_sweep(families=families, config=config, store=store, workers=workload.workers)
-        store = ResultStore(request["store"])
-    iterations = []
+    runs = []
     problems = {}
-    counters = layer_numbers = None
-    started = time.perf_counter()
-    while True:
-        if iterations:
-            path = request["store"] if resumed else f"{request['store']}-{len(iterations)}"
-            store = ResultStore(path)
+
+    def run(store, cached=False):
         tracer = layers.Tracer().install() if request["trace"] else None
         try:
             result, numbers = timed_sweep(families, config, store, workload.workers, tracer)
         finally:
             if tracer is not None:
                 tracer.uninstall()
+        # Without a reference, every later sweep must agree with the first.
+        first = runs[0][2]["fingerprints"] if runs else None
         fingerprints, failed = check_sweep(
             result,
-            stored_records(result, None if resumed else store),
-            expected if expected is not None else (
-                iterations[0]["fingerprints"] if iterations else None
-            ),
-            resumed=resumed,
-            rules=request.get("rules") and not iterations,
+            stored_records(result, None if cached else store),
+            expected if expected is not None else first,
+            cached=cached,
+            rules=bool(request.get("rules")) and not runs,
         )
         problems.update(failed)
-        numbers["failed"] = len(failed)
-        numbers["fingerprints"] = fingerprints
-        iterations.append(numbers)
-        counters = result.obs.get("counters", {})
-        if tracer is not None:
-            layer_numbers = layers.layer_metrics(
-                tracer, result, workload.workers, numbers["wall_s"]
-            )
-        if tracer is not None or not measuring:
-            break
-        if time.perf_counter() - started >= request["seconds"]:
-            break
+        numbers.update(failed=len(failed), fingerprints=fingerprints)
+        runs.append((tracer, result, numbers))
+
+    run(store)
+    if request["trace"]:
+        # A new store object over the same directory, as a new CLI call opens.
+        run(ResultStore(request["store"]), cached=True)
+    else:
+        while sum(numbers["wall_s"] for _tracer, _result, numbers in runs) < request["seconds"]:
+            run(ResultStore(f"{request['store']}-{len(runs)}"))
     if request.get("fingerprints_out"):
         check.save_fingerprints(
-            request["fingerprints_out"], iterations[0]["fingerprints"],
+            request["fingerprints_out"], runs[0][2]["fingerprints"],
             workload=workload.name, seed=request["seed"],
         )
+    iterations = [numbers for _tracer, _result, numbers in runs]
     for numbers in iterations:
         del numbers["fingerprints"]
     return {
         "iterations": iterations,
         "problems": check.describe(problems),
-        "counters": counters,
-        "layers": layer_numbers,
+        "counters": runs[0][1].obs.get("counters", {}),
+        "layers": layers.layer_metrics(runs[0], runs[1], workload.workers)
+        if request["trace"] else None,
     }
 
 

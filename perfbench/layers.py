@@ -229,14 +229,20 @@ class Tracer:
             self.tally.exit()
 
 
-def layer_metrics(tracer: Tracer, result, workers: int, wall_s: float) -> Dict[str, float]:
-    """The per-layer numbers of one traced sweep.
+def layer_metrics(fresh, rerun, workers: int) -> Dict[str, float]:
+    """The per-layer numbers of one traced sweep and its cached re-run.
 
-    Layers that ran in pooled workers are summed over the workers, so on
-    the pooled workload they can add up to more than the wall time.  In
-    the sweep process itself, self times plus ``sweep.unattributed_s``
-    add up to ``sweep.wall_s``.
+    ``fresh`` and ``rerun`` are each ``(tracer, SweepResult, numbers)`` of
+    ``perfbench.child.timed_sweep``.  The store's read path is measured on
+    the re-run, every other layer on the fresh sweep.  Layers that ran in
+    pooled workers are summed over the workers, so on the pooled workload
+    they can add up to more than the wall time.  In the sweep process
+    itself, self times plus ``sweep.unattributed_s`` add up to
+    ``sweep.wall_s``.
     """
+    tracer, result, numbers = fresh
+    rerun_tracer, rerun_result, rerun_numbers = rerun
+    wall_s = numbers["wall_s"]
     parent = tracer.tally
     both = Tally()
     both.merge(parent.export())
@@ -262,6 +268,8 @@ def layer_metrics(tracer: Tracer, result, workers: int, wall_s: float) -> Dict[s
     supervise_s = total(SUPERVISE)
     busy_s = total(TASK)
     cell_wall_s = sum(stats["wall_s"] for stats in result.task_stats.values())
+    attempts = sum(stats["attempts"] for stats in result.task_stats.values())
+    reads = rerun_tracer.tally
     ensure_calls = calls("flows.ensure_rates")
     root_self = parent.self_s.get(ROOT, 0.0)
     metrics = {
@@ -299,12 +307,13 @@ def layer_metrics(tracer: Tracer, result, workers: int, wall_s: float) -> Dict[s
         "core.optimal_solve_s": total("core.optimal_solve"),
         "power.charges": calls("power.charge"),
         "power.charge_s": total("power.charge"),
-        "store.get_calls": calls("store.get"),
-        "store.get_s": total("store.get"),
-        "store.known_digests_s": total("store.known_digests"),
+        "store.get_calls": reads.calls.get("store.get", 0),
+        "store.get_s": reads.total_s.get("store.get", 0.0),
+        "store.known_digests_s": reads.total_s.get("store.known_digests", 0.0),
+        "store.cache_hit_frac": rerun_result.cache_hit_fraction,
+        "store.rerun_s": rerun_numbers["wall_s"],
         "store.put_calls": calls("store.put"),
         "store.put_s": total("store.put") + total("store.append_timing"),
-        "store.cache_hit_frac": result.cache_hit_fraction,
         "report.render_s": total(RENDER),
         "resilience.supervise_s": supervise_s,
         "resilience.supervise_self_s": own(SUPERVISE),
@@ -312,8 +321,7 @@ def layer_metrics(tracer: Tracer, result, workers: int, wall_s: float) -> Dict[s
             busy_s / (max(1, min(workers, len(executed))) * supervise_s) if supervise_s else 0.0
         ),
         "resilience.dispatch_s": max(0.0, cell_wall_s - busy_s),
-        "resilience.retries": result.retries,
-        "resilience.respawns": result.respawns,
+        "resilience.attempts_per_cell": attempts / len(executed) if executed else 0.0,
         "sweep.wall_s": wall_s,
         "sweep.unattributed_s": root_self,
         "sweep.unattributed_frac": root_self / wall_s if wall_s else 0.0,

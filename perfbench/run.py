@@ -5,12 +5,14 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload paper-serial --seed 0 --seconds 5 --trace 0
 
 Each run starts fresh interpreters (``perfbench/child.py``): set-up
-probes, the store fill of the resumed workload, and the measured sweeps,
-which repeat until ``--seconds`` of sweeping is measured (always at least
-one sweep).  ``--trace 1`` adds one traced sweep for the per-layer
-numbers.  Human-readable lines come first; the last line of standard
-output is one JSON object with ``correct``, ``attempted``, ``failed`` and
-``metrics``.  The exit code is 0 only when every stored record checks out.
+samples and the measured sweeps, which repeat until ``--seconds`` of
+sweeping is measured (always at least one sweep).  ``--trace 1`` adds
+one traced sweep and its cached re-run for the per-layer numbers.  A
+speed probe (``perfbench/speed.py``) runs alongside, and every time is
+reported in reference seconds.  Human-readable lines come first; the last
+line of standard output is one JSON object with ``correct``,
+``attempted``, ``failed`` and ``metrics``.  The exit code is 0 only when
+every stored record checks out.
 
 Everything a run writes lives under ``.perfbench-tmp/`` in the checkout
 and is removed before it exits.  See ``perfbench/README.md``.
@@ -35,12 +37,12 @@ sys.path.insert(0, str(ROOT))
 # A run writes nothing outside its temporary directory, bytecode included.
 sys.dont_write_bytecode = True
 
-from perfbench import check  # noqa: E402  (needs ROOT on the path)
+from perfbench import check, speed  # noqa: E402  (needs ROOT on the path)
 from perfbench.child import monotonic  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
-#: Fresh interpreters whose set-up time makes up ``setup_s`` (the median).
-SETUP_SAMPLES = 5
+#: Fresh interpreters whose set-up times make up ``setup_s`` (the median).
+SETUP_SAMPLES = 7
 
 #: A run must end within 180 s; children are killed past this budget.
 RUN_BUDGET_S = 170.0
@@ -63,6 +65,8 @@ def layer_unit(name: str) -> str:
         return "sim-h/s"
     if name.endswith("_per_spec"):
         return "builds/spec"
+    if name.endswith("_per_cell"):
+        return "attempts/cell"
     if name.endswith(("_frac", "_ratio")):
         return "fraction"
     if name.endswith("_s") or "_s." in name:
@@ -70,16 +74,20 @@ def layer_unit(name: str) -> str:
     return "count"
 
 
-def run_child(request: dict, deadline: float) -> dict:
-    """Run one ``perfbench.child`` interpreter to completion; its JSON report."""
+def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+def run_child(request: dict, deadline: float) -> dict:
+    """Run one ``perfbench.child`` interpreter to completion; its JSON report."""
     request = {**request, "launched": monotonic()}
     # Its own process group, so a timeout can stop the child and its workers.
     proc = subprocess.Popen(
         [sys.executable, "-m", "perfbench.child", json.dumps(request)],
-        cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True, start_new_session=True,
+        cwd=ROOT, env=child_env(), stdout=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
         out, _ = proc.communicate(timeout=max(1.0, deadline - monotonic()))
@@ -95,60 +103,75 @@ def run_child(request: dict, deadline: float) -> dict:
     return json.loads(lines[-1])
 
 
-def measure(args, workload, tmp: Path) -> dict:
+def measure(args, workload, tmp: Path, probe: subprocess.Popen) -> dict:
     """Run the children of one benchmark run; their reports by role."""
     deadline = monotonic() + RUN_BUDGET_S
-    default_seed = workload.offset(args.seed) == 0
     # At the default seed every record must match the committed reference;
     # at any other seed the first sweep is held to the rules and every
     # later one to the first, record for record.
+    default_seed = workload.offset(args.seed) == 0
     reference = None
     if default_seed and not args.update_reference:
         reference = str(check.reference_path(workload.name))
-    check_rules = args.update_reference or not default_seed
     base = {"workload": workload.name, "seed": args.seed, "trace": False}
-    planned = 1 + workload.resume + args.trace
-    reports: Dict[str, object] = {
-        "probes": [
-            run_child({**base, "mode": "probe", "store": str(tmp / f"probe-{i}")}, deadline)
-            for i in range(max(0, SETUP_SAMPLES - planned))
-        ]
-    }
-    store = tmp / "store"
-    expect = reference
-    if workload.resume:
-        reports["fill"] = run_child({
-            **base, "mode": "fill", "store": str(store), "expect": reference,
-            "rules": check_rules, "fingerprints_out": str(tmp / "fill.json"),
-        }, deadline)
-        expect = reference or str(tmp / "fill.json")
-    reports["measured"] = run_child({
-        **base, "mode": "sweep", "store": str(store), "seconds": args.seconds,
-        "expect": expect, "rules": check_rules and not workload.resume,
-        "fingerprints_out": str(tmp / "measured.json"),
-    }, deadline)
-    if args.trace:
-        reports["traced"] = run_child({
-            **base, "mode": "sweep", "store": str(store if workload.resume else tmp / "traced"),
-            "trace": True, "expect": expect or str(tmp / "measured.json"),
-            "warmup": workload.resume,
-        }, deadline)
+    # The probe must time the CPU the measured work runs on: CPUs of one
+    # VM change speed apart from each other.  So a single-process child
+    # runs on one CPU together with the probe; a pooled sweep and the
+    # probe may use every CPU.
+    every = os.sched_getaffinity(0)
+    one = {min(every)}
+    sweep_cpus = one if workload.workers == 1 else every
+
+    def run(request: dict, cpus) -> dict:
+        for pid in (0, probe.pid):  # 0: this process, whose CPUs the child inherits
+            os.sched_setaffinity(pid, cpus)
+        return run_child(request, deadline)
+
+    try:
+        reports: Dict[str, object] = {
+            "setups": [
+                run({**base, "mode": "setup", "store": str(tmp / f"setup-{i}")}, one)
+                for i in range(SETUP_SAMPLES)
+            ]
+        }
+        reports["measured"] = run({
+            **base, "mode": "sweep", "store": str(tmp / "store"), "seconds": args.seconds,
+            "expect": reference, "rules": args.update_reference or not default_seed,
+            "fingerprints_out": str(tmp / "measured.json"),
+        }, sweep_cpus)
+        if args.trace:
+            reports["traced"] = run({
+                **base, "mode": "sweep", "store": str(tmp / "traced"), "trace": True,
+                "expect": reference or str(tmp / "measured.json"),
+            }, sweep_cpus)
+    finally:
+        os.sched_setaffinity(0, every)
     return reports
 
 
-def summarize(args, workload, reports: dict) -> dict:
-    children = list(reports["probes"]) + [
-        reports[role] for role in ("fill", "measured", "traced") if role in reports
-    ]
-    sweeps = [report for report in children if "iterations" in report]
+def summarize(args, reports: dict, samples) -> dict:
+    """End-to-end (and, traced, per-layer) metrics of one run, in reference seconds."""
+
+    def factor(start: float, end: float) -> float:
+        return speed.factor(samples, start, end)
+
+    setups = reports["setups"]
+    sweeps = [reports[role] for role in ("measured", "traced") if role in reports]
     iterations = reports["measured"]["iterations"]
     attempted = sum(it["cells"] for report in sweeps for it in report["iterations"])
     failed = sum(it["failed"] for report in sweeps for it in report["iterations"])
     problems = [line for report in sweeps for line in report["problems"]]
+    factors = [factor(it["started"], it["ended"]) for it in iterations]
+    walls = [it["wall_s"] * f for it, f in zip(iterations, factors)]
     end_to_end = {
-        "sim_hours_per_s": statistics.median(it["sim_hours"] / it["wall_s"] for it in iterations),
-        "sweep_cpu_s": statistics.median(it["cpu_s"] for it in iterations),
-        "setup_s": statistics.median(report["setup_s"] for report in children),
+        "sim_hours_per_s": statistics.median(
+            it["sim_hours"] / wall for it, wall in zip(iterations, walls)
+        ),
+        "sweep_cpu_s": statistics.median(it["cpu_s"] * f for it, f in zip(iterations, factors)),
+        "setup_s": statistics.median(
+            (report["ready"] - report["launched"]) * factor(report["launched"], report["ready"])
+            for report in setups
+        ),
         # A process's peak only grows, so later sweeps in it would report
         # the earlier ones' leftovers: the first sweep is what a CLI call sees.
         "peak_rss_mb": iterations[0]["peak_rss_mb"],
@@ -161,6 +184,12 @@ def summarize(args, workload, reports: dict) -> dict:
         "end_to_end": end_to_end,
         "sweeps": len(iterations),
         "cells": iterations[0]["cells"],
+        "raw": {
+            "wall_s": statistics.median(it["wall_s"] for it in iterations),
+            "cpu_s": statistics.median(it["cpu_s"] for it in iterations),
+            "setup_s": statistics.median(r["ready"] - r["launched"] for r in setups),
+            "speed_factor": statistics.median(factors),
+        },
     }
     if args.trace:
         traced = reports["traced"]
@@ -170,11 +199,27 @@ def summarize(args, workload, reports: dict) -> dict:
                 f"{traced['counters']} vs {reports['measured']['counters']}"
             )
             summary["correct"] = False
-        untraced_wall = statistics.median(it["wall_s"] for it in iterations)
+        sweep, rerun = traced["iterations"]
+        # Per-layer seconds are scaled like the end-to-end ones, by the
+        # speed over the traced sweep and its re-run.
+        traced_factor = factor(sweep["started"], rerun["ended"])
+        layers = {}
+        for name, value in traced["layers"].items():
+            unit = layer_unit(name)
+            layers[name] = value * traced_factor if unit == "s" else (
+                value / traced_factor if unit == "sim-h/s" else value
+            )
         summary["layers"] = {
-            "setup.import_s": statistics.median(report["import_s"] for report in children),
-            **traced["layers"],
-            "trace.overhead_frac": traced["iterations"][0]["wall_s"] / untraced_wall - 1.0,
+            "setup.import_s": statistics.median(
+                (report["imported"] - report["launched"])
+                * factor(report["launched"], report["imported"])
+                for report in setups
+            ),
+            **layers,
+            "trace.overhead_frac": (
+                sweep["wall_s"] * factor(sweep["started"], sweep["ended"])
+                / statistics.median(walls) - 1.0
+            ),
         }
     return summary
 
@@ -182,7 +227,11 @@ def summarize(args, workload, reports: dict) -> dict:
 def render(args, workload, summary: dict) -> List[str]:
     lines = [
         f"workload  : {workload.name} (seed {args.seed}) - {workload.why}",
-        f"measured  : {summary['sweeps']} sweep(s) of {summary['cells']} cells",
+        f"measured  : {summary['sweeps']} sweep(s) of {summary['cells']} cells; "
+        "times in reference seconds (see perfbench/speed.py)",
+        "raw       : " + ", ".join(
+            f"{name} {value:.4g}" for name, value in summary["raw"].items()
+        ),
     ]
     for name, value in summary["end_to_end"].items():
         unit, better = END_TO_END[name]
@@ -242,12 +291,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     scratch = ROOT / ".perfbench-tmp"
     scratch.mkdir(exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix="run-", dir=scratch))
+    probe = subprocess.Popen(
+        [sys.executable, "-m", "perfbench.speed", str(tmp / "speed.txt")],
+        cwd=ROOT, env=child_env(),
+    )
     try:
-        summary = summarize(args, workload, measure(args, workload, tmp))
+        try:
+            reports = measure(args, workload, tmp, probe)
+        finally:
+            probe.kill()
+            probe.wait()
+        summary = summarize(args, reports, speed.read_samples(tmp / "speed.txt"))
         if args.update_reference and summary["correct"]:
             reference = check.reference_path(workload.name)
             reference.parent.mkdir(exist_ok=True)
-            shutil.copyfile(tmp / ("fill.json" if workload.resume else "measured.json"), reference)
+            shutil.copyfile(tmp / "measured.json", reference)
     except BenchError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 1

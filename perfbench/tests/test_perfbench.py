@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from perfbench import check, child, layers, workloads
+from perfbench import check, child, layers, speed, workloads
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -21,7 +21,6 @@ TINY = workloads.Workload(
     families=("smoke-watt",),
     runs_per_scheme=2,
     workers=1,
-    resume=False,
     why="test grid",
     seed_offsets=(0,),
 )
@@ -33,18 +32,23 @@ def tiny(monkeypatch):
     return TINY
 
 
-def tiny_sweep(tmp_path, workers=1, tracer=None):
-    from repro.sweep import ResultStore, SweepConfig
+def tiny_sweep(store, workers=1, traced=False):
+    """(tracer or None, SweepResult, numbers) of one sweep of the tiny grid."""
+    from repro.sweep import SweepConfig
 
-    store = ResultStore(tmp_path / f"store-{workers}")
-    result, numbers = child.timed_sweep(
-        workloads.build_families(TINY, 0),
-        SweepConfig(runs_per_scheme=TINY.runs_per_scheme),
-        store,
-        workers,
-        tracer,
-    )
-    return result, numbers, store
+    tracer = layers.Tracer().install() if traced else None
+    try:
+        result, numbers = child.timed_sweep(
+            workloads.build_families(TINY, 0),
+            SweepConfig(runs_per_scheme=TINY.runs_per_scheme),
+            store,
+            workers,
+            tracer,
+        )
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
+    return tracer, result, numbers
 
 
 def test_untraced_run_installs_no_wrapper(tiny, tmp_path, monkeypatch):
@@ -73,18 +77,25 @@ def test_untraced_run_installs_no_wrapper(tiny, tmp_path, monkeypatch):
 
 
 def test_check_rejects_a_perturbed_record(tmp_path):
-    result, _numbers, store = tiny_sweep(tmp_path)
+    from repro.sweep import ResultStore
+
+    store = ResultStore(tmp_path / "store")
+    _tracer, result, _numbers = tiny_sweep(store)
     stored = child.stored_records(result, store)
-    fingerprints, failed = child.check_sweep(result, stored, None, resumed=False, rules=True)
+    fingerprints, failed = child.check_sweep(result, stored, None, cached=False, rules=True)
     assert failed == {}
     assert len(fingerprints) == len(result.tasks)
+    # A re-run that must be served from the store rejects executed cells.
+    _fingerprints, failed = child.check_sweep(result, stored, None, cached=True, rules=False)
+    assert len(failed) == len(result.tasks)
+    assert all("not served from the cache" in problem for problem in failed.values())
 
     victim = sorted(stored)[3]
     record = stored[victim]
     name = sorted(record.metrics)[0]
     record.metrics[name] = math.nextafter(record.metrics[name], math.inf)
     _fingerprints, failed = child.check_sweep(
-        result, stored, fingerprints, resumed=False, rules=False
+        result, stored, fingerprints, cached=False, rules=False
     )
     assert list(failed) == [victim]
     assert "metrics differ" in failed[victim]
@@ -92,7 +103,7 @@ def test_check_rejects_a_perturbed_record(tmp_path):
 
     del stored[victim]
     _fingerprints, failed = child.check_sweep(
-        result, stored, fingerprints, resumed=False, rules=False
+        result, stored, fingerprints, cached=False, rules=False
     )
     assert list(failed) == [victim] and "no stored record" in failed[victim]
 
@@ -118,19 +129,19 @@ def test_rules_flag_impossible_cells():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_self_times_add_up_to_no_more_than_wall(tmp_path, workers):
-    tracer = layers.Tracer().install()
-    try:
-        result, numbers, _store = tiny_sweep(tmp_path, workers=workers, tracer=tracer)
-    finally:
-        tracer.uninstall()
+    from repro.sweep import ResultStore
+
+    fresh = tiny_sweep(ResultStore(tmp_path / "store"), workers, traced=True)
+    rerun = tiny_sweep(ResultStore(tmp_path / "store"), workers, traced=True)
     assert layers.installed() == []
+    tracer, result, numbers = fresh
     parent = tracer.tally
     wall = numbers["wall_s"]
     assert parent.total_s[layers.ROOT] <= wall
     assert sum(parent.self_s.values()) <= wall + 1e-9
     assert min(parent.self_s.values()) >= -1e-9
 
-    metrics = layers.layer_metrics(tracer, result, workers, wall)
+    metrics = layers.layer_metrics(fresh, rerun, workers)
     assert metrics["sweep.unattributed_s"] >= 0.0
     assert metrics["grid.cells"] == len(result.tasks) == 10
     # Every executed cell ran through the wrapped kernel, in-process or in
@@ -141,6 +152,10 @@ def test_self_times_add_up_to_no_more_than_wall(tmp_path, workers):
     assert both.calls[layers.TASK] == result.executed
     assert metrics["catalog.builds"] >= 1 and metrics["simulation.kernel_s"] > 0
     assert metrics["store.put_calls"] == result.executed
+    assert metrics["resilience.attempts_per_cell"] == 1.0
+    # The re-run reads every cell back from the store.
+    assert metrics["store.get_calls"] == 10 and metrics["store.cache_hit_frac"] == 1.0
+    assert metrics["store.get_s"] > 0 and metrics["store.rerun_s"] > 0
     if workers == 1:
         assert tracer.workers.calls == {}
     else:
@@ -149,3 +164,14 @@ def test_self_times_add_up_to_no_more_than_wall(tmp_path, workers):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     printed = set(metrics) | {"setup.import_s", "trace.overhead_frac"}
     assert {metric["name"] for metric in declared} == printed
+
+
+def test_speed_factor_averages_the_samples_of_an_interval():
+    ref = speed.REFERENCE_S
+    samples = [(1.0, ref), (2.0, 2 * ref), (3.0, 2 * ref), (4.0, ref)]
+    assert speed.factor(samples, 1.5, 3.5) == 0.5
+    assert speed.factor(samples, 0.0, 10.0) == 0.75
+    # Fewer than two samples inside: the nearest ones around count too.
+    assert speed.factor(samples, 3.2, 3.4) == 0.75
+    with pytest.raises(ValueError):
+        speed.factor([], 0.0, 1.0)

@@ -6,12 +6,12 @@ one.  The workload seed picks an offset that is added to the seed of every
 scenario spec; seed 0 picks offset 0, the catalog itself, i.e. the
 traffic CI already runs.
 
-A simulated workload's cost follows the load its traces offer, and that
-load moves by up to ~25% from one spec seed to the next.  So the offsets
-of the simulated workloads are the ones, among 0-69, whose traces offer
-the catalog's load: the total flow count and the total bytes of the
-workload's distinct traces are both within 2% of the catalog traces'.  A
-seed then changes which flows arrive and when, not how many.
+A workload's cost follows the load its traces offer, and that load moves
+by up to ~25% from one spec seed to the next.  So the offsets of a
+workload are the ones, among 0-69, whose traces offer the catalog's load:
+the total flow count and the total bytes of the workload's distinct
+traces are both within 2% of the catalog traces'.  A seed then changes
+which flows arrive and when, not how many.
 
 This module imports nothing from ``repro`` at import time: ``run.py``
 reads the table without paying the program's import cost, which is
@@ -32,10 +32,8 @@ class Workload:
     name: str
     families: Tuple[str, ...]
     runs_per_scheme: int
-    #: Pool size of the sweep (the fill, for the resumed workload).
+    #: Pool size of the sweep.
     workers: int
-    #: True when the timed sweeps re-run a store filled before timing.
-    resume: bool
     why: str
     #: Spec-seed offsets the workload seed picks from (cyclically).
     seed_offsets: Tuple[int, ...]
@@ -58,7 +56,6 @@ WORKLOADS = {
             families=("paper-default",),
             runs_per_scheme=2,
             workers=1,
-            resume=False,
             # The paper's own protocol at paper scale: one spec, so the
             # kernel and metric extraction dominate and the scenario is
             # built once; 4 of the 5 schemes are run-seed-invariant, so a
@@ -72,7 +69,6 @@ WORKLOADS = {
             families=("mixed-fleet", "gateway-churn"),
             runs_per_scheme=1,
             workers=_workers(2),
-            resume=False,
             # Six specs make the scenario build and the per-worker scenario
             # cache matter, take the heterogeneous-energy and churn kernel
             # paths, and exercise the supervised pool; one repetition, so a
@@ -80,20 +76,6 @@ WORKLOADS = {
             why="mixed-fleet + gateway-churn on a 2-worker pool (the CI sweep job): "
                 "scenario builds, fleet/churn kernel paths and pool dispatch",
             seed_offsets=(0, 5, 7, 11, 20, 26, 27, 29, 32, 38, 40, 42, 47, 56),
-        ),
-        Workload(
-            name="resume-cached",
-            families=("smoke", "smoke-watt", "correlated-outage"),
-            runs_per_scheme=100,
-            workers=_workers(2),
-            resume=True,
-            # A 100%-cache-hit re-run, as every CI sweep job does: no kernel,
-            # build or metric work, so compute-side changes predict no
-            # change; expansion, digesting, store reads and rendering do it all.
-            why="100%-cache-hit re-run of the CI regress families (2000 cells): "
-                "grid expansion, digests, store reads and report rendering only",
-            # Nothing is simulated while timing, so any offset serves.
-            seed_offsets=tuple(range(16)),
         ),
     )
 }
