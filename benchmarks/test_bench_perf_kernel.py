@@ -159,81 +159,6 @@ def test_bench_perf_kernel(bench_scenario):
     )
 
 
-def test_bench_batch_sweep(tmp_path):
-    """Batched (``--batch``) vs serial scalar-kernel sweep throughput.
-
-    Sweeps the smoke family's vec-eligible scheme lanes (the schemes the
-    batched mode actually vectorizes/collapses — BH2 rides the identical
-    scalar pool in both modes and would only add an equal constant to
-    both sides) and amends ``BENCH_perf.json`` — written by
-    :func:`test_bench_perf_kernel` just above — with
-    ``aggregate.batch_sweep_speedup`` plus a ``batch`` provenance block,
-    so the perf gate tracks the batched path alongside the kernel
-    speedup.  Each mode is timed best-of-3 against a fresh store: the
-    sweep is part store I/O, and a single noisy trial on a loaded CI
-    runner should not masquerade as a regression.
-    """
-    from repro.core.schemes import AggregationKind, standard_schemes
-    from repro.sweep.engine import SweepConfig, run_sweep
-    from repro.sweep.store import ResultStore
-
-    schemes = [
-        s for s in standard_schemes()
-        if s.aggregation is AggregationKind.NONE
-        and not s.watt_aware and not s.idealized_transitions
-    ]
-    runs_per_scheme = 128
-    trials = 3
-    config = SweepConfig(runs_per_scheme=runs_per_scheme)
-
-    def timed_sweep(mode, batch):
-        best_s, result = float("inf"), None
-        for trial in range(trials):
-            store = ResultStore(tmp_path / f"{mode}-{trial}")
-            start = time.perf_counter()
-            result = run_sweep(
-                family_names=["smoke"], schemes=schemes, config=config,
-                store=store, batch=batch,
-            )
-            best_s = min(best_s, time.perf_counter() - start)
-        return result, best_s
-
-    scalar, scalar_s = timed_sweep("scalar", batch=False)
-    batched, batch_s = timed_sweep("batch", batch=True)
-
-    assert set(scalar.records) == set(batched.records)
-    assert not batched.failures and batched.peeled == 0
-    assert batched.batched == len(schemes)
-    batch_speedup = scalar_s / batch_s
-
-    payload = json.loads(OUTPUT_PATH.read_text()) if OUTPUT_PATH.exists() else {
-        "schema_version": 1, "aggregate": {}, "per_scheme": {},
-    }
-    payload["aggregate"]["batch_sweep_speedup"] = round(batch_speedup, 2)
-    # Provenance only: the perf baseline loader keeps numeric cells from
-    # the aggregate/per_scheme blocks, so this block is never gated.
-    payload["batch"] = {
-        "families": ["smoke"],
-        "schemes": [s.name for s in schemes],
-        "runs_per_scheme": runs_per_scheme,
-        "trials": trials,
-        "cells": len(batched.records),
-        "batched_lanes": batched.batched,
-        "collapsed_replicas": batched.collapsed,
-        "scalar_sweep_s": round(scalar_s, 3),
-        "batch_sweep_s": round(batch_s, 3),
-    }
-    OUTPUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    # Regression floor: the headline measurement (≥4x on the reference
-    # machine) is recorded in the JSON; the assertion is looser so CI
-    # noise cannot flake the build.
-    assert batch_speedup >= 3.0, (
-        f"batched sweep speedup regressed to {batch_speedup:.2f}x "
-        f"(see {OUTPUT_PATH.name})"
-    )
-
-
 def test_bench_perf_smoke_metrics():
     """Quick cross-kernel smoke check on a small scenario (CI-friendly)."""
     scale = figures.EvaluationScale(

@@ -19,11 +19,11 @@ This module provides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 
 def card_sleep_probability_paper(l: int, k: int, m: int, p: float) -> float:
@@ -56,8 +56,11 @@ def card_sleep_probability_exact(l: int, k: int, m: int, p: float) -> float:
     """
     _validate_lkmp(l, k, m, p)
     q = 1.0 - p
-    at_least_l_inactive = float(binom.sf(l - 1, k, q))
-    return at_least_l_inactive ** m
+    at_least_l_inactive = sum(
+        math.comb(k, i) * q ** i * p ** (k - i) for i in range(l, k + 1)
+    )
+    # Rounding can push the sum a few ulps outside [0, 1].
+    return min(1.0, max(0.0, at_least_l_inactive)) ** m
 
 
 def simulate_card_sleep_probability(

@@ -98,15 +98,6 @@ def _add_sweep_parser(subparsers) -> None:
         "(aggregates are identical to a serial run; default: serial)",
     )
     parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="run compatible grid cells as batched vectorized lanes "
-        "(repro.vec): one numpy program per scenario, seed-invariant "
-        "repetitions collapsed, diverging lanes peeled back to the exact "
-        "scalar kernel; metrics are held to the committed regress bands; "
-        "stands down (pure scalar) under --chaos",
-    )
-    parser.add_argument(
         "--resume",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -293,7 +284,7 @@ def _add_regress_parser(subparsers) -> None:
     )
     regress_sub = parser.add_subparsers(
         dest="regress_command", required=True,
-        metavar="check|update|pareto|history|batch",
+        metavar="check|update|pareto|history",
     )
 
     check = regress_sub.add_parser(
@@ -349,33 +340,6 @@ def _add_regress_parser(subparsers) -> None:
                         help="write the fronts payload as JSON here")
     pareto.add_argument("--json", action="store_true",
                         help="print the fronts payload as JSON")
-
-    batch = regress_sub.add_parser(
-        "batch",
-        help="gate the batched (repro.vec) sweep path against its bands",
-        description="Run the smoke family twice — scalar pool and "
-        "batch=True — and check the batched aggregates against bands "
-        "drawn around the scalar run AND against the committed "
-        "baselines/smoke-batch.json; exit non-zero when either claim "
-        "breaks.  --update re-exports the committed file instead.",
-    )
-    batch.add_argument(
-        "--baselines",
-        type=str,
-        default="baselines",
-        metavar="DIR",
-        help="committed baseline directory (default: ./baselines)",
-    )
-    batch.add_argument("--runs", type=int, default=None, metavar="N",
-                       help="repetitions per scheme (default: 2, so the "
-                       "seed-invariant collapse path is exercised)")
-    batch.add_argument("--update", action="store_true",
-                       help="re-export baselines/smoke-batch.json from a "
-                       "fresh batched sweep instead of checking")
-    batch.add_argument("--verbose", action="store_true",
-                       help="tabulate identical/within-tolerance cells too")
-    batch.add_argument("--json", action="store_true",
-                       help="print the machine-readable report as JSON")
 
     history = regress_sub.add_parser(
         "history",
@@ -994,7 +958,6 @@ def _cmd_sweep(args) -> int:
             chaos=chaos,
             tracer=tracer,
             progress=progress,
-            batch=args.batch,
         )
     except SweepInterrupted as exc:
         print(f"\ninterrupted: {exc.completed} fresh run(s) were persisted to "
@@ -1435,27 +1398,6 @@ def _load_bench_payload(path: str):
 def _cmd_regress(args) -> int:
     from repro.regress import runner as regress_runner
     from repro.sweep import ResultStore, SweepConfig
-
-    if args.regress_command == "batch":
-        from repro.regress import batch as regress_batch
-        from repro.regress.compare import RegressReport
-
-        config = regress_batch.batch_config(
-            args.runs if args.runs else regress_batch.BATCH_RUNS_PER_SCHEME
-        )
-        if args.update:
-            path = regress_batch.update_batch(args.baselines, config)
-            print(f"wrote {path}")
-            print("\ncommit the baselines/ diff to adopt the new bands")
-            return 0
-        report_ = RegressReport()
-        report_.baselines.append(regress_batch.BATCH_BASELINE_NAME)
-        report_.extend(regress_batch.check_batch(args.baselines, config))
-        if args.json:
-            print(json.dumps(report_.to_payload(), indent=1, sort_keys=True))
-        else:
-            print(regress_runner.render_report(report_, verbose=args.verbose))
-        return 0 if report_.ok else 1
 
     if args.regress_command == "history":
         records = regress_runner.load_history(args.baselines)

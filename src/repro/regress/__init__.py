@@ -16,10 +16,6 @@ metric series.  This package *defends* them:
   as ``identical`` / ``within-tolerance`` / ``regressed`` / ``improved``
   / ``new`` / ``missing``, with a machine-readable report and a non-zero
   exit on regression.
-* :mod:`repro.regress.batch` — the toleranced gate for the batched
-  (:mod:`repro.vec`) sweep path: one scalar + one batched smoke sweep,
-  checked against each other and against the committed
-  ``baselines/smoke-batch.json`` bands.
 * :mod:`repro.regress.pareto` — cross-family Pareto fronts
   (``mean_savings_percent`` vs. peak online gateways, and the watt
   frontier ``gateway_kwh`` vs. served demand from
@@ -47,11 +43,6 @@ from repro.regress.baseline import (
     perf_baseline_from_bench,
     perf_cells_from_bench,
     save_baseline,
-)
-from repro.regress.batch import (
-    BATCH_BASELINE_NAME,
-    check_batch,
-    update_batch,
 )
 from repro.regress.compare import (
     GATING_STATUSES,
@@ -86,9 +77,6 @@ __all__ = [
     "perf_baseline_from_bench",
     "perf_cells_from_bench",
     "save_baseline",
-    "BATCH_BASELINE_NAME",
-    "check_batch",
-    "update_batch",
     "GATING_STATUSES",
     "Diff",
     "RegressReport",

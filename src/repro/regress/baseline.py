@@ -56,7 +56,6 @@ _HIGHER_BETTER = frozenset({
     "served_demand_gb",
     "speedup",
     "sim_hours_per_second",
-    "batch_sweep_speedup",
 })
 
 #: Metrics where a smaller observed value is the good direction.
@@ -79,7 +78,6 @@ _PERF_TIMING_TOLERANCES = {
     # to seed-kernel speeds, not a noisy scheduler.
     "speedup": 0.60,
     "sim_hours_per_second": 0.60,
-    "batch_sweep_speedup": 0.60,
 }
 
 #: Perf per-scheme keys that are raw seconds — machine-dependent and not

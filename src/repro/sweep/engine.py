@@ -53,8 +53,6 @@ from repro.simulation.runner import run_scheme, scheme_run_seed
 from repro.simulation.simulator import SimulationResult
 from repro.sweep.catalog import ScenarioFamily, ScenarioSpec, resolve_families
 from repro.sweep.store import ResultStore, RunDigestSeries, RunRecord
-from repro.vec.kernel import run_lanes
-from repro.vec.packer import BatchPlan, plan_batch
 
 #: Peak window (11:00-19:00) of the paper's peak-hour statistics; sweeps
 #: over traces too short to contain it fall back to the full duration.
@@ -258,145 +256,6 @@ def _execute_task(task: SweepTask) -> TaskOutput:
     )
 
 
-def _run_vec_groups(
-    plan: BatchPlan, persist, records, registry, task_stats, progress, tracer,
-) -> Tuple[List[SweepTask], int, int]:
-    """Execute every batched lane group in-process (parent side).
-
-    Each surviving lane persists through the same ``persist`` hook the
-    supervised pool uses, so the store manifest and the timings ledger
-    stay 1:1 with executed cells.  Lanes that diverge (or an entire
-    group that errors) are returned as *peeled* tasks for the scalar
-    pool — peel-as-restart is safe because lane state is fully
-    determined by the scenario, so nothing is lost by re-running from
-    t=0 through the exact kernel.
-    """
-    peeled_tasks: List[SweepTask] = []
-    batched = peeled = 0
-    for group in plan.vec_groups:
-        scenario = _SCENARIO_CACHE.get(group.spec)
-        build_s = 0.0
-        if scenario is None:
-            build_start = time.perf_counter()
-            scenario = group.spec.build()
-            build_s = time.perf_counter() - build_start
-            _SCENARIO_CACHE.clear()
-            _SCENARIO_CACHE[group.spec] = scenario
-        for task in group.lanes:
-            notify(progress, "task_started", task, 0)
-        run_start = time.perf_counter()
-        try:
-            outcomes = run_lanes(
-                scenario,
-                [task.scheme for task in group.lanes],
-                step_s=group.step_s,
-                sample_interval_s=group.sample_interval_s,
-            )
-        except Exception:  # noqa: BLE001 — any kernel failure peels to scalar
-            registry.counter("vec.group_errors", 1)
-            outcomes = None
-        group_s = time.perf_counter() - run_start
-        if tracer is not None:
-            tracer.span(
-                "vec.group", run_start, time.perf_counter(), clock="wall",
-                cat="vec", lanes=len(group.lanes),
-            )
-        if outcomes is None:
-            peeled_tasks.extend(group.lanes)
-            peeled += len(group.lanes)
-            registry.counter("vec.peeled_lanes", len(group.lanes))
-            continue
-        lane_s = group_s / max(1, len(group.lanes))
-        charged_build = False
-        for task, outcome in zip(group.lanes, outcomes):
-            if outcome.result is None:
-                peeled_tasks.append(task)
-                peeled += 1
-                registry.counter("vec.peeled_lanes", 1)
-                continue
-            record = RunRecord(
-                digest=task.digest,
-                family=task.family,
-                label=task.spec.label,
-                scheme=task.scheme.name,
-                run_index=task.run_index,
-                seed=task.seed,
-                duration_s=task.spec.duration_s,
-                metrics=run_metrics(outcome.result, task.spec.duration_s),
-            )
-            lane_registry = MetricsRegistry.from_snapshot(
-                kernel_snapshot(outcome.result, lane_s)
-            )
-            if build_s > 0 and not charged_build:
-                lane_registry.observe("sweep.trace_build_s", build_s)
-            output = TaskOutput(
-                record=record,
-                obs=lane_registry.snapshot(),
-                build_s=build_s if not charged_build else 0.0,
-                run_s=lane_s,
-            )
-            charged_build = True
-            persist(output, 0)
-            records[task.digest] = record
-            registry.merge(output.obs)
-            task_stats[task.digest] = {"attempts": 1, "wall_s": lane_s}
-            notify(progress, "task_done", task, 0, lane_s)
-            batched += 1
-        registry.counter("vec.groups", 1)
-        registry.counter("vec.lanes", len(group.lanes))
-    _SCENARIO_CACHE.clear()
-    return peeled_tasks, batched, peeled
-
-
-def _replicate_collapsed(
-    plan: BatchPlan, persist, records, registry, task_stats, progress,
-) -> Tuple[List[TaskFailure], int]:
-    """Replicate run-seed-invariant repetitions from their representative.
-
-    Runs after the scalar pool so it also covers representatives that
-    were peeled (or were never vec-eligible) and executed there.  Each
-    replica gets its own store record and ledger line under its own
-    digest/seed, so resumes and caches behave exactly as in scalar mode.
-    A missing representative (failed under ``--keep-going``) fails its
-    replicas instead of guessing.
-    """
-    failures: List[TaskFailure] = []
-    collapsed = 0
-    for group in plan.collapse_groups:
-        representative = records.get(group.representative.digest)
-        for task in group.siblings:
-            if representative is None:
-                failures.append(TaskFailure(
-                    digest=task.digest,
-                    family=task.family,
-                    label=task.spec.label,
-                    scheme=task.scheme.name,
-                    run_index=task.run_index,
-                    attempts=0,
-                    kind="error",
-                    reason="collapsed representative failed",
-                ))
-                continue
-            record = RunRecord(
-                digest=task.digest,
-                family=task.family,
-                label=task.spec.label,
-                scheme=task.scheme.name,
-                run_index=task.run_index,
-                seed=task.seed,
-                duration_s=task.spec.duration_s,
-                metrics=dict(representative.metrics),
-            )
-            persist(TaskOutput(record=record, obs={}, build_s=0.0, run_s=0.0), 0)
-            records[task.digest] = record
-            task_stats[task.digest] = {"attempts": 0, "wall_s": 0.0}
-            notify(progress, "task_done", task, 0, 0.0)
-            collapsed += 1
-    if collapsed:
-        registry.counter("vec.collapsed_cells", collapsed)
-    return failures, collapsed
-
-
 @dataclass
 class SweepResult:
     """Outcome of a sweep: every task's record plus cache accounting.
@@ -416,12 +275,6 @@ class SweepResult:
     respawns: int = 0
     timeouts: int = 0
     degraded: bool = False
-    #: Batched-mode accounting (``batch=True``): grid cells simulated as
-    #: vectorized lanes, cells replicated from a run-seed-invariant
-    #: representative, and lanes peeled back to the exact scalar kernel.
-    batched: int = 0
-    collapsed: int = 0
-    peeled: int = 0
     #: Merged observability snapshot (counters/gauges/histograms) across
     #: every executed run plus the engine's own store/supervisor counters.
     obs: Dict[str, dict] = field(default_factory=dict)
@@ -501,7 +354,6 @@ def run_sweep(
     chaos: Optional[ChaosConfig] = None,
     tracer=None,
     progress=None,
-    batch: bool = False,
 ) -> SweepResult:
     """Run (or resume) a sweep over the given scenario families.
 
@@ -533,15 +385,6 @@ def run_sweep(
     and cache hits up front, then receives every supervisor event.  All
     sink callbacks go through the exception-swallowing ``notify``
     wrapper, so — like tracing — watching never changes results.
-
-    ``batch=True`` packs compatible pending cells into vectorized lane
-    groups (:mod:`repro.vec`) before pooling: eligible schemes of one
-    scenario run as one numpy program, run-seed-invariant repetitions
-    are replicated from their representative, and anything else —
-    including lanes that diverge mid-run — falls back to the exact
-    scalar kernel.  Batched metrics are toleranced, not bit-identical
-    (see ``docs/kernel.md``); chaos injection disables batching so the
-    chaos drill keeps exercising the supervised scalar path.
     """
     if workers is not None and workers <= 0:
         raise ValueError("workers must be positive")
@@ -629,32 +472,15 @@ def run_sweep(
     degraded = False
     task_stats: Dict[str, Dict[str, float]] = {}
     registry = MetricsRegistry()
-    batched = collapsed = peeled = 0
-    batch_plan: Optional[BatchPlan] = None
-    pool_tasks = pending
-    # Chaos drills exercise the supervised scalar path; batching would
-    # reroute cells around the fault plan, so it stands down under chaos.
-    if batch and pending and chaos is None:
-        batch_plan = plan_batch(pending)
-        peeled_tasks, batched, peeled = _run_vec_groups(
-            batch_plan, persist, records, registry, task_stats, progress, tracer,
-        )
-        # The pool keeps grid order (scalar bucket plus peeled lanes) so
-        # worker scenario caches stay warm.
-        grid_position = {task.digest: i for i, task in enumerate(pending)}
-        pool_tasks = sorted(
-            batch_plan.scalar_tasks + peeled_tasks,
-            key=lambda task: grid_position[task.digest],
-        )
-    if pool_tasks:
+    if pending:
         workers = workers or 1
-        workers = max(1, min(workers, len(pool_tasks)))
+        workers = max(1, min(workers, len(pending)))
         if workers == 1:
             global _TASK_TRACER
             _TASK_TRACER = tracer
             try:
                 outcome = run_serial_supervised(
-                    pool_tasks, _execute_task, persist, policy, plan=plan,
+                    pending, _execute_task, persist, policy, plan=plan,
                     tracer=tracer, progress=progress,
                 )
             finally:
@@ -667,7 +493,7 @@ def run_sweep(
             # spec's cells land contiguously and a worker's per-process
             # scenario cache stays warm.
             outcome = run_supervised(
-                pool_tasks, _execute_task, persist, policy, plan=plan,
+                pending, _execute_task, persist, policy, plan=plan,
                 workers=workers, tracer=tracer, progress=progress,
             )
         # Unwrap: SweepResult.records holds bare RunRecords (exactly what
@@ -680,16 +506,7 @@ def run_sweep(
         respawns = outcome.respawns
         timeouts = outcome.timeouts
         degraded = outcome.degraded
-        task_stats.update(outcome.task_stats)
-
-    if batch_plan is not None:
-        # After the pool: every representative (vec lane, scalar-bucket
-        # cell, or peeled-and-rerun lane) has its record; replicate the
-        # collapsed repetitions from them.
-        replica_failures, collapsed = _replicate_collapsed(
-            batch_plan, persist, records, registry, task_stats, progress,
-        )
-        failures = failures + replica_failures
+        task_stats = outcome.task_stats
 
     # Every grid cell that did not need a fresh run counts as a hit,
     # including duplicates reached through two families.
@@ -699,8 +516,6 @@ def run_sweep(
     registry.counter("supervisor.retries", retries)
     registry.counter("supervisor.respawns", respawns)
     registry.counter("supervisor.timeouts", timeouts)
-    if batched:
-        registry.counter("vec.batched_cells", batched)
     notify(progress, "sweep_finished")
     return SweepResult(
         tasks=tasks,
@@ -712,9 +527,6 @@ def run_sweep(
         respawns=respawns,
         timeouts=timeouts,
         degraded=degraded,
-        batched=batched,
-        collapsed=collapsed,
-        peeled=peeled,
         obs=registry.snapshot(),
         task_stats=task_stats,
     )

@@ -207,10 +207,6 @@ def render_sweep(result: SweepResult) -> str:
         accounting["worker_respawns"] = result.respawns
         accounting["failed_cells"] = len(result.failures)
         accounting["degraded_to_serial"] = str(result.degraded).lower()
-    if result.batched or result.collapsed or result.peeled:
-        accounting["batched_lanes"] = result.batched
-        accounting["collapsed_replicas"] = result.collapsed
-        accounting["peeled_lanes"] = result.peeled
     blocks.append(report.render_key_values(accounting, title="Sweep accounting"))
     metrics = obs_table(result)
     if metrics and result.executed:
@@ -268,9 +264,6 @@ def sweep_to_json(result: SweepResult) -> str:
             "worker_respawns": result.respawns,
             "timeouts": result.timeouts,
             "degraded_to_serial": result.degraded,
-            "batched_lanes": result.batched,
-            "collapsed_replicas": result.collapsed,
-            "peeled_lanes": result.peeled,
         },
         "obs": result.obs,
     }

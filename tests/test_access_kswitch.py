@@ -1,5 +1,11 @@
 """Tests for the k-switch model (Eq. 2) and packing machinery."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +45,49 @@ def test_exact_first_card_formula():
     expected = (1.0 - p ** k) ** m
     assert card_sleep_probability_exact(1, k, m, p) == pytest.approx(expected)
     assert card_sleep_probability_paper(1, k, m, p) == pytest.approx(expected)
+
+
+def _brute_force_sleep_probabilities(k, m, p):
+    """Per-card sleep probability of a bank of ``m`` independent k-switches.
+
+    Enumerates all 2^k activity patterns of one k-switch, packs each with
+    :class:`KSwitchBank` and adds the pattern's probability to every card
+    left without an active line; a card sleeps only if it does so on all
+    ``m`` switches.
+    """
+    bank = KSwitchBank(k=k, num_ports_per_card=1, line_ids=list(range(k)))
+    one_switch = [0.0] * k
+    for pattern in itertools.product((False, True), repeat=k):
+        active = sum(pattern)
+        weight = p ** active * (1.0 - p) ** (k - active)
+        busy = bank.pack(dict(enumerate(pattern))).cards_with_active_lines
+        for card in range(k):
+            if card not in busy:
+                one_switch[card] += weight
+    return [probability ** m for probability in one_switch]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_exact_matches_brute_force_enumeration(k):
+    for p in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0):
+        for m in (1, 5, 24):
+            expected = _brute_force_sleep_probabilities(k, m, p)
+            for l in range(1, k + 1):
+                assert card_sleep_probability_exact(l, k, m, p) == pytest.approx(
+                    expected[l - 1], rel=0.0, abs=1e-12
+                ), (l, k, m, p)
+
+
+def test_sweep_import_does_not_load_scipy():
+    # scipy is not a declared dependency, and importing it would slow
+    # down and bloat every sweep process start-up.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "import sys, repro.sweep; print('scipy' in sys.modules)"
+    output = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert output.stdout.strip() == "False"
 
 
 def test_degenerate_probabilities():

@@ -143,7 +143,7 @@ def test_sweep_abort_without_keep_going_exits_1(tmp_path, capsys):
     assert "--keep-going" in err
 
 
-def test_sweep_ctrl_c_reports_persisted_count(monkeypatch, capsys):
+def test_sweep_ctrl_c_reports_persisted_count(monkeypatch, capsys, tmp_path):
     from repro.resilience import SweepInterrupted
 
     def fake_run_sweep(*args, **kwargs):
@@ -151,7 +151,8 @@ def test_sweep_ctrl_c_reports_persisted_count(monkeypatch, capsys):
 
     monkeypatch.setattr("repro.sweep.engine.run_sweep", fake_run_sweep)
     monkeypatch.setattr("repro.sweep.run_sweep", fake_run_sweep)
-    assert main(["sweep", "--family", "smoke", "--out", "unused-store"]) == 130
+    out = str(tmp_path / "store")
+    assert main(["sweep", "--family", "smoke", "--out", out]) == 130
     err = capsys.readouterr().err
     assert "3 fresh run(s) were persisted" in err
     assert "resume-safe" in err
