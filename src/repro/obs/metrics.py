@@ -143,8 +143,8 @@ def kernel_snapshot(result, wall_s: Optional[float] = None) -> Dict[str, dict]:
         steps = getattr(result, "steps_taken", 0)
         if steps:
             registry.observe("kernel.steps_per_s", steps / wall_s)
-            # Simulated hours delivered per wall-clock second: the
-            # headline throughput number of the perf benchmark.
+            # Simulated hours delivered per wall-clock second: the unit
+            # of the sweep benchmark's headline `sim_hours_per_s`.
             registry.observe(
                 "kernel.sim_hours_per_s", result.duration / 3600.0 / wall_s
             )

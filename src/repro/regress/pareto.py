@@ -7,7 +7,7 @@ point metrics.  This module computes non-dominated fronts over the
 (family, scenario, scheme) aggregate rows of a sweep and records front
 membership in the committed baselines, so a scheme *falling off the
 front* — becoming dominated by another design — is itself a detectable
-regression even when none of its own metrics crossed a tolerance.
+regression even when none of its own metrics regressed.
 
 Two shipped fronts (see :data:`FRONT_SPECS`):
 

@@ -2,9 +2,9 @@
 
 ``check`` runs (or resumes from the result store) the selected scenario
 families, diffs the fresh aggregates and Pareto fronts against the
-committed baselines, optionally diffs a ``BENCH_perf.json`` against the
-perf baseline, and renders both a human table and a machine-readable
-report.  ``update`` re-exports the committed files from the same sweep.
+committed baselines, and renders both a human table and a
+machine-readable report.  ``update`` re-exports the committed files from
+the same sweep.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.analysis import report as text_report
 from repro.regress.baseline import (
     DEFAULT_REGRESS_FAMILIES,
-    PERF_BASELINE_NAME,
     baseline_from_aggregates,
     baseline_path,
     cells_from_aggregates,
     load_baseline,
-    perf_baseline_from_bench,
-    perf_cells_from_bench,
     save_baseline,
 )
 from repro.regress.compare import Diff, RegressReport, compare_cells, compare_config
@@ -117,20 +114,6 @@ def check_pareto(
     return compare_fronts(baseline, fresh)
 
 
-def check_perf(bench_payload: Mapping[str, object], baselines_dir: str) -> List[Diff]:
-    """Diffs of a fresh ``BENCH_perf.json`` payload against the perf baseline."""
-    baseline = load_baseline(baselines_dir, PERF_BASELINE_NAME)
-    if baseline is None:
-        return [Diff(
-            baseline=PERF_BASELINE_NAME,
-            cell=str(baseline_path(baselines_dir, PERF_BASELINE_NAME)),
-            metric="*", status="missing",
-            detail="no committed perf baseline; run "
-                   "'repro-access regress update --perf BENCH_perf.json'",
-        )]
-    return compare_cells(baseline, perf_cells_from_bench(bench_payload))
-
-
 # ----------------------------------------------------------------------
 # update
 # ----------------------------------------------------------------------
@@ -155,11 +138,6 @@ def update_baselines(
     pareto_file.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     written.append(pareto_file)
     return written
-
-
-def update_perf(bench_payload: Mapping[str, object], baselines_dir: str) -> Path:
-    """Export the perf baseline from a ``BENCH_perf.json`` payload."""
-    return save_baseline(baselines_dir, perf_baseline_from_bench(bench_payload))
 
 
 def _load_pareto_payload(baselines_dir: str) -> Optional[Mapping[str, object]]:
@@ -198,7 +176,7 @@ def git_sha() -> Optional[str]:
 
 def history_record(
     report: RegressReport,
-    result: Optional[SweepResult],
+    result: SweepResult,
     family_names: Sequence[str],
 ) -> Dict[str, object]:
     """One ledger line summarising a gate run.
@@ -207,13 +185,11 @@ def history_record(
     metric cells each family contributed — enough to spot coverage
     shrinking or a family silently dropping out of the gate over time.
     """
-    families: Dict[str, int] = {}
-    if result is not None:
-        rows_by_family = aggregates_by_family(result)
-        for family in family_names:
-            families[str(family)] = len(
-                cells_from_aggregates(rows_by_family.get(family, []))
-            )
+    rows_by_family = aggregates_by_family(result)
+    families = {
+        str(family): len(cells_from_aggregates(rows_by_family.get(family, [])))
+        for family in family_names
+    }
     return {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "git_sha": git_sha(),
@@ -309,7 +285,7 @@ def render_report(report: RegressReport, verbose: bool = False) -> str:
     blocks: List[str] = []
     shown = [
         diff for diff in report.diffs
-        if verbose or diff.status not in ("identical", "within-tolerance")
+        if verbose or diff.status != "identical"
     ]
     if shown:
         rows = []
@@ -346,10 +322,7 @@ def render_report(report: RegressReport, verbose: bool = False) -> str:
     return "\n".join(blocks)
 
 
-def render_markdown_summary(
-    report: RegressReport,
-    bench_payload: Optional[Mapping[str, object]] = None,
-) -> str:
+def render_markdown_summary(report: RegressReport) -> str:
     """A GitHub-flavoured markdown summary for ``$GITHUB_STEP_SUMMARY``."""
     lines: List[str] = ["## Regression gate", ""]
     counts = report.counts()
@@ -366,20 +339,6 @@ def render_markdown_summary(
                 f"- `{diff.baseline}:{diff.cell}:{diff.metric}` — "
                 f"{diff.status}: {diff.detail or 'see report artifact'}"
             )
-    if bench_payload is not None:
-        aggregate = bench_payload.get("aggregate", {})
-        lines.append("")
-        lines.append("## Kernel perf trajectory (`BENCH_perf.json`)")
-        lines.append("")
-        lines.append(text_report.format_markdown_table(
-            ["aggregate speedup", "sim hours / wall-clock s", "seed kernel s", "kernel s"],
-            [[
-                f"{aggregate.get('speedup', '-')}x",
-                aggregate.get("sim_hours_per_second", "-"),
-                aggregate.get("seed_kernel_s", "-"),
-                aggregate.get("kernel_s", "-"),
-            ]],
-        ))
     return "\n".join(lines) + "\n"
 
 

@@ -52,7 +52,7 @@ from repro.resilience.supervisor import (
 from repro.simulation.runner import run_scheme, scheme_run_seed
 from repro.simulation.simulator import SimulationResult
 from repro.sweep.catalog import ScenarioFamily, ScenarioSpec, resolve_families
-from repro.sweep.store import ResultStore, RunDigestSeries, RunRecord
+from repro.sweep.store import ResultStore, RunRecord, run_digest
 
 #: Peak window (11:00-19:00) of the paper's peak-hour statistics; sweeps
 #: over traces too short to contain it fall back to the full duration.
@@ -168,14 +168,6 @@ def expand_tasks(
             # compute it once per spec, not once per scheme x repetition.
             spec_canonical = spec.canonical()
             for scheme in family_schemes:
-                # Repetitions share everything but the seed: the series
-                # renders the digest payload once per (spec, scheme) and
-                # splices the seed in, instead of serializing the whole
-                # scenario for every repetition cell.
-                digests = RunDigestSeries(
-                    spec, scheme, config.step_s, config.sample_interval_s,
-                    spec_canonical=spec_canonical,
-                )
                 for run_index in range(config.runs_per_scheme):
                     seed = scheme_run_seed(spec.seed, run_index, scheme.name)
                     tasks.append(SweepTask(
@@ -186,7 +178,10 @@ def expand_tasks(
                         seed=seed,
                         step_s=config.step_s,
                         sample_interval_s=config.sample_interval_s,
-                        digest=digests.digest(seed),
+                        digest=run_digest(
+                            spec, scheme, seed, config.step_s,
+                            config.sample_interval_s, spec_canonical=spec_canonical,
+                        ),
                     ))
     return tasks
 

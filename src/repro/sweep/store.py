@@ -59,24 +59,6 @@ def canonical_json(obj: object) -> str:
     return json.dumps(canonicalize(obj), sort_keys=True, separators=(",", ":"))
 
 
-def _digest_payload(
-    spec,
-    scheme,
-    seed: int,
-    step_s: float,
-    sample_interval_s: float,
-    spec_canonical: Optional[dict] = None,
-) -> dict:
-    return {
-        "store_version": STORE_VERSION,
-        "scenario": spec_canonical if spec_canonical is not None else spec.canonical(),
-        "scheme": scheme.canonical() if hasattr(scheme, "canonical") else canonicalize(scheme),
-        "seed": seed,
-        "step_s": step_s,
-        "sample_interval_s": sample_interval_s,
-    }
-
-
 def run_digest(
     spec,
     scheme,
@@ -95,57 +77,15 @@ def run_digest(
     control their digest payload — default-valued additions such as
     ``watt_aware=False`` are omitted so old stores keep their hits.
     """
-    payload = _digest_payload(
-        spec, scheme, seed, step_s, sample_interval_s, spec_canonical
-    )
+    payload = {
+        "store_version": STORE_VERSION,
+        "scenario": spec_canonical if spec_canonical is not None else spec.canonical(),
+        "scheme": scheme.canonical() if hasattr(scheme, "canonical") else canonicalize(scheme),
+        "seed": seed,
+        "step_s": step_s,
+        "sample_interval_s": sample_interval_s,
+    }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-class RunDigestSeries:
-    """Digests for many repetitions of one (spec, scheme) grid cell.
-
-    Repetitions differ only in their run seed, which appears exactly
-    once at the *top level* of the canonical digest payload (the
-    scenario's own ``seed`` sits inside the nested scenario object and
-    keeps its surrounding keys, so the top-level token — immediately
-    followed by the sorted ``"step_s"`` key — is unambiguous).  The
-    series renders the payload once, pre-hashes everything before the
-    seed token, and derives each digest by hashing the spliced tail:
-    byte-identical to :func:`run_digest` at a fraction of the cost, which
-    matters when grid expansion digests thousands of repetition cells.
-    """
-
-    def __init__(
-        self,
-        spec,
-        scheme,
-        step_s: float,
-        sample_interval_s: float,
-        spec_canonical: Optional[dict] = None,
-    ):
-        self._spec = spec
-        self._scheme = scheme
-        self._step_s = step_s
-        self._sample_interval_s = sample_interval_s
-        self._spec_canonical = spec_canonical
-        self._prefix_hash = None
-        self._suffix: Optional[str] = None
-
-    def digest(self, seed: int) -> str:
-        if self._suffix is None:
-            rendered = canonical_json(_digest_payload(
-                self._spec, self._scheme, seed, self._step_s,
-                self._sample_interval_s, self._spec_canonical,
-            ))
-            token = f'"seed":{seed},"step_s":'
-            index = rendered.rfind(token)
-            assert index >= 0, "canonical payload lost its top-level seed key"
-            start = index + len('"seed":')
-            self._prefix_hash = hashlib.sha256(rendered[:start].encode("utf-8"))
-            self._suffix = rendered[start + len(str(seed)):]
-        sha = self._prefix_hash.copy()
-        sha.update(f"{seed}{self._suffix}".encode("utf-8"))
-        return sha.hexdigest()
 
 
 @dataclass

@@ -124,21 +124,15 @@ def test_warehouse_ingests_traces_bench_and_history(tmp_path):
     tracer.span("task.run", 1.0, 2.0, clock="wall")
     trace_path = tmp_path / "trace.jsonl"
     tracer.write_jsonl(trace_path)
-    bench_path = tmp_path / "BENCH_perf.json"
-    bench_path.write_text(json.dumps({
-        "environment": {"git_sha": "zzz999", "python": "3.12"},
-        "aggregate": {"speedup": 5.0, "kernel_s": 1.2},
-    }))
     append_history(advisory_record("PASS", {"smoke": 5}, {"checked": 5}),
                    str(tmp_path / "baselines"))
     with InsightWarehouse(tmp_path / "insight.db") as warehouse:
         assert warehouse.ingest_trace(trace_path) == 3
-        assert warehouse.ingest_bench(bench_path) == 2
         assert warehouse.ingest_history(tmp_path / "baselines") == 1
         counts = warehouse.counts()
     # Trace events aggregate per (name, clock): two rows, three events.
     assert counts["trace_events"] == 2
-    assert counts["bench"] == 2 and counts["history"] == 1
+    assert counts["history"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -4,15 +4,19 @@ The event-aware kernel in :mod:`repro.simulation.simulator` is designed to
 reproduce the seed per-step trajectory exactly — same transitions at the
 same grid instants, same RNG draws, bit-identical flow service — so these
 tests compare it against the verbatim seed copy in
-:mod:`repro.simulation.reference_kernel` on a small but busy scenario and
-require exact agreement on the device-state samples and tight float
-agreement on the aggregate metrics.
+:mod:`repro.simulation.reference_kernel`: on a small but busy scenario,
+requiring exact agreement on the device-state samples and tight float
+agreement on the aggregate metrics, and at paper scale (the full day at
+the paper protocol's 1 s step, where the Sec. 5 savings are claimed) for
+every named scheme.
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis import figures
 from repro.core.schemes import (
+    all_schemes,
     bh2_kswitch,
     bh2_no_backup_kswitch,
     no_sleep,
@@ -102,3 +106,36 @@ def test_kernel_matches_seed_at_finer_step(scenario):
         result = run_scheme(scenario, scheme, seed=7, step_s=1.0, until=1800.0)
         assert np.array_equal(reference.online_gateways, result.online_gateways)
         assert result.mean_savings() == pytest.approx(reference.mean_savings(), abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def paper_scenario():
+    """Half the paper's population over the full day at the paper's 1 s step."""
+    scale = figures.EvaluationScale(
+        num_clients=136, num_gateways=20, duration_s=24 * 3600.0, step_s=1.0, seed=2011
+    )
+    return figures.build_scenario(scale)
+
+
+def test_kernel_matches_seed_at_paper_scale(paper_scenario):
+    for name, scheme in all_schemes().items():
+        reference = run_scheme_reference(paper_scenario, scheme, seed=1, step_s=1.0)
+        result = run_scheme(paper_scenario, scheme, seed=1, step_s=1.0)
+        savings_delta = abs(reference.mean_savings() - result.mean_savings())
+        online_delta = abs(
+            reference.mean_online_gateways() - result.mean_online_gateways()
+        )
+        assert savings_delta < 1e-6, f"{name}: mean_savings moved by {savings_delta}"
+        assert online_delta < 1e-6, f"{name}: mean_online_gateways moved by {online_delta}"
+        assert np.array_equal(reference.online_gateways, result.online_gateways), name
+
+
+def test_kernel_matches_seed_metrics_on_every_scheme():
+    scale = figures.EvaluationScale(
+        num_clients=40, num_gateways=8, duration_s=3600.0, step_s=2.0, seed=11
+    )
+    scenario = figures.build_scenario(scale)
+    for name, scheme in all_schemes().items():
+        reference = run_scheme_reference(scenario, scheme, seed=2, step_s=2.0)
+        result = run_scheme(scenario, scheme, seed=2, step_s=2.0)
+        assert abs(reference.mean_savings() - result.mean_savings()) < 1e-6, name

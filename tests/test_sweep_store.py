@@ -7,7 +7,6 @@ from repro.sweep.catalog import ScenarioSpec
 from repro.sweep.store import (
     STORE_VERSION,
     ResultStore,
-    RunDigestSeries,
     RunRecord,
     run_digest,
 )
@@ -31,19 +30,6 @@ def test_digest_is_stable_and_sensitive(spec):
     assert base != run_digest(spec, soi(), seed=2, step_s=2.0, sample_interval_s=60.0)
     assert base != run_digest(spec, soi(), seed=1, step_s=1.0, sample_interval_s=60.0)
     assert base != run_digest(spec, bh2_kswitch(), seed=1, step_s=2.0, sample_interval_s=60.0)
-
-
-def test_digest_series_matches_run_digest(spec):
-    """The spliced-seed fast path is byte-identical to the slow path."""
-    for scheme in (soi(), bh2_kswitch()):
-        series = RunDigestSeries(spec, scheme, 2.0, 60.0)
-        # Seeds of different digit counts (and a repeat of the template
-        # seed) all splice correctly; 3 is the spec's own nested seed, so
-        # it also proves the top-level token is the one replaced.
-        for seed in (7, 3, 12345, 7, 0):
-            assert series.digest(seed) == run_digest(
-                spec, scheme, seed, step_s=2.0, sample_interval_s=60.0
-            ), (scheme.name, seed)
 
 
 def test_digest_ignores_the_label(spec):
