@@ -1,10 +1,13 @@
 """In-flight flow state and completion records.
 
 Both classes are lean value types rather than dataclasses: the simulator
-creates one :class:`ActiveFlow` per trace flow (hundreds of thousands per
-run) and one :class:`FlowRecord` per completion, so construction cost is a
-measurable slice of a run.  ``ActiveFlow`` is a mutable ``__slots__`` class;
-``FlowRecord`` is a ``NamedTuple`` (tuple construction is C-speed).
+creates one :class:`ActiveFlow` per admitted trace flow (hundreds of
+thousands per run), so construction cost is a measurable slice of a run.
+A :class:`FlowRecord` per completion is built only when a caller reads a
+result's ``flow_records`` (figures, CDFs); a sweep reads the scheduler's
+served-flow and served-byte counters instead.  ``ActiveFlow`` is a mutable
+``__slots__`` class; ``FlowRecord`` is a ``NamedTuple`` (tuple construction
+is C-speed).
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ from repro.traces.models import Flow
 class ActiveFlow:
     """A flow currently being transferred (or waiting for its gateway).
 
-    The gateway a flow is routed through is fixed when the flow is admitted
-    — the paper's schemes never migrate in-flight flows, they only route
-    *new* flows through the newly selected gateway.
+    The gateway a flow is routed through is chosen when the flow is
+    admitted, and BH2 routes only *new* flows through a newly selected
+    gateway.  In-flight flows do move, with
+    :meth:`~repro.flows.scheduler.FlowScheduler.migrate`: the Optimal
+    scheme's re-assignment moves them to the gateways it keeps online,
+    and the churn rescue moves a departing gateway's flows to a neighbour.
     """
 
     __slots__ = (

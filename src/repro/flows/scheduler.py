@@ -170,6 +170,11 @@ class FlowScheduler:
         #: gateway id -> flows routed through it, in admission order.
         self._groups: Dict[int, List[ActiveFlow]] = {}
         self._completed: List[ActiveFlow] = []
+        #: Served demand, counted as flows complete: what a sweep stores,
+        #: without building a :class:`FlowRecord` per flow.  Exact integers
+        #: (``Flow.size_bytes`` is an ``int``), so any summation order agrees.
+        self.served_flows = 0
+        self.served_bytes = 0
         self._n_active = 0
         #: Gateways whose cached rates are stale.
         self._dirty: Set[int] = set()
@@ -604,7 +609,7 @@ class FlowScheduler:
             del groups[gateway_id]
             del gw_completion[gateway_id]
         if completed:
-            self._completed.extend(completed)
+            self._record_completions(completed)
         return totals, completed
 
     def serve(
@@ -677,8 +682,18 @@ class FlowScheduler:
             per_step.append(totals)
             start = end
         if completed:
-            self._completed.extend(completed)
+            self._record_completions(completed)
         return per_step, completed
+
+    def _record_completions(self, completed: List[ActiveFlow]) -> None:
+        """Keep finished flows for :meth:`records` and count what they served."""
+        self._completed.extend(completed)
+        self.served_flows += len(completed)
+        # A plain loop: about half the cost of sum() over a generator here.
+        served_bytes = self.served_bytes
+        for active in completed:
+            served_bytes += active.flow.size_bytes
+        self.served_bytes = served_bytes
 
     # ------------------------------------------------------------------
     def records(self, baselines: Optional[Dict[int, float]] = None) -> List[FlowRecord]:

@@ -501,6 +501,7 @@ class ReferenceAccessNetworkSimulator:
             modems_online=self.scenario.num_gateways,
             line_cards_online=self.scenario.dslam.num_line_cards,
         )
+        flow_records = self.scheduler.records(baselines=self.baseline_durations)
         return SimulationResult(
             scheme_name=self.scheme.name,
             duration=horizon,
@@ -515,12 +516,14 @@ class ReferenceAccessNetworkSimulator:
             energy_series_times=np.array(energy_times, dtype=float),
             energy_series_total_j=np.array(energy_total, dtype=float),
             energy_series_isp_j=np.array(energy_isp, dtype=float),
-            flow_records=self.scheduler.records(baselines=self.baseline_durations),
+            flow_records=flow_records,
             gateway_online_seconds={
                 g: gw.online_seconds + gw.waking_seconds for g, gw in self.gateways.items()
             },
             baseline_power_w=baseline_power,
             baseline_isp_power_w=baseline_isp,
+            served_flows=len(flow_records),
+            served_bytes=sum(record.size_bytes for record in flow_records),
             steps_taken=self.steps_taken,
         )
 

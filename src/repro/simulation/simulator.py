@@ -70,9 +70,11 @@ from repro.wireless.channel import WirelessChannel
 class LazyFlowRecords(_SequenceABC):
     """List-like view that materialises flow records on first access.
 
-    A scheme comparison keeps ``runs_per_scheme`` results per scheme but
-    reads per-flow records only from the first run, so building hundreds of
-    thousands of :class:`FlowRecord` tuples eagerly per run is wasted work.
+    Records are built only when a caller reads ``flow_records``: a scheme
+    comparison reads them from the first run of each scheme (figures,
+    CDFs), and a sweep never does; it stores the result's ``served_flows``
+    and ``served_bytes`` counters.  Building hundreds of thousands of
+    :class:`FlowRecord` tuples eagerly per run would be wasted work.
     """
 
     __slots__ = ("_factory", "_records")
@@ -133,6 +135,11 @@ class SimulationResult:
     gateway_online_seconds: Dict[int, float]
     baseline_power_w: float
     baseline_isp_power_w: float
+    #: Served demand: completed flows and the bytes they delivered.  They
+    #: equal ``len(flow_records)`` and the records' summed ``size_bytes``
+    #: but are counted as flows complete, so reading them builds no record.
+    served_flows: int
+    served_bytes: int
     #: Number of kernel iterations the run took (stretched steps count once).
     steps_taken: int = 0
     #: Energy charged to gateways of each fleet generation (joules).  With
@@ -482,8 +489,10 @@ class AccessNetworkSimulator:
     def run(self, until: Optional[float] = None) -> SimulationResult:
         """Run the simulation and return the collected metrics."""
         # The kernel allocates hundreds of thousands of small, cycle-free
-        # objects (flows, records, samples); generational GC scans are pure
-        # overhead here (~15-40% of the run), so pause collection.
+        # objects (active flows, samples; flow records are built later, and
+        # only if a caller reads them); generational GC scans are pure
+        # overhead here (~15-40% of the run), so pause collection.  A sweep
+        # cell extends the pause past run() (repro.sweep.engine).
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -1493,6 +1502,8 @@ class AccessNetworkSimulator:
             },
             baseline_power_w=baseline_power,
             baseline_isp_power_w=baseline_isp,
+            served_flows=self.scheduler.served_flows,
+            served_bytes=self.scheduler.served_bytes,
             steps_taken=self.steps_taken,
             generation_energy_j=generation_energy,
             generation_counts=dict(self._generation_counts),

@@ -28,6 +28,7 @@ prove it.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -112,10 +113,8 @@ def run_metrics(result: SimulationResult, duration_s: float) -> Dict[str, float]
     # These are the y axis of the watt Pareto front (gateway kWh spent
     # vs. demand served) and the explicit "user demand stays served"
     # claim of the regression baselines.
-    metrics["served_flows"] = float(len(result.flow_records))
-    metrics["served_demand_gb"] = (
-        sum(record.size_bytes for record in result.flow_records) / 1e9
-    )
+    metrics["served_flows"] = float(result.served_flows)
+    metrics["served_demand_gb"] = result.served_bytes / 1e9
     # Total gateway-side energy: the column the watt-aware report pairs
     # across schemes to compute watts_saved_vs_count_kwh.
     metrics["gateway_kwh"] = sum(result.generation_energy_j.values()) / 3.6e6
@@ -223,16 +222,28 @@ def _execute_task(task: SweepTask) -> TaskOutput:
         build_s = time.perf_counter() - build_start
         _SCENARIO_CACHE.clear()
         _SCENARIO_CACHE[task.spec] = scenario
-    run_start = time.perf_counter()
-    result = run_scheme(
-        scenario,
-        task.scheme,
-        seed=task.seed,
-        step_s=task.step_s,
-        sample_interval_s=task.sample_interval_s,
-        tracer=_TASK_TRACER,
-    )
-    run_s = time.perf_counter() - run_start
+    # The kernel pauses the collector only while it runs; keep it paused
+    # until the result is dropped, so the run's objects die by refcount
+    # instead of being scanned by the first collection after run().
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_start = time.perf_counter()
+        result = run_scheme(
+            scenario,
+            task.scheme,
+            seed=task.seed,
+            step_s=task.step_s,
+            sample_interval_s=task.sample_interval_s,
+            tracer=_TASK_TRACER,
+        )
+        run_s = time.perf_counter() - run_start
+        metrics = run_metrics(result, task.spec.duration_s)
+        snapshot = kernel_snapshot(result, run_s)
+        del result
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     record = RunRecord(
         digest=task.digest,
         family=task.family,
@@ -241,9 +252,9 @@ def _execute_task(task: SweepTask) -> TaskOutput:
         run_index=task.run_index,
         seed=task.seed,
         duration_s=task.spec.duration_s,
-        metrics=run_metrics(result, task.spec.duration_s),
+        metrics=metrics,
     )
-    registry = MetricsRegistry.from_snapshot(kernel_snapshot(result, run_s))
+    registry = MetricsRegistry.from_snapshot(snapshot)
     if build_s > 0:
         registry.observe("sweep.trace_build_s", build_s)
     return TaskOutput(

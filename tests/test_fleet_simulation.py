@@ -27,6 +27,8 @@ from repro.power.models import DEFAULT_POWER_MODEL
 from repro.simulation.reference_kernel import run_scheme_reference
 from repro.simulation.runner import run_scheme
 from repro.simulation.simulator import AccessNetworkSimulator
+from repro.sweep.catalog import family
+from repro.sweep.engine import SweepConfig, expand_tasks
 from repro.topology.overlap import GatewayTopology
 from repro.topology.scenario import Scenario, build_default_scenario
 from repro.traces.models import ClientTrace, Flow, WirelessTrace
@@ -320,3 +322,72 @@ def test_optimal_scheme_avoids_out_of_service_gateways():
     total_flows = scenario.trace.num_flows
     assert len(result.flow_records) + result.dropped_flows >= 0.95 * total_flows
     assert simulator.gateway_array.in_service[2]
+
+
+# ----------------------------------------------------------------------
+# Flow conservation on the churn sweep cells
+# ----------------------------------------------------------------------
+def _conservation_terms(spec_label):
+    """Run every sweep cell of one catalog spec; the ledger of its flows.
+
+    Each trace arrival ends a run in exactly one place: served, dropped,
+    suppressed (client out of service), still in flight, or never
+    admitted (it arrives after the last step).  The seed kernel predates
+    churn and fleets, so this law is the oracle for these paths.
+    """
+    family_name = spec_label.split("[")[0]
+    tasks = [
+        task
+        for task in expand_tasks([family(family_name)], None, SweepConfig())
+        if task.spec.label == spec_label
+    ]
+    assert tasks, spec_label
+    scenario = tasks[0].spec.build()
+    rows = {}
+    for task in tasks:
+        simulator = AccessNetworkSimulator(
+            scenario,
+            task.scheme,
+            step_s=task.step_s,
+            sample_interval_s=task.sample_interval_s,
+            seed=task.seed,
+        )
+        result = simulator.run()
+        name = task.scheme.name
+        arrivals = len(simulator._arrival_times)
+        rows[name] = dict(
+            served=result.served_flows,
+            dropped=result.dropped_flows,
+            suppressed=result.suppressed_arrivals,
+            in_flight=len(simulator.scheduler.active_flows),
+            never_admitted=arrivals - simulator._arrival_index,
+        )
+        assert sum(rows[name].values()) == arrivals, f"{spec_label} {name}: {rows[name]}"
+        records = result.flow_records
+        assert result.served_flows == len(records), f"{spec_label} {name}"
+        assert result.served_bytes == sum(r.size_bytes for r in records), (
+            f"{spec_label} {name}"
+        )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "spec_label",
+    [
+        "correlated-outage[churn=midday-dropout]",
+        "correlated-outage[churn=dslam-outage]",
+    ],
+)
+def test_flow_conservation_under_correlated_outage(spec_label):
+    rows = _conservation_terms(spec_label)
+    if spec_label.endswith("dslam-outage]"):
+        # The whole-DSLAM outage must actually cost flows, or the law
+        # would only be checked on its trivial terms.
+        assert any(row["dropped"] for row in rows.values()), rows
+
+
+def test_flow_conservation_under_evening_expansion():
+    rows = _conservation_terms("gateway-churn[churn=evening-expansion]")
+    # Every term of the ledger is exercised by at least one scheme.
+    for term in ("served", "dropped", "suppressed", "in_flight", "never_admitted"):
+        assert any(row[term] for row in rows.values()), (term, rows)

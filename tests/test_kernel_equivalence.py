@@ -46,6 +46,18 @@ def scenario():
     )
 
 
+def assert_served_counters_match(reference, result, name):
+    """The kernel's served-demand counters equal the seed's eager records."""
+    records = reference.flow_records
+    assert result.served_flows == len(records), (
+        f"{name}: served_flows {result.served_flows} vs {len(records)} seed records"
+    )
+    seed_bytes = sum(record.size_bytes for record in records)
+    assert result.served_bytes == seed_bytes, (
+        f"{name}: served_bytes {result.served_bytes} vs {seed_bytes} in seed records"
+    )
+
+
 SCHEMES = [
     no_sleep(),
     soi(),
@@ -76,6 +88,8 @@ def test_kernel_matches_seed_trajectory(scenario, scheme):
         reference.mean_online_gateways(), abs=1e-9
     )
     assert result.energy.total_j == pytest.approx(reference.energy.total_j, rel=1e-12)
+
+    assert_served_counters_match(reference, result, scheme.name)
 
     # Flow completion records: same flows, same completion instants.
     reference_records = {r.flow_id: r for r in reference.flow_records}
@@ -128,6 +142,7 @@ def test_kernel_matches_seed_at_paper_scale(paper_scenario):
         assert savings_delta < 1e-6, f"{name}: mean_savings moved by {savings_delta}"
         assert online_delta < 1e-6, f"{name}: mean_online_gateways moved by {online_delta}"
         assert np.array_equal(reference.online_gateways, result.online_gateways), name
+        assert_served_counters_match(reference, result, name)
 
 
 def test_kernel_matches_seed_metrics_on_every_scheme():

@@ -1,9 +1,13 @@
 """Sweep engine tests: determinism, caching, crash-safe resume."""
 
+import gc
+
 import pytest
 
 from repro.core.schemes import no_sleep, soi
-from repro.sweep.catalog import ScenarioFamily, ScenarioSpec
+from repro.flows.scheduler import FlowScheduler
+from repro.sweep import engine
+from repro.sweep.catalog import ScenarioFamily, ScenarioSpec, resolve_families
 from repro.sweep.engine import SweepConfig, expand_tasks, run_sweep
 from repro.sweep.store import ResultStore
 from repro.simulation.runner import scheme_run_seed
@@ -107,3 +111,72 @@ def test_run_sweep_validation(tmp_path):
         run_sweep(family_names=["nope"], schemes=SCHEMES, config=CONFIG)
     with pytest.raises(ValueError, match="runs_per_scheme"):
         SweepConfig(runs_per_scheme=0)
+
+
+def test_sweep_cells_build_no_flow_records(monkeypatch):
+    """Served demand comes from the kernel's counters, not from records.
+
+    ``smoke`` alone would prove nothing here: its half-hour trace has no
+    flows.  These two families complete (and, under the DSLAM outage,
+    drop) hundreds of flows per cell.
+    """
+    families = resolve_families(["smoke-watt", "correlated-outage"])
+    expected = run_sweep(families=families)
+    assert any(r.metrics["served_flows"] for r in expected.records.values())
+
+    def refuse(self, baselines=None):
+        raise AssertionError("a sweep cell built FlowRecords")
+
+    monkeypatch.setattr(FlowScheduler, "records", refuse)
+    patched = run_sweep(families=families)
+    assert patched.executed == expected.executed == len(expected.tasks)
+    for digest, record in expected.records.items():
+        stored = patched.records[digest].metrics
+        for name in ("served_flows", "served_demand_gb"):
+            assert stored[name] == record.metrics[name], (record.label, record.scheme, name)
+
+
+def _set_gc(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    _set_gc(was_enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_execute_task_pauses_gc_and_restores_it(monkeypatch, restore_gc, enabled):
+    task = expand_tasks([TINY], [soi()], CONFIG)[0]
+    seen = []
+    real_run_metrics = engine.run_metrics
+
+    def spy(result, duration_s):
+        seen.append(gc.isenabled())
+        return real_run_metrics(result, duration_s)
+
+    monkeypatch.setattr(engine, "run_metrics", spy)
+    _set_gc(enabled)
+    output = engine._execute_task(task)
+    assert gc.isenabled() is enabled
+    assert seen == [False]  # metric extraction ran inside the pause
+    assert output.record.digest == task.digest
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_execute_task_restores_gc_when_the_kernel_raises(monkeypatch, restore_gc, enabled):
+    task = expand_tasks([TINY], [soi()], CONFIG)[0]
+
+    def broken_kernel(*args, **kwargs):
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(engine, "run_scheme", broken_kernel)
+    _set_gc(enabled)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        engine._execute_task(task)
+    assert gc.isenabled() is enabled
