@@ -483,17 +483,6 @@ class GatewayArray:
         self._snapshot_version = self.version
         return self._snapshot
 
-    def min_transition_after(self) -> float:
-        """Conservative earliest instant any state machine may change state.
-
-        Never later than the true earliest transition (wake completion or
-        idle-timeout sleep), so it is always safe as a stretch bound.
-        """
-        bound = self._min_wake_deadline
-        if self.sleep_enabled and self._sleep_check_at < bound:
-            bound = self._sleep_check_at
-        return bound
-
     def stretch_transition_bound(self, pending: Container[int]) -> float:
         """Exact earliest transition for stretch planning.
 

@@ -183,7 +183,6 @@ class FlowScheduler:
         self._online_members: Set[int] = set()
         #: Earliest (analytic) completion instant per serving gateway.
         self._gw_completion: Dict[int, float] = {}
-        self._next_completion = inf
         #: Global admission counter (stamps ActiveFlow.admission_index).
         self._admit_counter = 0
         #: Rate-cache accounting: how many per-gateway recomputations ran
@@ -255,7 +254,6 @@ class FlowScheduler:
         if not group:
             del self._groups[gateway_id]
             self._gw_completion.pop(gateway_id, None)
-            self._refresh_next_completion()
         self._dirty.add(gateway_id)
 
     def cancel(self, flow: ActiveFlow) -> None:
@@ -348,7 +346,6 @@ class FlowScheduler:
                 self._recompute_gateway(gateway_id, now, backhaul_bps)
             self._dirty = set(self._groups)
             self._online_ref = None
-            self._refresh_next_completion()
             return
         if online_gateways is not self._online_ref:
             if self._online_ref is None:
@@ -387,7 +384,6 @@ class FlowScheduler:
             else:
                 self._recompute_gateway(gateway_id, now, None)
         self._dirty.clear()
-        self._refresh_next_completion()
 
     def _recompute_gateway(
         self, gateway_id: int, now: float, backhaul_bps: Optional[Dict[int, float]]
@@ -456,20 +452,6 @@ class FlowScheduler:
             self._gw_completion[gateway_id] = earliest
         else:
             self._gw_completion.pop(gateway_id, None)
-
-    def _refresh_next_completion(self) -> None:
-        self._next_completion = (
-            min(self._gw_completion.values()) if self._gw_completion else inf
-        )
-
-    def min_completion_instant(self, now: float, online_gateways: Set[int]) -> float:
-        """Earliest instant any flow can complete at the current rates.
-
-        Analytic estimate, accurate to float rounding; callers must keep a
-        :data:`_COMPLETION_MARGIN_S` safety margin around it.
-        """
-        self.ensure_rates(now, online_gateways)
-        return self._next_completion
 
     def stretch_completion_bound(self, now: float, online_gateways: Set[int], sleep_guard_s: float) -> float:
         """Earliest instant a flow completion becomes a *stepper* event.

@@ -332,7 +332,8 @@ def run_supervised(
     runs in the parent as each result arrives and may raise to fail the
     attempt (this is where torn-write injection lives).  Tasks keep their
     submission order on first assignment, so a worker's per-process
-    scenario cache stays warm across a spec's contiguous cells.
+    scenario cache stays warm across a spec's contiguous cells (and its
+    trace across consecutive specs that share one).
     ``tracer`` records parent-side wall-clock spans (assignment to
     resolution, one Perfetto track per worker) and retry/respawn events;
     ``progress`` is an optional :class:`~repro.obs.progress.ProgressSink`

@@ -29,6 +29,7 @@ from repro.topology.scenario import (
     WirelessParameters,
     build_default_scenario,
 )
+from repro.traces.models import WirelessTrace
 
 #: Named diurnal profiles selectable by :attr:`ScenarioSpec.profile`.
 #: ``"default"`` keeps the generator's office/residential mix.  Each
@@ -157,8 +158,28 @@ class ScenarioSpec:
             payload["churn"] = churn_timeline.canonical()
         return payload
 
-    def build(self) -> Scenario:
-        """Materialise the spec into a simulator-ready scenario."""
+    def trace_key(self) -> Tuple[object, ...]:
+        """The fields the synthetic trace is generated from.
+
+        Specs with equal keys generate the same trace; everything else —
+        overlap topology, backhaul, DSLAM layout, fleet and churn — is
+        built around it by :meth:`build`.
+        """
+        return (
+            self.seed,
+            self.num_clients,
+            self.num_gateways,
+            self.duration_s,
+            self.profile,
+            self.trace_overrides,
+        )
+
+    def build(self, trace: Optional[WirelessTrace] = None) -> Scenario:
+        """Materialise the spec into a simulator-ready scenario.
+
+        ``trace``, when given, is used instead of generating one; it must
+        come from a spec with the same :meth:`trace_key`.
+        """
         overrides = dict(self.trace_overrides)
         diurnal = DIURNAL_PROFILES[self.profile]
         if diurnal is not None:
@@ -185,6 +206,7 @@ class ScenarioSpec:
                 else None
             ),
             churn=churn_timeline if not churn_timeline.is_empty else None,
+            trace=trace,
             **overrides,
         )
 

@@ -9,8 +9,12 @@ same grid produce bit-identical per-run metrics and therefore
 bit-identical aggregates.
 
 Workers rebuild scenarios from their (small, picklable) specs and keep a
-per-process cache keyed by spec, so a spec's trace is generated once per
-worker regardless of how many scheme × repetition tasks land on it.
+one-entry per-process scenario cache: a spec's scenario is built once per
+worker regardless of how many scheme × repetition tasks land on it, and
+the next spec reuses the cached trace when their
+:meth:`~repro.sweep.catalog.ScenarioSpec.trace_key` values match.  Tasks
+arrive in grid order, so a family whose specs share one trace generates
+it once per worker.
 Completed runs stream back to the parent, which persists each one to the
 :class:`~repro.sweep.store.ResultStore` immediately — a sweep killed
 mid-run loses at most the runs that were in flight.
@@ -185,8 +189,9 @@ def expand_tasks(
     return tasks
 
 
-#: Per-process scenario cache: building a spec's trace dominates task
-#: startup, and many (scheme, repetition) tasks share one spec.
+#: Per-process scenario cache, holding the last spec's scenario: many
+#: (scheme, repetition) tasks share one spec, and consecutive specs often
+#: share one trace (generating it dominates the scenario build).
 _SCENARIO_CACHE: dict = {}
 
 #: Tracer handed to in-process (serial) task execution.  Set only around
@@ -218,9 +223,15 @@ def _execute_task(task: SweepTask) -> TaskOutput:
     build_s = 0.0
     if scenario is None:
         build_start = time.perf_counter()
-        scenario = task.spec.build()
-        build_s = time.perf_counter() - build_start
+        key = task.spec.trace_key()
+        trace = next(
+            (cached.trace for spec, cached in _SCENARIO_CACHE.items()
+             if spec.trace_key() == key),
+            None,
+        )
         _SCENARIO_CACHE.clear()
+        scenario = task.spec.build(trace=trace)
+        build_s = time.perf_counter() - build_start
         _SCENARIO_CACHE[task.spec] = scenario
     # The kernel pauses the collector only while it runs; keep it paused
     # until the result is dropped, so the run's objects die by refcount
@@ -481,27 +492,28 @@ def run_sweep(
     if pending:
         workers = workers or 1
         workers = max(1, min(workers, len(pending)))
-        if workers == 1:
-            global _TASK_TRACER
-            _TASK_TRACER = tracer
-            try:
+        global _TASK_TRACER
+        try:
+            if workers == 1:
+                _TASK_TRACER = tracer
                 outcome = run_serial_supervised(
                     pending, _execute_task, persist, policy, plan=plan,
                     tracer=tracer, progress=progress,
                 )
-            finally:
-                _TASK_TRACER = None
-                # The serial path ran in this process: don't pin the last
-                # scenario (and its trace) for the process lifetime.
-                _SCENARIO_CACHE.clear()
-        else:
-            # Tasks keep their grid order on first assignment, so each
-            # spec's cells land contiguously and a worker's per-process
-            # scenario cache stays warm.
-            outcome = run_supervised(
-                pending, _execute_task, persist, policy, plan=plan,
-                workers=workers, tracer=tracer, progress=progress,
-            )
+            else:
+                # Tasks keep their grid order on first assignment, so each
+                # spec's cells land contiguously and a worker's per-process
+                # scenario cache stays warm.
+                outcome = run_supervised(
+                    pending, _execute_task, persist, policy, plan=plan,
+                    workers=workers, tracer=tracer, progress=progress,
+                )
+        finally:
+            _TASK_TRACER = None
+            # Cells run in this process serially, or after a pooled sweep
+            # degrades to serial: don't pin the last scenario (and its
+            # trace) for the process lifetime.
+            _SCENARIO_CACHE.clear()
         # Unwrap: SweepResult.records holds bare RunRecords (exactly what
         # the cache-served path yields), the snapshots merge sweep-wide.
         for digest, payload in outcome.records.items():

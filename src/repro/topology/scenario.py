@@ -162,19 +162,6 @@ class Scenario:
             churn=self.churn,
         )
 
-    def with_topology(self, topology: GatewayTopology) -> "Scenario":
-        """The same scenario with a different reachability topology."""
-        return Scenario(
-            trace=self.trace,
-            topology=topology,
-            wireless=self.wireless,
-            dslam=self.dslam,
-            gateway_port=dict(self.gateway_port),
-            seed=self.seed,
-            fleet=self.fleet,
-            churn=self.churn,
-        )
-
 
 def random_port_assignment(num_gateways: int, dslam: DslamConfig, seed: int = 0) -> Dict[int, int]:
     """Random assignment of gateways to DSLAM ports.

@@ -26,7 +26,9 @@ and Fig. 4 benchmarks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -115,8 +117,21 @@ class SyntheticTraceGenerator:
     """Generates :class:`~repro.traces.models.WirelessTrace` objects."""
 
     def __init__(self, config: Optional[SyntheticTraceConfig] = None):
-        self.config = config or SyntheticTraceConfig()
-        self._rng = np.random.default_rng(self.config.seed)
+        self.config = cfg = config or SyntheticTraceConfig()
+        self._rng = np.random.default_rng(cfg.seed)
+        #: Diurnal weight of each hour of day, looked up instead of calling
+        #: :meth:`SyntheticTraceConfig.profile_at` per draw.
+        self._hourly = [cfg.profile_at(hour * 3600.0) for hour in range(24)]
+        #: Mean gap (s) between arrivals of each diurnally modulated Poisson
+        #: class, per hour of day.
+        self._web_gap, self._bulk_gap, self._streaming_gap = (
+            [1.0 / (peak_rate_per_s * max(weight, 1e-3)) for weight in self._hourly]
+            for peak_rate_per_s in (
+                cfg.web_rate_per_minute / 60.0,
+                cfg.bulk_rate_per_hour / 3600.0,
+                cfg.streaming_rate_per_hour / 3600.0,
+            )
+        )
 
     # ------------------------------------------------------------------
     def generate(self) -> WirelessTrace:
@@ -126,12 +141,10 @@ class SyntheticTraceGenerator:
         clients: Dict[int, ClientTrace] = {}
         flow_id = 0
         for client_id in range(cfg.num_clients):
-            sessions = self._generate_sessions(client_id)
             flows: List[Flow] = []
-            for start, end in sessions:
-                session_flows = self._session_flows(client_id, start, end, flow_id)
-                flows.extend(session_flows)
-                flow_id += len(session_flows)
+            for start, end in self._generate_sessions():
+                flows.extend(self._session_flows(client_id, start, end, flow_id + len(flows)))
+            flow_id += len(flows)
             clients[client_id] = ClientTrace(client_id=client_id, flows=flows)
         return WirelessTrace(
             duration=cfg.duration,
@@ -152,13 +165,14 @@ class SyntheticTraceGenerator:
             assignment[int(client_id)] = index % cfg.num_gateways
         return assignment
 
-    def _generate_sessions(self, client_id: int) -> List[tuple]:
+    def _generate_sessions(self) -> List[tuple]:
         """Online periods of one client as a list of ``(start, end)`` tuples.
 
         Implemented as a two-state Markov process sampled in one-minute
         steps.  The on-rate is modulated by the diurnal profile so that the
         stationary online probability at the peak hour equals
-        ``peak_online_probability``.
+        ``peak_online_probability``.  Every step consumes one uniform draw,
+        so the client's draws are taken in one batch.
         """
         cfg = self.config
         step = 60.0
@@ -166,21 +180,21 @@ class SyntheticTraceGenerator:
             cfg.peak_online_probability / max(1e-9, 1.0 - cfg.peak_online_probability)
         )
         on_to_off = step / cfg.mean_session_duration
+        off_to_on = [off_to_on_peak * weight for weight in self._hourly]
 
         sessions: List[tuple] = []
         online = False
         session_start = 0.0
         t = 0.0
-        while t < cfg.duration:
-            weight = cfg.profile_at(t)
+        # One draw per step t = 0, 60, ... below the duration.
+        for draw in self._rng.random(math.ceil(cfg.duration / step)).tolist():
             if online:
-                if self._rng.random() < on_to_off:
+                if draw < on_to_off:
                     sessions.append((session_start, t))
                     online = False
-            else:
-                if self._rng.random() < off_to_on_peak * weight:
-                    online = True
-                    session_start = t
+            elif draw < off_to_on[int(t // 3600) % 24]:
+                online = True
+                session_start = t
             t += step
         if online:
             sessions.append((session_start, cfg.duration))
@@ -189,75 +203,57 @@ class SyntheticTraceGenerator:
     def _session_flows(
         self, client_id: int, start: float, end: float, next_flow_id: int
     ) -> List[Flow]:
-        """Traffic emitted during one online session."""
+        """Traffic emitted during one online session, ordered by start time."""
         cfg = self.config
         rng = self._rng
-        flows: List[Flow] = []
-        flow_id = next_flow_id
+        # ``(start_time, size_bytes, kind)`` of every flow, in draw order.
+        emitted: List[tuple] = []
 
         # Keepalive / presence traffic: continuous light traffic.
         t = start + float(rng.exponential(cfg.keepalive_mean_gap))
         while t < end:
             size = max(200, int(rng.exponential(cfg.keepalive_mean_size)))
-            flows.append(Flow(flow_id=flow_id, client_id=client_id, start_time=t,
-                              size_bytes=min(size, cfg.max_flow_bytes), kind="keepalive"))
-            flow_id += 1
+            emitted.append((t, min(size, cfg.max_flow_bytes), "keepalive"))
             t += float(rng.exponential(cfg.keepalive_mean_gap))
 
         # Web browsing: Poisson page views modulated by the diurnal profile.
         t = start
         while True:
-            weight = max(cfg.profile_at(t), 1e-3)
-            rate_per_s = cfg.web_rate_per_minute / 60.0 * weight
-            t += float(rng.exponential(1.0 / rate_per_s))
+            t += float(rng.exponential(self._web_gap[int(t // 3600) % 24]))
             if t >= end:
                 break
             size = int(rng.lognormal(cfg.web_size_log_mean, cfg.web_size_log_sigma))
-            size = min(max(size, 1_000), cfg.max_flow_bytes)
-            flows.append(Flow(flow_id=flow_id, client_id=client_id, start_time=t,
-                              size_bytes=size, kind="web"))
-            flow_id += 1
+            emitted.append((t, min(max(size, 1_000), cfg.max_flow_bytes), "web"))
 
         # Bulk downloads: rare, heavy.
         t = start
         while True:
-            weight = max(cfg.profile_at(t), 1e-3)
-            rate_per_s = cfg.bulk_rate_per_hour / 3600.0 * weight
-            t += float(rng.exponential(1.0 / rate_per_s))
+            t += float(rng.exponential(self._bulk_gap[int(t // 3600) % 24]))
             if t >= end:
                 break
             size = int(rng.lognormal(cfg.bulk_size_log_mean, cfg.bulk_size_log_sigma))
-            size = min(max(size, 500_000), cfg.max_flow_bytes)
-            flows.append(Flow(flow_id=flow_id, client_id=client_id, start_time=t,
-                              size_bytes=size, kind="bulk"))
-            flow_id += 1
+            emitted.append((t, min(max(size, 500_000), cfg.max_flow_bytes), "bulk"))
 
         # Streaming sessions: chunked downloads at a steady medium rate.
         t = start
         while True:
-            weight = max(cfg.profile_at(t), 1e-3)
-            rate_per_s = cfg.streaming_rate_per_hour / 3600.0 * weight
-            t += float(rng.exponential(1.0 / rate_per_s))
+            t += float(rng.exponential(self._streaming_gap[int(t // 3600) % 24]))
             if t >= end:
                 break
             session_end = min(end, t + float(rng.exponential(cfg.streaming_mean_duration)))
             chunk_time = t
             while chunk_time < session_end:
-                flows.append(Flow(flow_id=flow_id, client_id=client_id, start_time=chunk_time,
-                                  size_bytes=cfg.streaming_chunk_bytes, kind="streaming"))
-                flow_id += 1
+                emitted.append((chunk_time, cfg.streaming_chunk_bytes, "streaming"))
                 chunk_time += cfg.streaming_chunk_period_s
             t = session_end
 
-        flows.sort(key=lambda f: f.start_time)
-        # Re-number so flow ids stay unique and ordered after the sort.
-        renumbered = []
-        for offset, flow in enumerate(flows):
-            renumbered.append(
-                Flow(flow_id=next_flow_id + offset, client_id=flow.client_id,
-                     start_time=flow.start_time, size_bytes=flow.size_bytes, kind=flow.kind)
-            )
-        return renumbered
+        # A stable sort by start time; ids stay unique and ordered after it.
+        emitted.sort(key=itemgetter(0))
+        return [
+            Flow(flow_id=next_flow_id + offset, client_id=client_id, start_time=t,
+                 size_bytes=size, kind=kind)
+            for offset, (t, size, kind) in enumerate(emitted)
+        ]
 
 
 def generate_crawdad_like_trace(

@@ -20,6 +20,7 @@ from repro.resilience.supervisor import (
     SweepInterrupted,
     run_serial_supervised,
 )
+from repro.sweep import engine
 from repro.sweep.catalog import ScenarioFamily, ScenarioSpec
 from repro.sweep.engine import SweepConfig, expand_tasks, run_sweep
 from repro.sweep.store import ResultStore
@@ -278,3 +279,5 @@ def test_degrades_to_serial_when_the_pool_keeps_dying(tmp_path):
     assert result.degraded
     assert not result.failures
     assert len(result.records) == result.total_runs
+    # The degraded cells ran in this process; it must not keep their scenario.
+    assert engine._SCENARIO_CACHE == {}

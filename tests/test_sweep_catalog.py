@@ -1,5 +1,7 @@
 """Tests for the scenario catalog: registry, grid expansion, spec building."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.sweep.catalog import (
@@ -175,3 +177,55 @@ def test_unknown_fleet_or_churn_is_rejected():
         ScenarioSpec(fleet="nope")
     with pytest.raises(ValueError, match="churn"):
         ScenarioSpec(churn="nope")
+
+
+#: A spec with flows in its one hour (most 12-client seeds have none).
+KEY_BASE = ScenarioSpec(label="key", num_clients=12, num_gateways=4, duration_s=3600.0, seed=5)
+
+#: Every ScenarioSpec field: an alternative value, and whether the
+#: synthetic trace is generated from it.  A new field fails
+#: ``test_trace_key_table_covers_every_spec_field`` until it is classified.
+PERTURBED = {
+    "label": ("other", False),
+    "num_clients": (13, True),
+    "num_gateways": (5, True),
+    "duration_s": (7200.0, True),
+    "seed": (6, True),
+    "mean_networks_in_range": (3.0, False),
+    "density": (2.5, False),
+    "backhaul_scale": (0.5, False),
+    "num_line_cards": (5, False),
+    "ports_per_card": (6, False),
+    "profile": ("office", True),
+    "fleet": ("tri-mix", False),
+    "churn": ("midday-dropout", False),
+    "trace_overrides": ((("peak_online_probability", 0.3),), True),
+}
+
+
+def test_trace_key_table_covers_every_spec_field():
+    assert set(PERTURBED) == {f.name for f in fields(ScenarioSpec)}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED))
+def test_trace_key_holds_exactly_the_trace_inputs(name):
+    value, feeds_trace = PERTURBED[name]
+    perturbed = replace(KEY_BASE, **{name: value})
+    assert getattr(perturbed, name) != getattr(KEY_BASE, name)
+    if feeds_trace:
+        assert perturbed.trace_key() != KEY_BASE.trace_key()
+        return
+    assert perturbed.trace_key() == KEY_BASE.trace_key()
+    base_trace = KEY_BASE.build().trace
+    assert base_trace.num_flows > 0
+    fresh = perturbed.build()
+    assert fresh.trace.all_flows() == base_trace.all_flows()
+    assert fresh.trace.home_gateway == base_trace.home_gateway
+    # A scenario built around the shared trace is the one a fresh build makes.
+    shared = perturbed.build(trace=base_trace)
+    assert shared.trace is base_trace
+    assert shared.topology.reachable == fresh.topology.reachable
+    assert shared.gateway_port == fresh.gateway_port
+    assert (shared.wireless, shared.dslam, shared.fleet, shared.churn) == (
+        fresh.wireless, fresh.dslam, fresh.fleet, fresh.churn
+    )

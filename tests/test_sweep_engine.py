@@ -1,6 +1,8 @@
 """Sweep engine tests: determinism, caching, crash-safe resume."""
 
 import gc
+import os
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.sweep.catalog import ScenarioFamily, ScenarioSpec, resolve_families
 from repro.sweep.engine import SweepConfig, expand_tasks, run_sweep
 from repro.sweep.store import ResultStore
 from repro.simulation.runner import scheme_run_seed
+from repro.traces.synthetic import SyntheticTraceGenerator
 
 TINY = ScenarioFamily(
     name="tiny",
@@ -180,3 +183,62 @@ def test_execute_task_restores_gc_when_the_kernel_raises(monkeypatch, restore_gc
     with pytest.raises(RuntimeError, match="kernel failed"):
         engine._execute_task(task)
     assert gc.isenabled() is enabled
+
+
+@pytest.fixture
+def generations(monkeypatch, tmp_path):
+    """Pids of the processes that generated a trace, one per generation.
+
+    The wrapper appends to a file, so forked workers, which inherit the
+    patch, report their generations too.
+    """
+    log = tmp_path / "generations"
+    log.touch()
+    real_generate = SyntheticTraceGenerator.generate
+
+    def counting(self):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real_generate(self)
+
+    monkeypatch.setattr(SyntheticTraceGenerator, "generate", counting)
+    return lambda: [int(pid) for pid in log.read_text().split()]
+
+
+def test_a_cache_miss_reuses_the_trace_only_when_the_trace_key_matches():
+    other = ScenarioFamily(
+        name="other", description="another seed, so another trace",
+        base=replace(TINY.base, label="other", seed=4),
+    )
+    first, _, same_trace, _ = expand_tasks([TINY], [soi()], CONFIG)
+    new_trace = expand_tasks([other], [soi()], CONFIG)[0]
+    engine._SCENARIO_CACHE.clear()
+    try:
+        engine._execute_task(first)
+        trace = engine._SCENARIO_CACHE[first.spec].trace
+        engine._execute_task(same_trace)
+        assert engine._SCENARIO_CACHE[same_trace.spec].trace is trace
+        engine._execute_task(new_trace)
+        built = engine._SCENARIO_CACHE[new_trace.spec].trace
+        assert built is not trace
+        assert built.home_gateway == new_trace.spec.build().trace.home_gateway
+    finally:
+        engine._SCENARIO_CACHE.clear()
+
+
+def test_serial_sweep_generates_a_shared_trace_once(generations):
+    families = resolve_families(["correlated-outage"])
+    specs = families[0].expand()
+    assert len(specs) == 2 and len({spec.trace_key() for spec in specs}) == 1
+    result = run_sweep(families=families)
+    assert result.executed == len(result.tasks) == 10
+    assert generations() == [os.getpid()]
+
+
+def test_pooled_sweep_generates_a_shared_trace_once_per_worker(generations):
+    result = run_sweep(family_names=["correlated-outage"], workers=2)
+    assert result.executed == len(result.tasks) and not result.degraded
+    pids = generations()
+    assert pids, "no worker generated a trace"
+    assert os.getpid() not in pids
+    assert len(pids) == len(set(pids)) <= 2

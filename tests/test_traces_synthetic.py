@@ -1,8 +1,12 @@
 """Calibration and determinism tests for the synthetic trace generator."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.sweep.catalog import family
 from repro.traces.analysis import peak_hour_gap_histogram, utilization_timeseries
 from repro.traces.models import TraceStats
 from repro.traces.synthetic import (
@@ -103,3 +107,61 @@ def test_generator_respects_max_flow_size():
                                   seed=5, max_flow_bytes=2_000_000)
     trace = SyntheticTraceGenerator(config).generate()
     assert all(f.size_bytes <= 2_000_000 for f in trace.all_flows())
+
+
+def test_batched_uniform_draws_equal_scalar_draws():
+    # The generator takes a client's per-minute draws in one batch; that
+    # is exact only because of this.
+    batched, scalar = np.random.default_rng(2011), np.random.default_rng(2011)
+    draws = batched.random(1440).tolist()
+    assert draws == [scalar.random() for _ in range(1440)]
+    assert batched.bit_generator.state == scalar.bit_generator.state
+    assert batched.exponential(28.0) == scalar.exponential(28.0)
+
+
+def trace_digest(trace):
+    """sha256 of every flow, in client and flow order, and the home gateways."""
+    digest = hashlib.sha256()
+    for client in trace.clients.values():
+        for flow in client.flows:
+            digest.update(repr((
+                flow.flow_id, flow.client_id, flow.start_time.hex(), flow.size_bytes, flow.kind,
+            )).encode())
+    digest.update(repr(list(trace.home_gateway.items())).encode())
+    return digest.hexdigest()
+
+
+#: Spec, flow count and :func:`trace_digest` of traces recorded from the
+#: generator that made one scalar draw per client-minute and built every
+#: flow twice.  The generator must keep producing them bit for bit.
+PINNED_TRACES = {
+    "smoke-watt": (
+        family("smoke-watt").base, 266,
+        "430af0041c2e32c406fa08895f3c4b0a9ee03883bebd063e70a882ba4759939a",
+    ),
+    "correlated-outage": (
+        family("correlated-outage").base, 309,
+        "46fe4dd42c5738fac73195ab79f67a755f095dd218c6cee5b2a6683b4c87d460",
+    ),
+    "mixed-fleet": (
+        family("mixed-fleet").base, 112382,
+        "86b9a853ed9fb97a640d797bb5940c6868d087d9afabe32b7e68c6bfc330ca8c",
+    ),
+    "sparse-rural-small": (
+        replace(family("sparse-rural").base, num_clients=16, num_gateways=4), 15452,
+        "7ec841031f94b32b96ebd210d2243732633689188be13bb6aa7e1520d51b7b73",
+    ),
+    "weekend-small": (
+        replace(family("weekend-weekday").base, profile="weekend", num_clients=16,
+                num_gateways=4), 16856,
+        "82b3f12c05861b32a3e62c5baec09bb2e05665a17b4d2e82c9df34a92477996e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_generator_output_is_pinned(name):
+    spec, flows, expected = PINNED_TRACES[name]
+    trace = spec.build().trace
+    assert trace.num_flows == flows
+    assert trace_digest(trace) == expected
