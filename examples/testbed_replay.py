@@ -2,9 +2,9 @@
 """Replay of the three-floor testbed deployment (Sec. 5.3, Fig. 12).
 
 Nine 3 Mbps ADSL gateways, one BH2 laptop per line, at most three reachable
-gateways per laptop and no backup — driven by the discrete-event engine in
-``repro.sim`` with a central status server emulating gateway sleep, exactly
-like the paper's prototype.
+gateways per laptop and no backup — driven by the discrete-event scheduler in
+``repro.testbed`` with a central status server emulating gateway sleep,
+exactly like the paper's prototype.
 """
 
 from repro.testbed.deployment import TestbedConfig

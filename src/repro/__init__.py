@@ -3,8 +3,8 @@
 The package implements the paper's two mechanisms — Broadband Hitch-Hiking
 (BH2) aggregation of user traffic onto a minimal set of wireless gateways,
 and k-switch batching of active DSL lines onto a minimal set of DSLAM line
-cards — together with every substrate the evaluation needs: a discrete-
-event simulation kernel, synthetic traffic traces, wireless overlap
+cards — together with every substrate the evaluation needs: a trace-
+driven simulation kernel, synthetic traffic traces, wireless overlap
 topologies, gateway/DSLAM device models with Sleep-on-Idle, power and
 energy accounting, a flow-level transfer model, a DSL crosstalk model and a
 testbed replay harness.

@@ -179,10 +179,6 @@ class GatewayArray:
     # ------------------------------------------------------------------
     # Counts and id sets
     # ------------------------------------------------------------------
-    def online_waking_counts(self) -> Tuple[int, int]:
-        """``(active, waking)`` gateway counts."""
-        return self.active_count, self.waking_count
-
     def not_sleeping_ids(self) -> List[int]:
         """Ids of gateways that are powered (active or waking)."""
         state = self.state

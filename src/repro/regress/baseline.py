@@ -23,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 #: Bump when the baseline file layout changes incompatibly.
 BASELINE_SCHEMA_VERSION = 1
@@ -237,11 +237,3 @@ def baseline_from_aggregates(
         config=dict(config or {}),
         cells=cells,
     )
-
-
-def list_baseline_names(baselines_dir: os.PathLike | str) -> List[str]:
-    """Names of every baseline file in a directory (sorted)."""
-    directory = Path(baselines_dir)
-    if not directory.is_dir():
-        return []
-    return sorted(path.stem for path in directory.glob("*.json"))

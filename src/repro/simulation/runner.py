@@ -110,12 +110,6 @@ class SchemeComparison:
             (r.sample_times, r.online_gateways) for r in self.results[scheme_name]
         )
 
-    def online_cards_timeseries(self, scheme_name: str):
-        """Run-averaged online-line-card series of a scheme."""
-        return average_timeseries(
-            (r.sample_times, r.online_line_cards) for r in self.results[scheme_name]
-        )
-
     def isp_share_timeseries(self, scheme_name: str):
         """Run-averaged ISP share of savings series of a scheme (Fig. 8)."""
         return average_timeseries(
@@ -190,12 +184,6 @@ class ExperimentRunner:
                 )
             comparison.results[scheme.name] = runs
         return comparison
-
-    def run_standard(self) -> SchemeComparison:
-        """Run the Fig. 6 scheme set (no-sleep, SoI, SoI+k, BH2+k, Optimal)."""
-        from repro.core.schemes import standard_schemes
-
-        return self.run(standard_schemes())
 
 
 #: Per-worker context installed by the pool initializer, so the (large)

@@ -5,9 +5,10 @@ The paper validates BH2 on a live three-floor testbed: 9-10 commercial
 about 5.5 gateways but limited to using 3, no backup gateway, and a central
 status server that emulates gateway sleep/wake because the commercial
 gateways have no SoI support.  This package reproduces that deployment as a
-discrete-event simulation built directly on :mod:`repro.sim`, independent
-of the main simulator, and regenerates Fig. 12 (online APs between 15:00
-and 15:30 under BH2 versus SoI).
+discrete-event simulation on its own small scheduler
+(:class:`~repro.testbed.scheduler.Scheduler`), independent of the main
+simulator, and regenerates Fig. 12 (online APs between 15:00 and 15:30
+under BH2 versus SoI).
 """
 
 from repro.testbed.deployment import GatewayStatusServer, TestbedConfig, build_testbed_workload

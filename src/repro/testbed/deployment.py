@@ -7,7 +7,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
-from repro.sim import Environment
+from repro.testbed.scheduler import Scheduler
 from repro.traces.models import Flow, WirelessTrace
 
 
@@ -87,8 +87,8 @@ class GatewayStatusServer:
     WAKING = "waking-up"
     ACTIVE = "active"
 
-    def __init__(self, env: Environment, config: TestbedConfig):
-        self.env = env
+    def __init__(self, scheduler: Scheduler, config: TestbedConfig):
+        self.scheduler = scheduler
         self.config = config
         self._status: Dict[int, str] = {g: self.SLEEPING for g in range(config.num_gateways)}
         self._last_traffic: Dict[int, float] = {g: -float("inf") for g in range(config.num_gateways)}
@@ -115,13 +115,13 @@ class GatewayStatusServer:
         self._refresh(gateway)
         if self._status[gateway] == self.SLEEPING:
             self._status[gateway] = self.WAKING
-            self._wake_done[gateway] = self.env.now + self.config.wake_up_time_s
+            self._wake_done[gateway] = self.scheduler.now + self.config.wake_up_time_s
 
     def report_traffic(self, gateway: int, bits: float) -> None:
         """Record traffic served by a gateway (keeps it awake, feeds load estimates)."""
         if bits < 0:
             raise ValueError("bits must be non-negative")
-        now = self.env.now
+        now = self.scheduler.now
         self._refresh(gateway)
         if self._status[gateway] != self.ACTIVE:
             raise RuntimeError(f"gateway {gateway} served traffic while {self._status[gateway]}")
@@ -130,7 +130,7 @@ class GatewayStatusServer:
 
     def load(self, gateway: int) -> float:
         """Estimated utilisation of a gateway over the load window (0..1)."""
-        now = self.env.now
+        now = self.scheduler.now
         window = self.config.load_window_s
         samples = [(t, b) for t, b in self._load_samples[gateway] if t >= now - window]
         self._load_samples[gateway] = samples
@@ -149,7 +149,7 @@ class GatewayStatusServer:
 
     # ------------------------------------------------------------------
     def _refresh(self, gateway: int) -> None:
-        now = self.env.now
+        now = self.scheduler.now
         if self._status[gateway] == self.WAKING and now >= self._wake_done.get(gateway, now):
             self._status[gateway] = self.ACTIVE
             self._last_traffic[gateway] = now

@@ -1,11 +1,13 @@
 """Discrete-event replay of the testbed experiment (Fig. 12).
 
-Each terminal is a generator-based process on the :mod:`repro.sim` engine:
-it replays the flows of its assigned traced AP, runs the BH2 decision logic
-every decision period (with no backup gateway, as in the paper's testbed),
-and downloads through whichever gateway it selected — waiting for its home
-gateway to wake up when no remote gateway is usable.  A monitor process
-samples the number of online gateways, producing the Fig. 12 series.
+Each terminal is a generator process on the package's own
+:class:`~repro.testbed.scheduler.Scheduler`, yielding the delay until it
+next acts: it replays the flows of its assigned traced AP, runs the BH2
+decision logic every decision period (with no backup gateway, as in the
+paper's testbed), and downloads through whichever gateway it selected —
+waiting for its home gateway to wake up when no remote gateway is usable.
+A monitor process samples the number of online gateways, producing the
+Fig. 12 series.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim import Environment
 from repro.testbed.deployment import GatewayStatusServer, TestbedConfig, build_testbed_workload
+from repro.testbed.scheduler import Scheduler
 from repro.traces.models import Flow, WirelessTrace
 
 
@@ -57,26 +59,26 @@ class TestbedReplay:
     # ------------------------------------------------------------------
     def run(self, use_bh2: bool = True) -> TestbedResult:
         """Run one replay; ``use_bh2=False`` gives the SoI comparison run."""
-        env = Environment()
-        server = GatewayStatusServer(env, self.config)
+        scheduler = Scheduler()
+        server = GatewayStatusServer(scheduler, self.config)
         rng = np.random.default_rng(self.seed)
         samples: List[Tuple[float, int]] = []
         completed = {"count": 0}
         current_gateway: Dict[int, int] = {t: t for t in self.flows}
 
         for terminal, terminal_flows in self.flows.items():
-            env.process(
+            scheduler.process(
                 self._terminal_process(
-                    env, server, terminal, terminal_flows, current_gateway, completed
+                    scheduler, server, terminal, terminal_flows, current_gateway, completed
                 )
             )
             if use_bh2:
                 offset = float(rng.uniform(0, self.config.decision_period_s))
-                env.process(
-                    self._bh2_process(env, server, terminal, offset, current_gateway)
+                scheduler.process(
+                    self._bh2_process(scheduler, server, terminal, offset, current_gateway)
                 )
-        env.process(self._monitor_process(env, server, samples))
-        env.run(until=self.config.window_duration_s)
+        scheduler.process(self._monitor_process(scheduler, server, samples))
+        scheduler.run(until=self.config.window_duration_s)
 
         return TestbedResult(
             scheme="BH2" if use_bh2 else "SoI",
@@ -93,7 +95,7 @@ class TestbedReplay:
     # ------------------------------------------------------------------
     def _terminal_process(
         self,
-        env: Environment,
+        scheduler: Scheduler,
         server: GatewayStatusServer,
         terminal: int,
         flows: List[Flow],
@@ -103,9 +105,9 @@ class TestbedReplay:
         """Replay the terminal's flows as timed HTTP downloads."""
         config = self.config
         for flow in flows:
-            delay = flow.start_time - env.now
+            delay = flow.start_time - scheduler.now
             if delay > 0:
-                yield env.timeout(delay)
+                yield delay
             gateway = current_gateway[terminal]
             # A terminal can only wake its own home gateway.
             if not server.is_online(gateway):
@@ -114,7 +116,7 @@ class TestbedReplay:
                     gateway = terminal
                 server.request_wake(gateway)
                 while not server.is_online(gateway):
-                    yield env.timeout(1.0)
+                    yield 1.0
             # Serve the download in one-second chunks so the load estimates
             # and the idle timer see a realistic traffic pattern.
             remaining_bits = flow.size_bytes * 8.0
@@ -125,16 +127,16 @@ class TestbedReplay:
                     gateway = terminal
                     server.request_wake(gateway)
                     while not server.is_online(gateway):
-                        yield env.timeout(1.0)
+                        yield 1.0
                 chunk = min(remaining_bits, config.adsl_bps * 1.0)
                 server.report_traffic(gateway, chunk)
                 remaining_bits -= chunk
-                yield env.timeout(1.0)
+                yield 1.0
             completed["count"] += 1
 
     def _bh2_process(
         self,
-        env: Environment,
+        scheduler: Scheduler,
         server: GatewayStatusServer,
         terminal: int,
         offset: float,
@@ -144,7 +146,7 @@ class TestbedReplay:
         config = self.config
         rng = np.random.default_rng(self.seed * 1000 + terminal)
         if offset > 0:
-            yield env.timeout(offset)
+            yield offset
         while True:
             home = terminal
             current = current_gateway[terminal]
@@ -172,17 +174,17 @@ class TestbedReplay:
                         current_gateway[terminal] = int(rng.choice(remote_candidates, p=probabilities))
                     else:
                         current_gateway[terminal] = home
-            yield env.timeout(config.decision_period_s)
+            yield config.decision_period_s
 
     def _monitor_process(
         self,
-        env: Environment,
+        scheduler: Scheduler,
         server: GatewayStatusServer,
         samples: List[Tuple[float, int]],
     ):
         """Sample the number of online gateways at a fixed cadence."""
         interval = self.sample_interval_s
         while True:
-            samples.append((env.now, server.online_count()))
+            samples.append((scheduler.now, server.online_count()))
             server.accumulate(interval)
-            yield env.timeout(interval)
+            yield interval

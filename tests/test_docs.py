@@ -67,3 +67,16 @@ def test_architecture_doc_names_every_package():
         if f"repro.{name}" not in text:
             missing.append(f"repro.{name}")
     assert not missing, f"docs/architecture.md does not mention: {missing}"
+
+
+def test_architecture_doc_rows_name_real_packages():
+    """No subsystem-map row outlives the package it describes."""
+    text = (REPO / "docs" / "architecture.md").read_text()
+    rows = re.findall(r"^\| `repro\.([\w.]+)` \|", text, flags=re.MULTILINE)
+    assert rows, "docs/architecture.md has no package rows"
+    stale = [
+        f"repro.{name}"
+        for name in rows
+        if not (REPO / "src" / "repro" / name.replace(".", "/") / "__init__.py").is_file()
+    ]
+    assert not stale, f"docs/architecture.md rows without a package: {stale}"

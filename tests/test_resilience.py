@@ -99,11 +99,12 @@ def test_chaos_battered_parallel_sweep_store_is_bit_identical(tmp_path):
     clean = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG,
                       store=ResultStore(clean_dir), workers=1)
     assert not clean.failures
+    chaos = ChaosConfig(crashes=1, hangs=1, raises=1, torn_writes=1, seed=7)
     battered = run_sweep(
         families=[TINY], schemes=SCHEMES, config=CONFIG,
         store=ResultStore(chaos_dir), workers=2,
         retry=RetryPolicy(task_timeout_s=30.0, max_retries=3, keep_going=True),
-        chaos=ChaosConfig(crashes=1, hangs=1, raises=1, torn_writes=1, seed=7),
+        chaos=chaos,
     )
     assert not battered.failures
     assert battered.retries >= 4  # every injected fault cost one attempt
@@ -113,7 +114,26 @@ def test_chaos_battered_parallel_sweep_store_is_bit_identical(tmp_path):
     # The torn write left exactly the residue a dead writer would: an
     # orphaned .tmp that the stale-tmp GC (not the record set) owns.
     tmps = [n for n in os.listdir(chaos_dir / "runs") if n.endswith(".tmp")]
-    assert len(tmps) == 1
+    # A cell whose result never reached the parent shows up as an extra
+    # timeout and as a retried cell with no planned fault; if it was the
+    # torn-write victim, the torn write never fired.
+    cells = {
+        task.digest: f"{task.spec.label}/{task.scheme.name}#{task.run_index} {task.digest[:12]}"
+        for task in battered.tasks
+    }
+    retried = {
+        cells[digest]: stats["attempts"]
+        for digest, stats in battered.task_stats.items()
+        if stats["attempts"] > 1
+    }
+    planned = {
+        cells[fault.digest]: fault.kind.value
+        for fault in build_plan(list(cells), chaos).faults
+    }
+    assert len(tmps) == 1, (
+        f"timeouts={battered.timeouts}; retried cells (attempts): {retried}; "
+        f"planned faults: {planned}"
+    )
 
 
 def test_serial_chaos_demotes_faults_and_stays_bit_identical(tmp_path):
