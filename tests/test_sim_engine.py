@@ -1,323 +1,39 @@
-"""Tests for the discrete-event simulation kernel."""
+"""Tests for the discrete-event scheduler that keeps the testbed replay's clock.
 
-import pytest
+The rest of the scheduler's tests sit beside the replay in ``test_testbed.py``.
+"""
 
-from repro.sim import Container, Environment, Interrupt, Resource, SimulationError, Store
+from repro.testbed.scheduler import Scheduler
 
 
 def test_environment_starts_at_zero():
-    env = Environment()
-    assert env.now == 0.0
-
-
-def test_environment_initial_time():
-    env = Environment(initial_time=5.0)
-    assert env.now == 5.0
+    scheduler = Scheduler()
+    assert scheduler.now == 0.0
 
 
 def test_timeout_advances_clock():
-    env = Environment()
-    env.timeout(10.0)
-    env.run()
-    assert env.now == 10.0
-
-
-def test_negative_timeout_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout(-1.0)
-
-
-def test_run_until_time_stops_clock_exactly():
-    env = Environment()
-
-    def proc(env):
-        while True:
-            yield env.timeout(3.0)
-
-    env.process(proc(env))
-    env.run(until=10.0)
-    assert env.now == 10.0
-
-
-def test_run_until_past_raises():
-    env = Environment(initial_time=10.0)
-    with pytest.raises(ValueError):
-        env.run(until=5.0)
-
-
-def test_process_receives_timeout_value():
-    env = Environment()
+    scheduler = Scheduler()
     seen = []
 
-    def proc(env):
-        value = yield env.timeout(1.0, value="hello")
-        seen.append(value)
+    def proc():
+        yield 10.0
+        seen.append(scheduler.now)
 
-    env.process(proc(env))
-    env.run()
-    assert seen == ["hello"]
-
-
-def test_process_return_value_via_run_until():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(2.0)
-        return 42
-
-    result = env.run(until=env.process(proc(env)))
-    assert result == 42
-    assert env.now == 2.0
+    scheduler.process(proc())
+    scheduler.run(until=20.0)
+    assert seen == [10.0]
 
 
 def test_processes_execute_in_creation_order_at_same_time():
-    env = Environment()
+    scheduler = Scheduler()
     order = []
 
-    def proc(env, name):
-        yield env.timeout(1.0)
+    def proc(name):
+        order.append(name)
+        yield 1.0
         order.append(name)
 
-    env.process(proc(env, "a"))
-    env.process(proc(env, "b"))
-    env.run()
-    assert order == ["a", "b"]
-
-
-def test_events_fire_in_time_order():
-    env = Environment()
-    order = []
-
-    def proc(env, delay, name):
-        yield env.timeout(delay)
-        order.append(name)
-
-    env.process(proc(env, 5.0, "late"))
-    env.process(proc(env, 1.0, "early"))
-    env.run()
-    assert order == ["early", "late"]
-
-
-def test_process_waits_for_another_process():
-    env = Environment()
-    log = []
-
-    def worker(env):
-        yield env.timeout(4.0)
-        log.append("worker done")
-        return "result"
-
-    def boss(env):
-        result = yield env.process(worker(env))
-        log.append(f"boss saw {result}")
-
-    env.process(boss(env))
-    env.run()
-    assert log == ["worker done", "boss saw result"]
-
-
-def test_event_succeed_delivers_value():
-    env = Environment()
-    event = env.event()
-    seen = []
-
-    def waiter(env, event):
-        value = yield event
-        seen.append(value)
-
-    def firer(env, event):
-        yield env.timeout(3.0)
-        event.succeed("fired")
-
-    env.process(waiter(env, event))
-    env.process(firer(env, event))
-    env.run()
-    assert seen == ["fired"]
-
-
-def test_event_cannot_be_triggered_twice():
-    env = Environment()
-    event = env.event()
-    event.succeed(1)
-    with pytest.raises(SimulationError):
-        event.succeed(2)
-
-
-def test_event_fail_propagates_into_process():
-    env = Environment()
-    caught = []
-
-    def waiter(env, event):
-        try:
-            yield event
-        except RuntimeError as error:
-            caught.append(str(error))
-
-    event = env.event()
-    env.process(waiter(env, event))
-    event.fail(RuntimeError("boom"))
-    env.run()
-    assert caught == ["boom"]
-
-
-def test_unhandled_process_exception_surfaces():
-    env = Environment()
-
-    def bad(env):
-        yield env.timeout(1.0)
-        raise ValueError("broken")
-
-    env.process(bad(env))
-    with pytest.raises(ValueError, match="broken"):
-        env.run()
-
-
-def test_yielding_non_event_fails_the_process():
-    env = Environment()
-
-    def bad(env):
-        yield 42
-
-    process = bad(env)
-    env.process(process)
-    with pytest.raises(SimulationError):
-        env.run()
-
-
-def test_interrupt_reaches_process():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append(interrupt.cause)
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt(cause="wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == ["wake up"]
-
-
-def test_interrupting_dead_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    process = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
-
-
-def test_any_of_fires_on_first_event():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        result = yield env.any_of([env.timeout(5.0, value="slow"), env.timeout(1.0, value="fast")])
-        seen.append(list(result.values()))
-
-    env.process(proc(env))
-    env.run()
-    assert seen == [["fast"]]
-    assert env.now == pytest.approx(5.0)  # the slow timeout still drains
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        result = yield env.all_of([env.timeout(2.0, value="a"), env.timeout(7.0, value="b")])
-        seen.append(sorted(result.values()))
-
-    env.process(proc(env))
-    env.run()
-    assert seen == [["a", "b"]]
-
-
-def test_peek_returns_next_event_time():
-    env = Environment()
-    env.timeout(3.0)
-    env.timeout(1.5)
-    assert env.peek() == pytest.approx(1.5)
-
-
-def test_step_on_empty_queue_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
-
-
-def test_resource_limits_concurrency():
-    env = Environment()
-    log = []
-
-    def user(env, resource, name):
-        request = resource.request()
-        yield request
-        log.append((env.now, name, "acquired"))
-        yield env.timeout(5.0)
-        resource.release(request)
-
-    resource = Resource(env, capacity=1)
-    env.process(user(env, resource, "first"))
-    env.process(user(env, resource, "second"))
-    env.run()
-    acquired = [(t, n) for t, n, _ in log]
-    assert acquired == [(0.0, "first"), (5.0, "second")]
-
-
-def test_resource_capacity_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
-def test_container_put_and_get():
-    env = Environment()
-    container = Container(env, capacity=10.0, init=0.0)
-    log = []
-
-    def producer(env, container):
-        yield env.timeout(2.0)
-        yield container.put(5.0)
-
-    def consumer(env, container):
-        amount = yield container.get(3.0)
-        log.append((env.now, amount))
-
-    env.process(consumer(env, container))
-    env.process(producer(env, container))
-    env.run()
-    assert log == [(2.0, 3.0)]
-    assert container.level == pytest.approx(2.0)
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env, store):
-        for item in ["a", "b", "c"]:
-            yield store.put(item)
-            yield env.timeout(1.0)
-
-    def consumer(env, store):
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item)
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert received == ["a", "b", "c"]
+    scheduler.process(proc("a"))
+    scheduler.process(proc("b"))
+    scheduler.run(until=5.0)
+    assert order == ["a", "b", "a", "b"]
