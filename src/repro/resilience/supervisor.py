@@ -4,10 +4,18 @@ The bare ``Pool.imap_unordered`` the engine used before this module has
 three fatal modes: a worker killed by the OS deadlocks the pool, a hung
 task blocks it forever, and any raised exception aborts the whole sweep
 with only a traceback.  The supervisor replaces it with an explicitly
-managed pool — one inbox queue per worker, one shared outbox — whose
-parent-side loop enforces per-task wall-clock deadlines, detects dead
-workers, respawns them, re-enqueues whatever they were running, and
-retries failed attempts with deterministic exponential backoff.
+managed pool whose parent-side loop enforces per-task wall-clock
+deadlines, detects dead workers, respawns them, re-enqueues whatever
+they were running, and retries failed attempts with deterministic
+exponential backoff.
+
+Each worker has one private duplex pipe: ``(task, attempt)`` goes down,
+``("ok", output)`` or ``("error", reason)`` comes back.  ``send`` is
+synchronous, so no process runs a feeder thread and no two workers share
+a lock: a worker killed at any moment has delivered its last result whole
+or not at all, and costs only the cell it was running.  The parent sleeps
+in ``multiprocessing.connection.wait`` on every pipe and process sentinel
+until a worker reports or dies, a deadline passes, or a backoff ends.
 
 Determinism contract: a task is retried with the *same* :class:`SweepTask`
 (and therefore the same crc32-deterministic seed), and results are keyed
@@ -25,19 +33,15 @@ wall-clock timeouts are unenforceable, which is documented behaviour.
 from __future__ import annotations
 
 import heapq
+import itertools
 import multiprocessing
-import queue as queue_module
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.progress import notify
 from repro.resilience.faults import FaultPlan, InjectedFault, apply_worker_fault
-
-#: How long the parent blocks on the outbox per loop iteration; bounds
-#: how late a timeout or dead-worker check can fire.
-_POLL_INTERVAL_S = 0.05
 
 #: Grace given a killed worker process to be reaped before moving on.
 _REAP_TIMEOUT_S = 5.0
@@ -153,14 +157,49 @@ def _failure(task, attempt: int, kind: str, reason: str) -> TaskFailure:
     )
 
 
-def _worker_main(worker_id, inbox, outbox, execute, plan) -> None:
-    """Worker loop: take (task, attempt) from the inbox, report to the outbox.
+def _retry_or_fail(
+    outcome: SupervisedOutcome,
+    policy: RetryPolicy,
+    task,
+    attempt: int,
+    kind: str,
+    reason: str,
+    tracer,
+    progress,
+) -> Optional[float]:
+    """Ledger a failed attempt: its retry's backoff, or ``None`` if it failed.
 
-    Top-level so it pickles under any start method.  Consults the fault
-    plan *before* executing, so an injected crash models dying mid-task.
+    A task out of retries joins ``outcome.failures``; unless the policy
+    keeps going, that raises :class:`SweepExecutionError`.
+    """
+    if attempt < policy.max_retries:
+        outcome.retries += 1
+        delay = policy.backoff_s(attempt)
+        if tracer is not None:
+            tracer.event(
+                "supervisor.retry", time.perf_counter(),
+                clock="wall", cat="supervisor",
+                cell=_cell(task), attempt=attempt, kind=kind, backoff_s=delay,
+            )
+        notify(progress, "task_retry", task, attempt, kind)
+        return delay
+    failure = _failure(task, attempt, kind, reason)
+    outcome.failures.append(failure)
+    notify(progress, "task_failed", failure)
+    if not policy.keep_going:
+        raise SweepExecutionError(outcome.failures)
+    return None
+
+
+def _worker_main(conn, execute, plan) -> None:
+    """Worker loop: receive ``(task, attempt)`` on the pipe, send the outcome back.
+
+    Top-level so it pickles under any start method.  ``None`` asks the
+    worker to exit.  Consults the fault plan *before* executing, so an
+    injected crash models dying mid-task.
     """
     while True:
-        message = inbox.get()
+        message = conn.recv()
         if message is None:
             return
         task, attempt = message
@@ -169,28 +208,25 @@ def _worker_main(worker_id, inbox, outbox, execute, plan) -> None:
                 kind = plan.worker_fault(task.digest, attempt)
                 if kind is not None:
                     apply_worker_fault(kind, task.digest)
-            record = execute(task)
+            output = execute(task)
         except BaseException as exc:  # noqa: BLE001 — report, don't die
-            outbox.put(
-                (worker_id, task.digest, attempt, "error",
-                 f"{type(exc).__name__}: {exc}")
-            )
+            conn.send(("error", f"{type(exc).__name__}: {exc}"))
         else:
-            outbox.put((worker_id, task.digest, attempt, "ok", record))
+            conn.send(("ok", output))
 
 
 class _WorkerHandle:
-    """One managed worker process plus its parent-side bookkeeping."""
+    """One worker process, the parent's end of its pipe, and its task."""
 
-    def __init__(self, ctx, worker_id: int, outbox, execute, plan) -> None:
+    def __init__(self, ctx, worker_id: int, execute, plan) -> None:
         self.id = worker_id
-        self.inbox = ctx.Queue()
+        self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
-            target=_worker_main,
-            args=(worker_id, self.inbox, outbox, execute, plan),
-            daemon=True,
+            target=_worker_main, args=(child_conn, execute, plan), daemon=True,
         )
         self.process.start()
+        # The worker now holds the only other end: its exit is our EOF.
+        child_conn.close()
         self.task = None
         self.attempt = 0
         self.deadline: Optional[float] = None
@@ -207,7 +243,17 @@ class _WorkerHandle:
             now + policy.task_timeout_s if policy.task_timeout_s is not None else None
         )
         self.assigned_pc = time.perf_counter()
-        self.inbox.put((task, attempt))
+        try:
+            self.conn.send((task, attempt))
+        except OSError:
+            pass  # the worker is dead; its EOF wakes the loop, which requeues
+
+    def receive(self):
+        """The worker's ``(status, payload)``, or ``None`` once it has died."""
+        try:
+            return self.conn.recv() if self.conn.poll() else None
+        except (EOFError, OSError):  # closed, or torn mid-message
+            return None
 
     def clear(self) -> None:
         self.task = None
@@ -216,18 +262,16 @@ class _WorkerHandle:
     def stop(self, kill: bool) -> None:
         """Shut the worker down; ``kill=True`` skips the polite goodbye."""
         try:
-            if kill:
-                self.process.kill()
-            elif self.process.is_alive():
-                self.inbox.put(None)
-            self.process.join(timeout=_REAP_TIMEOUT_S)
-            if self.process.is_alive():
-                self.process.kill()
+            if not kill:
+                try:
+                    self.conn.send(None)
+                except OSError:
+                    pass  # already dead
                 self.process.join(timeout=_REAP_TIMEOUT_S)
+            self.process.kill()  # a no-op once the worker has been reaped
+            self.process.join(timeout=_REAP_TIMEOUT_S)
         finally:
-            # Don't let the inbox's feeder thread block interpreter exit.
-            self.inbox.cancel_join_thread()
-            self.inbox.close()
+            self.conn.close()
 
 
 def run_serial_supervised(
@@ -278,28 +322,14 @@ def run_serial_supervised(
                 outcome.note_attempt(
                     task.digest, attempt, time.perf_counter() - started_pc
                 )
-                if attempt < policy.max_retries:
-                    delay = policy.backoff_s(attempt)
-                    if tracer is not None:
-                        tracer.event(
-                            "supervisor.retry", time.perf_counter(),
-                            clock="wall", cat="supervisor",
-                            cell=_cell(task), attempt=attempt, backoff_s=delay,
-                        )
-                    notify(progress, "task_retry", task, attempt, "error")
-                    if delay > 0:
-                        time.sleep(delay)
-                    attempt += 1
-                    outcome.retries += 1
-                    continue
-                failure = _failure(
-                    task, attempt, "error", f"{type(exc).__name__}: {exc}"
+                delay = _retry_or_fail(
+                    outcome, policy, task, attempt, "error",
+                    f"{type(exc).__name__}: {exc}", tracer, progress,
                 )
-                outcome.failures.append(failure)
-                notify(progress, "task_failed", failure)
-                if not policy.keep_going:
-                    raise SweepExecutionError(outcome.failures) from exc
-                break
+                if delay is None:
+                    break
+                time.sleep(delay)
+                attempt += 1
             else:
                 ended_pc = time.perf_counter()
                 outcome.note_attempt(task.digest, attempt, ended_pc - started_pc)
@@ -322,7 +352,6 @@ def run_supervised(
     policy: RetryPolicy,
     plan: Optional[FaultPlan] = None,
     workers: int = 2,
-    mp_context: Optional[str] = None,
     tracer=None,
     progress=None,
 ) -> SupervisedOutcome:
@@ -342,108 +371,92 @@ def run_supervised(
     if workers < 2:
         raise ValueError("run_supervised needs >= 2 workers; use run_serial_supervised")
     outcome = SupervisedOutcome()
-    ready: Deque[Tuple[object, int]] = deque((task, 0) for task in tasks)
-    # (ready_at, tiebreak, task, attempt): retries waiting out their backoff.
-    waiting: List[Tuple[float, int, object, int]] = []
-    waiting_seq = 0
-    total_done = 0
-    total = len(tasks)
+    # (ready_at, tiebreak, task, attempt): every first attempt, in grid
+    # order, then each retry once its backoff has passed.
+    pending: List[Tuple[float, int, object, int]] = [
+        (0.0, seq, task, 0) for seq, task in enumerate(tasks)
+    ]
+    tiebreak = itertools.count(len(pending))
 
     try:
-        ctx = multiprocessing.get_context(mp_context or "fork")
+        ctx = multiprocessing.get_context("fork")
     except ValueError:  # platform without fork: use the default context
         ctx = multiprocessing.get_context()
-    outbox = ctx.Queue()
     pool: Dict[int, _WorkerHandle] = {}
-    next_worker_id = 0
+    worker_ids = itertools.count()
 
-    def spawn() -> _WorkerHandle:
-        nonlocal next_worker_id
-        handle = _WorkerHandle(ctx, next_worker_id, outbox, execute, plan)
+    def spawn() -> None:
+        handle = _WorkerHandle(ctx, next(worker_ids), execute, plan)
         pool[handle.id] = handle
-        next_worker_id += 1
-        return handle
 
     def requeue(task, attempt: int, kind: str, reason: str) -> None:
         """Failed attempt: schedule a retry or record the failure."""
-        nonlocal waiting_seq, total_done
-        if attempt < policy.max_retries:
-            outcome.retries += 1
-            delay = policy.backoff_s(attempt)
-            if tracer is not None:
-                tracer.event(
-                    "supervisor.retry", time.perf_counter(),
-                    clock="wall", cat="supervisor",
-                    cell=_cell(task), attempt=attempt, kind=kind,
-                    backoff_s=delay,
-                )
-            notify(progress, "task_retry", task, attempt, kind)
-            if delay > 0:
-                waiting_seq += 1
-                heapq.heappush(
-                    waiting,
-                    (time.monotonic() + delay, waiting_seq, task, attempt + 1),
-                )
-            else:
-                ready.append((task, attempt + 1))
-            return
-        failure = _failure(task, attempt, kind, reason)
-        outcome.failures.append(failure)
-        notify(progress, "task_failed", failure)
-        total_done += 1
-        if not policy.keep_going:
-            raise SweepExecutionError(outcome.failures)
+        delay = _retry_or_fail(
+            outcome, policy, task, attempt, kind, reason, tracer, progress
+        )
+        if delay is not None:
+            heapq.heappush(
+                pending, (time.monotonic() + delay, next(tiebreak), task, attempt + 1)
+            )
 
-    def handle_message(message) -> None:
-        """Process one outbox message; stale senders are dropped."""
-        nonlocal total_done
-        worker_id, digest, attempt, status, payload = message
-        handle = pool.get(worker_id)
-        if (
-            handle is None
-            or handle.task is None
-            or handle.task.digest != digest
-            or handle.attempt != attempt
-        ):
-            return  # late message from a worker we already killed/reassigned
-        task = handle.task
+    def resolve(handle: _WorkerHandle, status: str, payload) -> None:
+        """Persist a worker's result, or requeue the attempt it reports failed."""
+        task, attempt = handle.task, handle.attempt
         resolved_pc = time.perf_counter()
-        outcome.note_attempt(digest, attempt, resolved_pc - handle.assigned_pc)
+        elapsed = resolved_pc - handle.assigned_pc
+        outcome.note_attempt(task.digest, attempt, elapsed)
         if tracer is not None:
             tracer.span(
                 "task.run", handle.assigned_pc, resolved_pc,
-                clock="wall", cat="supervisor", tid=worker_id,
+                clock="wall", cat="supervisor", tid=handle.id,
                 cell=_cell(task), attempt=attempt, status=status,
             )
         handle.clear()
-        if status == "ok":
-            try:
-                persist(payload, attempt)
-            except Exception as exc:  # noqa: BLE001 — torn write / store error
-                requeue(task, attempt, "persist", f"{type(exc).__name__}: {exc}")
-            else:
-                notify(
-                    progress, "task_done", task, attempt,
-                    resolved_pc - handle.assigned_pc,
-                )
-                outcome.records[task.digest] = payload
-                total_done += 1
-        else:
+        if status != "ok":
             requeue(task, attempt, "error", str(payload))
+            return
+        try:
+            persist(payload, attempt)
+        except Exception as exc:  # noqa: BLE001 — torn write / store error
+            requeue(task, attempt, "persist", f"{type(exc).__name__}: {exc}")
+        else:
+            notify(progress, "task_done", task, attempt, elapsed)
+            outcome.records[task.digest] = payload
 
-    def drain(block: bool) -> None:
-        """Handle queued results; with ``block``, wait one poll interval."""
-        timeout = _POLL_INTERVAL_S if block else None
-        while True:
-            try:
-                if block:
-                    message = outbox.get(timeout=timeout)
-                    block = False  # only the first get blocks
-                else:
-                    message = outbox.get_nowait()
-            except queue_module.Empty:
-                return
-            handle_message(message)
+    def replace(handle: _WorkerHandle, timed_out: bool) -> None:
+        """Kill a hung or dead worker, start its successor, requeue its task."""
+        task, attempt = handle.task, handle.attempt
+        elapsed = time.perf_counter() - handle.assigned_pc
+        del pool[handle.id]
+        handle.stop(kill=True)
+        outcome.respawns += 1
+        if timed_out:
+            outcome.timeouts += 1
+            kind = "timeout"
+            reason = f"exceeded task timeout of {policy.task_timeout_s:g}s"
+            if tracer is not None:
+                tracer.event(
+                    "supervisor.timeout", time.perf_counter(),
+                    clock="wall", cat="supervisor", tid=handle.id,
+                    cell=_cell(task), attempt=attempt,
+                )
+            notify(progress, "task_timeout", task, attempt)
+        else:
+            code = handle.process.exitcode
+            kind = "crash"
+            reason = f"worker died (exit code {code}) while running the task"
+            if tracer is not None:
+                tracer.event(
+                    "supervisor.respawn", time.perf_counter(),
+                    clock="wall", cat="supervisor", tid=handle.id,
+                    exit_code=code,
+                    cell=_cell(task) if task is not None else None,
+                )
+            notify(progress, "worker_respawn", handle.id, code)
+        spawn()
+        if task is not None:
+            outcome.note_attempt(task.digest, attempt, elapsed)
+            requeue(task, attempt, kind, reason)
 
     def shutdown(kill: bool) -> None:
         for handle in list(pool.values()):
@@ -453,76 +466,38 @@ def run_supervised(
     try:
         for _ in range(min(workers, max(1, len(tasks)))):
             spawn()
-        while total_done < total:
-            now = time.monotonic()
-            while waiting and waiting[0][0] <= now:
-                _ready_at, _seq, task, attempt = heapq.heappop(waiting)
-                ready.append((task, attempt))
-            for handle in pool.values():
-                if not handle.busy and ready:
-                    task, attempt = ready.popleft()
-                    handle.assign(task, attempt, policy, now)
-                    notify(progress, "task_started", task, attempt)
-            drain(block=True)
-
-            # Deadline pass: drain() above already consumed any result that
-            # raced the deadline, so a busy worker past its deadline is hung.
+        while pending or any(handle.busy for handle in pool.values()):
             now = time.monotonic()
             for handle in list(pool.values()):
-                if handle.busy and handle.deadline is not None and now > handle.deadline:
-                    task, attempt = handle.task, handle.attempt
-                    outcome.note_attempt(
-                        task.digest, attempt,
-                        time.perf_counter() - handle.assigned_pc,
-                    )
-                    del pool[handle.id]
-                    handle.stop(kill=True)
-                    outcome.respawns += 1
-                    outcome.timeouts += 1
-                    if tracer is not None:
-                        tracer.event(
-                            "supervisor.timeout", time.perf_counter(),
-                            clock="wall", cat="supervisor", tid=handle.id,
-                            cell=_cell(task), attempt=attempt,
-                        )
-                    notify(progress, "task_timeout", task, attempt)
-                    spawn()
-                    requeue(
-                        task, attempt, "timeout",
-                        f"exceeded task timeout of {policy.task_timeout_s:g}s",
-                    )
+                if not handle.busy and pending and pending[0][0] <= now:
+                    _ready_at, _seq, task, attempt = heapq.heappop(pending)
+                    handle.assign(task, attempt, policy, now)
+                    notify(progress, "task_started", task, attempt)
 
-            # Death pass: a worker can die with its result already queued,
-            # so drain once more before declaring its task lost.
-            dead = [h for h in pool.values() if not h.process.is_alive()]
-            if dead:
-                drain(block=False)
-                for handle in dead:
-                    if handle.id not in pool:
-                        continue
-                    del pool[handle.id]
-                    task, attempt = handle.task, handle.attempt
-                    code = handle.process.exitcode
-                    handle.stop(kill=True)
-                    outcome.respawns += 1
-                    if tracer is not None:
-                        tracer.event(
-                            "supervisor.respawn", time.perf_counter(),
-                            clock="wall", cat="supervisor", tid=handle.id,
-                            exit_code=code,
-                            cell=_cell(task) if task is not None else None,
-                        )
-                    notify(progress, "worker_respawn", handle.id, code)
-                    spawn()
-                    if task is not None:
-                        outcome.note_attempt(
-                            task.digest, attempt,
-                            time.perf_counter() - handle.assigned_pc,
-                        )
-                        requeue(
-                            task, attempt, "crash",
-                            f"worker died (exit code {code}) while running the task",
-                        )
+            # Sleep until a worker reports or dies, a deadline passes or
+            # a backoff ends.
+            wakeups = [h.deadline for h in pool.values() if h.deadline is not None]
+            if pending and pending[0][0] > now:
+                wakeups.append(pending[0][0])
+            timeout = max(0.0, min(wakeups) - time.monotonic()) if wakeups else None
+            ready = wait(
+                [h.conn for h in pool.values()]
+                + [h.process.sentinel for h in pool.values()],
+                timeout,
+            )
+            for handle in list(pool.values()):
+                if handle.conn in ready or handle.process.sentinel in ready:
+                    # A worker that has exited may still have sent its result.
+                    message = handle.receive()
+                    if message is None:
+                        replace(handle, timed_out=False)
+                    else:
+                        resolve(handle, *message)
+
+            now = time.monotonic()
+            for handle in list(pool.values()):
+                if handle.deadline is not None and now > handle.deadline:
+                    replace(handle, timed_out=True)
 
             if outcome.respawns > policy.max_pool_respawns:
                 # The pool keeps dying: stop trusting process isolation.
@@ -540,9 +515,7 @@ def run_supervised(
             # or in flight on a worker — in deterministic digest order,
             # preserving per-task attempt counts.
             leftovers: Dict[str, Tuple[object, int]] = {}
-            for task, attempt in ready:
-                leftovers[task.digest] = (task, attempt)
-            for _ready_at, _seq, task, attempt in waiting:
+            for _ready_at, _seq, task, attempt in pending:
                 leftovers[task.digest] = (task, attempt)
             for handle in pool.values():
                 if handle.busy:
@@ -579,7 +552,7 @@ def run_supervised(
         resolved = len(outcome.records) + len(outcome.failures)
         raise SweepInterrupted(
             completed=len(outcome.records),
-            outstanding=total - resolved,
+            outstanding=len(tasks) - resolved,
         ) from None
     except SweepExecutionError:
         shutdown(kill=True)

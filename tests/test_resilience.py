@@ -3,6 +3,7 @@ retry/rescue semantics, and the bit-identity invariant under injected
 worker crashes, hangs, raises and torn store writes."""
 
 import os
+import threading
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.resilience.supervisor import (
     SweepExecutionError,
     SweepInterrupted,
     run_serial_supervised,
+    run_supervised,
 )
 from repro.sweep import engine
 from repro.sweep.catalog import ScenarioFamily, ScenarioSpec
@@ -241,6 +243,44 @@ def test_hang_is_killed_by_timeout_and_rescued(tmp_path):
     assert not result.failures
     assert result.respawns >= 1 and result.retries >= 1
     assert len(result.records) == result.total_runs
+
+
+def _active_threads(task):
+    return threading.active_count()
+
+
+def test_pooled_sweep_starts_no_helper_threads():
+    """No process of the pool runs a helper thread, such as a queue's
+    feeder, that could die holding a lock the other workers need."""
+    tasks = expand_tasks([TINY], SCHEMES, CONFIG)
+    counts = []
+
+    def persist(worker_threads, attempt):
+        counts.append((worker_threads, threading.active_count()))
+
+    outcome = run_supervised(
+        tasks, _active_threads, persist, RetryPolicy(task_timeout_s=10.0)
+    )
+    assert len(outcome.records) == len(tasks) == 8
+    assert counts == [(1, 1)] * len(tasks)  # (in the worker, in the parent)
+
+
+def test_a_crash_right_after_a_result_loses_no_result():
+    """The crash victim is the third grid cell, so it lands on a worker
+    that has just sent a result; the crash must cost only that cell."""
+    chaos = ChaosConfig(crashes=1, seed=7)
+    tasks = expand_tasks([TINY], SCHEMES, CONFIG)
+    victims = [fault.digest for fault in build_plan([t.digest for t in tasks], chaos).faults]
+    assert victims == [tasks[2].digest]
+    policy = RetryPolicy(task_timeout_s=10.0, max_retries=3, keep_going=True)
+    lost = []
+    for drill in range(100):
+        result = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG,
+                           workers=2, retry=policy, chaos=chaos)
+        accounting = (result.timeouts, result.respawns, result.degraded)
+        if accounting != (0, 1, False) or len(result.records) != len(tasks):
+            lost.append((drill, accounting))
+    assert not lost, f"(drill, (timeouts, respawns, degraded)): {lost}"
 
 
 # ----------------------------------------------------------------------
