@@ -9,7 +9,7 @@ as few line cards as possible (Sec. 4 of the paper).
 
 from repro.access.soi import SoIConfig
 from repro.access.gateway import Gateway
-from repro.access.gateway_array import GatewayArray, GatewayView
+from repro.access.gateway_array import GatewayArray
 from repro.access.kswitch import (
     KSwitchBank,
     card_sleep_probability_exact,
@@ -23,7 +23,6 @@ __all__ = [
     "SoIConfig",
     "Gateway",
     "GatewayArray",
-    "GatewayView",
     "Dslam",
     "LineCard",
     "SwitchingMode",

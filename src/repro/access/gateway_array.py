@@ -19,9 +19,7 @@ per simulator step:
 The per-gateway semantics are exactly those of
 :class:`repro.access.gateway.Gateway` (which remains available for direct
 use): same transition rules, same sliding-window load estimation, same
-idle-timeout behaviour.  :class:`GatewayView` wraps one index behind the
-familiar ``Gateway`` attribute API so existing call sites
-(``simulator.gateways[g].is_online`` etc.) keep working.
+idle-timeout behaviour.
 """
 
 from __future__ import annotations
@@ -30,18 +28,11 @@ from math import inf
 from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.access.soi import SoIConfig
-from repro.power.models import PowerState
 
 #: Integer state codes used in :attr:`GatewayArray.state`.
 STATE_SLEEPING = 0
 STATE_WAKING = 1
 STATE_ACTIVE = 2
-
-_CODE_TO_STATE = {
-    STATE_SLEEPING: PowerState.SLEEPING,
-    STATE_WAKING: PowerState.WAKING,
-    STATE_ACTIVE: PowerState.ACTIVE,
-}
 
 #: Compact the lazily-trimmed sample lists once this many entries expired.
 _SAMPLE_COMPACT_THRESHOLD = 512
@@ -536,106 +527,3 @@ class GatewayArray:
             else:
                 self.sleeping_seconds[gateway_id] += elapsed
             self._entered_at[gateway_id] = now
-
-    # ------------------------------------------------------------------
-    def wake_remaining(self, gateway_id: int, now: float) -> float:
-        """Seconds left before a waking gateway becomes operational."""
-        deadline = self._wake_deadline.get(gateway_id)
-        if deadline is None:
-            return 0.0
-        return max(0.0, deadline - now)
-
-    def views(self) -> Dict[int, "GatewayView"]:
-        """One :class:`GatewayView` per gateway, keyed by id."""
-        return {g: GatewayView(self, g) for g in range(self.num_gateways)}
-
-
-class GatewayView:
-    """Read-mostly ``Gateway``-compatible view of one :class:`GatewayArray` slot."""
-
-    __slots__ = ("_array", "gateway_id")
-
-    def __init__(self, array: GatewayArray, gateway_id: int):
-        self._array = array
-        self.gateway_id = gateway_id
-
-    # -- identity ------------------------------------------------------
-    @property
-    def backhaul_bps(self) -> float:
-        return self._array.backhaul_bps
-
-    @property
-    def soi(self) -> SoIConfig:
-        return self._array.soi
-
-    @property
-    def sleep_enabled(self) -> bool:
-        return self._array.sleep_enabled
-
-    @property
-    def load_window_s(self) -> float:
-        return self._array.load_window_s
-
-    # -- state ---------------------------------------------------------
-    @property
-    def state(self) -> PowerState:
-        return _CODE_TO_STATE[self._array.state[self.gateway_id]]
-
-    @property
-    def is_online(self) -> bool:
-        return self._array.state[self.gateway_id] == STATE_ACTIVE
-
-    @property
-    def is_sleeping(self) -> bool:
-        return self._array.state[self.gateway_id] == STATE_SLEEPING
-
-    @property
-    def is_waking(self) -> bool:
-        return self._array.state[self.gateway_id] == STATE_WAKING
-
-    def wake_remaining(self, now: float) -> float:
-        return self._array.wake_remaining(self.gateway_id, now)
-
-    # -- statistics (accrued up to the last transition / flush) --------
-    @property
-    def online_seconds(self) -> float:
-        return self._array.online_seconds[self.gateway_id]
-
-    @property
-    def waking_seconds(self) -> float:
-        return self._array.waking_seconds[self.gateway_id]
-
-    @property
-    def sleeping_seconds(self) -> float:
-        return self._array.sleeping_seconds[self.gateway_id]
-
-    @property
-    def wake_count(self) -> int:
-        return self._array.wake_count[self.gateway_id]
-
-    @property
-    def sleep_count(self) -> int:
-        return self._array.sleep_count[self.gateway_id]
-
-    @property
-    def bits_served(self) -> float:
-        return self._array.bits_served[self.gateway_id]
-
-    # -- behaviour -----------------------------------------------------
-    def request_wake(self, now: float) -> None:
-        self._array.request_wake(self.gateway_id, now)
-
-    def touch(self, now: float) -> None:
-        self._array.touch(self.gateway_id, now)
-
-    def utilization(self, now: float) -> float:
-        return self._array.utilization(self.gateway_id, now)
-
-    def idle_for(self, now: float) -> float:
-        return self._array.idle_for(self.gateway_id, now)
-
-    def __repr__(self) -> str:
-        return (
-            f"<GatewayView {self.gateway_id} {self.state.value} "
-            f"backhaul={self.backhaul_bps / 1e6:.1f}Mbps>"
-        )

@@ -193,12 +193,11 @@ def _add_sweep_parser(subparsers) -> None:
     gc_parser = sweep_sub.add_parser(
         "gc",
         help="trim the result store (dry run unless --apply)",
-        description="Garbage-collect the sweep result store, driven by its "
-        "manifest.jsonl: --keep-families removes records of every other "
-        "family, --max-age-days removes records older than N days, and "
-        "invalid tombstone entries (corrupt files, stale store versions) "
-        "are always removal candidates.  Dry run by default; pass --apply "
-        "to actually delete.",
+        description="Garbage-collect the sweep result store, reading every "
+        "record: --keep-families removes records of every other family, "
+        "--max-age-days removes records older than N days, and invalid "
+        "record files (corrupt, stale store versions) are always removal "
+        "candidates.  Dry run by default; pass --apply to actually delete.",
     )
     gc_parser.add_argument(
         "--out",
@@ -364,7 +363,7 @@ def _add_obs_parser(subparsers) -> None:
         description="The observability toolbox: 'trace' runs one traced "
         "simulation and exports its structured event trace; 'summary' "
         "tabulates the per-run timings.jsonl ledger a sweep store keeps "
-        "beside its manifest; 'export' converts a JSONL event trace to "
+        "beside its records; 'export' converts a JSONL event trace to "
         "Chrome trace-event JSON loadable in Perfetto or chrome://tracing; "
         "'ingest'/'query'/'drift' maintain the cross-sweep SQLite insight "
         "warehouse; 'explain' decomposes a run's energy savings into a "
@@ -440,7 +439,7 @@ def _add_obs_parser(subparsers) -> None:
     ingest = obs_sub.add_parser(
         "ingest",
         help="index sweep stores, traces and history into the warehouse",
-        description="Ingest any number of sweep stores (manifest + metrics "
+        description="Ingest any number of sweep stores (records + metrics "
         "+ timings ledger), JSONL traces and regress history ledgers into "
         "one SQLite insight warehouse. "
         "Re-ingesting a source replaces its rows (idempotent); the "
@@ -529,8 +528,8 @@ def _add_obs_parser(subparsers) -> None:
 
     top = obs_sub.add_parser(
         "top",
-        help="render a sweep store's live progress from its ledgers",
-        description="Summarise a store's manifest and timings ledger as a "
+        help="render a sweep store's live progress from its records",
+        description="Summarise a store's records and timings ledger as a "
         "progress frame — safe to point at a store another process is "
         "sweeping into. Repaints every --interval seconds; --once prints "
         "a single frame and exits (for CI and scripts).",

@@ -14,7 +14,7 @@ Three pillars, all opt-in and all observation-only:
   back to the parent, where the engine merges them into the sweep-wide
   view surfaced by ``repro-access sweep`` tables and ``--json``.
 - the ``timings.jsonl`` ledger — one line per executed-and-persisted
-  run, written beside ``manifest.jsonl`` by the store, summarised by
+  run, written beside the ``runs/`` records by the store, summarised by
   ``repro-access obs summary``.
 
 On top of the substrate sit the insight layers:

@@ -1,12 +1,11 @@
 """Cross-sweep insight warehouse: a SQLite index over sweep artifacts.
 
-``obs ingest`` folds the advisory ledgers every sweep store already
-keeps — ``manifest.jsonl`` (one row per cached run record, metrics read
-from the record files), ``timings.jsonl`` (one row per
-executed-and-persisted attempt) — plus optional JSONL trace files and
-``baselines/history.jsonl`` ledgers into one queryable schema, keyed by
-run digest and git sha.  Ingest is idempotent per source path:
-re-ingesting a store replaces its rows.
+``obs ingest`` folds what every sweep store already keeps — its
+``runs/`` record files (one row per record, with metrics) and
+``timings.jsonl`` (one row per executed-and-persisted attempt) — plus
+optional JSONL trace files and ``baselines/history.jsonl`` ledgers into
+one queryable schema, keyed by run digest and git sha.  Ingest is
+idempotent per source path: re-ingesting a store replaces its rows.
 
 ``obs query`` filters the run table; ``obs drift`` compares the *same
 digest* across sources ingested at different shas — metrics are expected
@@ -149,36 +148,34 @@ class InsightWarehouse:
 
     # -- ingest -----------------------------------------------------------
     def ingest_store(self, store_dir, git_sha: Optional[str] = None) -> Dict[str, int]:
-        """Index one sweep store: manifest records (+metrics) and timings.
+        """Index one sweep store: its records (+metrics) and timings.
 
-        Produces exactly one ``runs`` row per manifest record (invalid
-        tombstones included, with NULL metrics) — the warehouse mirrors
-        the store's own accounting, so ``runs`` count == manifest count.
+        Produces exactly one ``runs`` row per record file (files ``get``
+        rejects included, with NULL fields) — the warehouse mirrors the
+        store's own accounting, so ``runs`` count == record file count.
         """
         from repro.sweep.store import ResultStore
 
         store = ResultStore(store_dir)
         source_id = self._source(store.root, "store", git_sha)
         runs = 0
-        for digest, summary in sorted(store.manifest().items()):
-            record = None if summary.get("invalid") else store.get(digest)
+        for digest in store.digests():
+            record = store.get(digest)
+            fields = (None,) * 8 if record is None else (
+                record.family,
+                record.label,
+                record.scheme,
+                record.run_index,
+                record.seed,
+                record.duration_s,
+                record.store_version,
+                json.dumps(record.metrics, sort_keys=True),
+            )
             self.connection.execute(
                 "INSERT INTO runs(source_id, digest, family, label, scheme, "
                 "run_index, seed, duration_s, store_version, metrics) "
                 "VALUES(?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    source_id,
-                    digest,
-                    summary.get("family"),
-                    summary.get("label"),
-                    summary.get("scheme"),
-                    summary.get("run_index"),
-                    summary.get("seed"),
-                    summary.get("duration_s"),
-                    summary.get("store_version"),
-                    None if record is None
-                    else json.dumps(record.metrics, sort_keys=True),
-                ),
+                (source_id, digest) + fields,
             )
             runs += 1
         timings = 0

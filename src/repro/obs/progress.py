@@ -291,24 +291,23 @@ class SweepDashboard(ProgressSink):
 
 
 def render_store_top(store) -> str:
-    """One ``obs top`` frame from a store's on-disk ledgers.
+    """One ``obs top`` frame from a store's records and timings ledger.
 
-    Reads ``manifest.jsonl`` and ``timings.jsonl`` only — safe to point
-    at a store another process is actively sweeping into.
+    Only reads (every record file, through ``get``) — safe to point at a
+    store another process is actively sweeping into.
     """
     from repro.analysis.report import format_table, render_key_values
 
-    manifest = store.manifest()
     per_family: Dict[str, Dict[str, float]] = {}
     invalid = 0
-    for summary in manifest.values():
-        if summary.get("invalid"):
+    for digest in store.digests():
+        record = store.get(digest)
+        if record is None:
             invalid += 1
             continue
-        family = str(summary.get("family") or "-")
-        bucket = per_family.setdefault(family, {"runs": 0, "sim_hours": 0.0})
+        bucket = per_family.setdefault(record.family or "-", {"runs": 0, "sim_hours": 0.0})
         bucket["runs"] += 1
-        bucket["sim_hours"] += float(summary.get("duration_s") or 0.0) / 3600.0
+        bucket["sim_hours"] += record.duration_s / 3600.0
     timings = store.read_timings()
     wall = [entry.get("run_s") for entry in timings]
     wall = [float(value) for value in wall if value is not None]

@@ -30,7 +30,7 @@ import json
 import time
 from collections import Counter
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Default event-buffer bound; generous for smoke-scale runs, small
 #: enough that a runaway emitter cannot exhaust memory.
@@ -196,8 +196,9 @@ def chrome_trace_from_events(
 def read_jsonl_events(path) -> List[dict]:
     """Load a JSONL trace written by :meth:`SimTracer.write_jsonl`.
 
-    Tolerant of blank and torn trailing lines, mirroring the manifest
-    reader's posture: a damaged line costs that event, never the file.
+    Tolerant of blank and torn trailing lines, mirroring the timings
+    ledger reader's posture: a damaged line costs that event, never the
+    file.
     """
     events: List[dict] = []
     with open(path, "r", encoding="utf-8") as handle:

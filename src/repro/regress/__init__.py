@@ -49,7 +49,6 @@ from repro.regress.compare import (
     compare_config,
 )
 from repro.regress.pareto import (
-    FRONT_SPECS,
     SAVINGS_FRONT,
     FrontSpec,
     compare_fronts,
@@ -76,7 +75,6 @@ __all__ = [
     "classify",
     "compare_cells",
     "compare_config",
-    "FRONT_SPECS",
     "SAVINGS_FRONT",
     "FrontSpec",
     "compare_fronts",

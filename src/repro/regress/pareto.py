@@ -9,7 +9,7 @@ membership in the committed baselines, so a scheme *falling off the
 front* — becoming dominated by another design — is itself a detectable
 regression even when none of its own metrics regressed.
 
-Two shipped fronts (see :data:`FRONT_SPECS`):
+Two shipped fronts (see :func:`front_specs`):
 
 * ``savings-vs-peak-online`` — maximize ``mean_savings_percent`` while
   minimizing peak online gateways (the capacity the ISP must keep hot);
@@ -75,10 +75,6 @@ def _watt_front_spec() -> FrontSpec:
 def front_specs() -> List[FrontSpec]:
     """The shipped front definitions, in report order."""
     return [SAVINGS_FRONT, _watt_front_spec()]
-
-
-#: Kept for introspection/docs; prefer :func:`front_specs` (lazy import).
-FRONT_SPECS = ("savings-vs-peak-online", "watt-energy-vs-served")
 
 
 def point_key(family: str, scenario: str, scheme: str) -> str:

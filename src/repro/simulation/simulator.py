@@ -45,7 +45,6 @@ import numpy as np
 from repro.access.dslam import Dslam, SwitchingMode
 from repro.access.gateway_array import (
     GatewayArray,
-    GatewayView,
     STATE_ACTIVE,
     STATE_SLEEPING,
     STATE_WAKING,
@@ -349,8 +348,6 @@ class AccessNetworkSimulator:
             num_generations=len(self._generation_names),
             out_of_service=absent_gateways,
         )
-        #: Gateway-compatible per-device views (API compatibility).
-        self.gateways: Dict[int, GatewayView] = self.gateway_array.views()
         if tracer is not None:
             # Every state change funnels through _change_state, which
             # appends to this log only while it is a list — O(transitions)

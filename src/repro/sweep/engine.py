@@ -424,9 +424,9 @@ def run_sweep(
     seen_digests = set()
     caching = store is not None and use_cache
     scan_start = time.perf_counter()
-    # The store-wide manifest answers "which digests exist?" in one read
-    # instead of one file open per task; get() stays authoritative, so a
-    # stale manifest can only cost a recomputation, never a wrong result.
+    # One directory scan answers "which digests exist?" instead of one
+    # file open per task; get() stays authoritative, so a corrupt record
+    # can only cost a recomputation, never a wrong result.
     known = store.known_digests() if caching else frozenset()
     for task in tasks:
         if task.digest in seen_digests or task.digest in records:
@@ -460,7 +460,7 @@ def run_sweep(
         Receives the worker's :class:`TaskOutput`; only the wrapped
         :class:`RunRecord` reaches the store, and one profiling line is
         appended to the timings ledger per successful persist (so a
-        fresh sweep's ledger line count equals its manifest run count).
+        fresh sweep's ledger line count equals its record file count).
         """
         record = output.record
         if plan is not None and plan.fault_for(record.digest, attempt) is FaultKind.TORN_WRITE:

@@ -21,7 +21,6 @@ import enum
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,8 +31,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set
 STORE_VERSION = 1
 
 #: How old (seconds) an orphaned ``.tmp`` in ``runs/`` must be before
-#: GC and manifest rebuilds treat it as the leavings of a dead writer
-#: rather than a concurrent sweep's in-flight :meth:`ResultStore.put`.
+#: GC treats it as the leavings of a dead writer rather than a
+#: concurrent sweep's in-flight :meth:`ResultStore.put`.
 STALE_TMP_GRACE_S = 3600.0
 
 
@@ -149,111 +148,33 @@ class GcReport:
 class ResultStore:
     """Filesystem-backed content-addressed store of :class:`RunRecord`.
 
-    ``get`` treats missing, truncated or schema-mismatched files as cache
-    misses, so a store survives crashes and version bumps without manual
-    cleanup.
-
-    A store-wide **manifest** (``manifest.jsonl``, one summary line per
-    record, appended on every :meth:`put`) lets a cold ``--resume`` learn
-    which digests exist without opening every record file.  The manifest is
-    advisory: membership false-positives fall through :meth:`get` (still a
-    miss), false-negatives merely recompute a run, and a manifest whose
-    entry count disagrees with the record-file count is rebuilt lazily from
-    the records themselves.
+    ``runs/`` is the store's only index: a digest is known when its record
+    file exists.  ``get`` treats missing, truncated or schema-mismatched
+    files as cache misses, so a store survives crashes and version bumps
+    without manual cleanup.
     """
 
-    MANIFEST_NAME = "manifest.jsonl"
     TIMINGS_NAME = "timings.jsonl"
 
     def __init__(self, root: os.PathLike | str):
         self.root = Path(root)
         self.runs_dir = self.root / "runs"
         self.runs_dir.mkdir(parents=True, exist_ok=True)
-        #: In-memory manifest cache: digest -> summary dict (lazy).  Only
-        #: ever set from the staleness-checked :meth:`manifest` path.
-        self._manifest: Optional[Dict[str, dict]] = None
-        #: Raw-line cache used solely to deduplicate :meth:`put` appends;
-        #: never served to readers, so it may lag the record files.
-        self._manifest_lines: Optional[Dict[str, dict]] = None
         #: Distinguishes this store's in-flight tmp names (with the pid).
         self._put_counter = 0
-        #: Cached append handles (manifest, timings): one ``open`` per
-        #: store instead of per persisted record.  Lines are flushed
-        #: individually, so readers and crash recovery see exactly what
-        #: the open-per-append posture showed them.
-        self._append_handles: Dict[str, object] = {}
-
-    # ------------------------------------------------------------------
-    # Manifest
-    # ------------------------------------------------------------------
-    @property
-    def manifest_path(self) -> Path:
-        """Where the store-wide manifest lives."""
-        return self.root / self.MANIFEST_NAME
-
-    @staticmethod
-    def _summary(record: "RunRecord") -> dict:
-        return {
-            "digest": record.digest,
-            "family": record.family,
-            "label": record.label,
-            "scheme": record.scheme,
-            "run_index": record.run_index,
-            "seed": record.seed,
-            "duration_s": record.duration_s,
-            "store_version": record.store_version,
-        }
-
-    def _record_file_count(self) -> int:
-        """Number of record files, by one readdir (no stat, no opens)."""
-        with os.scandir(self.runs_dir) as entries:
-            return sum(1 for entry in entries if entry.name.endswith(".json"))
-
-    def _read_manifest_lines(self) -> Dict[str, dict]:
-        entries: Dict[str, dict] = {}
-        try:
-            with open(self.manifest_path, "r") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        payload = json.loads(line)
-                        digest = payload["digest"]
-                    except (ValueError, TypeError, KeyError):
-                        continue  # torn append from a crash: ignore the line
-                    entries[digest] = payload
-        except OSError:
-            return {}
-        return entries
-
-    def manifest(self) -> Dict[str, dict]:
-        """Digest → record summary for every record the store knows about.
-
-        Served from ``manifest.jsonl`` when its entry count matches the
-        record files on disk; rebuilt from the records (and rewritten
-        atomically) when it is stale or missing.  Unvalidatable record
-        files (corrupt, or left behind by a ``STORE_VERSION`` bump) are
-        kept as ``invalid`` tombstone entries so the counts keep matching
-        and one bad file does not force a rebuild on every cold open.
-        """
-        if self._manifest is not None:
-            return self._manifest
-        entries = self._read_manifest_lines()
-        if len(entries) != self._record_file_count():
-            entries = self.rebuild_manifest()
-        self._manifest = entries
-        self._manifest_lines = entries
-        return entries
 
     def known_digests(self) -> Set[str]:
-        """Digests of validated records listed by the manifest (fast cold
-        listing; tombstoned invalid files are excluded)."""
-        return {
-            digest
-            for digest, summary in self.manifest().items()
-            if not summary.get("invalid")
-        }
+        """Digests of every record file, by one directory scan (no opens).
+
+        A listed digest can still be a miss: :meth:`get` stays
+        authoritative, so a corrupt file only costs a recomputation.
+        """
+        with os.scandir(self.runs_dir) as entries:
+            return {entry.name[:-5] for entry in entries if entry.name.endswith(".json")}
+
+    def digests(self) -> List[str]:
+        """Digests of every record file, sorted."""
+        return sorted(self.known_digests())
 
     def _scan_tmps(self, now: Optional[float] = None) -> List[tuple]:
         """Every ``.tmp`` in ``runs/`` as sorted ``(name, age_s)`` pairs.
@@ -275,95 +196,6 @@ class ResultStore:
                 found.append((entry.name, age_s))
         return sorted(found)
 
-    def _sweep_stale_tmps(
-        self, grace_s: float = STALE_TMP_GRACE_S, now: Optional[float] = None
-    ) -> int:
-        """Unlink orphaned ``.tmp`` files older than ``grace_s``."""
-        removed = 0
-        for name, age_s in self._scan_tmps(now=now):
-            if age_s < grace_s:
-                continue
-            try:
-                os.unlink(self.runs_dir / name)
-                removed += 1
-            except OSError:
-                pass  # concurrent removal: nothing left to clean
-        return removed
-
-    def rebuild_manifest(self) -> Dict[str, dict]:
-        """Regenerate the manifest from the record files, atomically.
-
-        Also sweeps orphaned ``.tmp`` files past the stale grace period:
-        a rebuild is already a whole-store pass, and tmp orphans are the
-        one kind of garbage :meth:`put` cannot clean up after itself
-        (the writing process died holding them).
-        """
-        self._sweep_stale_tmps()
-        entries: Dict[str, dict] = {}
-        for digest in self.digests():
-            record = self.get(digest)
-            if record is not None:
-                entries[digest] = self._summary(record)
-            else:
-                entries[digest] = {"digest": digest, "invalid": True}
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".manifest-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                for summary in entries.values():
-                    handle.write(json.dumps(summary, sort_keys=True) + "\n")
-            os.replace(tmp_name, self.manifest_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        # A cached append handle would keep writing to the replaced
-        # inode; drop it so the next append reopens the new file.
-        self._close_append_handles()
-        self._manifest = entries
-        self._manifest_lines = entries
-        return entries
-
-    def _append_line(self, path: Path, text: str) -> None:
-        handle = self._append_handles.get(path.name)
-        if handle is None:
-            handle = open(path, "a")
-            self._append_handles[path.name] = handle
-        handle.write(text)
-        handle.flush()
-
-    def _close_append_handles(self) -> None:
-        """Drop cached append handles (a rebuild swapped the inode)."""
-        for handle in self._append_handles.values():
-            try:
-                handle.close()
-            except OSError:
-                pass
-        self._append_handles.clear()
-
-    def _append_manifest(self, record: "RunRecord") -> None:
-        summary = self._summary(record)
-        # Lazily load the manifest *lines* (no staleness rebuild — the
-        # record just written would always make the counts disagree) so an
-        # overwriting put — e.g. repeated --no-resume sweeps against the
-        # same store — does not grow the file with duplicate lines.  The
-        # line cache is append-dedup state only: a later manifest() call
-        # still runs its own staleness check against the record files.
-        if self._manifest_lines is None:
-            self._manifest_lines = self._read_manifest_lines()
-        if self._manifest_lines.get(record.digest) == summary:
-            return
-        self._manifest_lines[record.digest] = summary
-        if self._manifest is not None:
-            self._manifest[record.digest] = summary
-        try:
-            self._append_line(self.manifest_path, json.dumps(summary, sort_keys=True) + "\n")
-        except OSError:
-            # The manifest is an optimization; a failed append only means
-            # the next cold load rebuilds it.
-            pass
-
     # ------------------------------------------------------------------
     # Timings ledger (observability)
     # ------------------------------------------------------------------
@@ -375,13 +207,14 @@ class ResultStore:
     def append_timing(self, entry: dict) -> None:
         """Append one profiling line (one executed-and-persisted run).
 
-        The ledger shares the manifest's posture: advisory, append-only,
-        and best-effort — a failed append loses one timing line, never a
-        result.  Unlike the manifest it is *not* deduplicated: re-running
-        a cell (``--no-resume``) legitimately appends another line.
+        Advisory, append-only and best-effort: a failed append loses one
+        timing line, never a result.  Lines are *not* deduplicated:
+        re-running a cell (``--no-resume``) legitimately appends another.
         """
         try:
-            self._append_line(self.timings_path, json.dumps(entry, sort_keys=True) + "\n")
+            line = json.dumps(entry, sort_keys=True) + "\n"
+            with open(self.timings_path, "a") as handle:
+                handle.write(line)
         except (OSError, TypeError, ValueError):
             pass
 
@@ -443,7 +276,6 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        self._append_manifest(record)
         return path
 
     # ------------------------------------------------------------------
@@ -457,15 +289,15 @@ class ResultStore:
         apply: bool = False,
         tmp_grace_s: float = STALE_TMP_GRACE_S,
     ) -> GcReport:
-        """Trim the store, driven by the manifest.  Dry run unless ``apply``.
+        """Trim the store, reading every record.  Dry run unless ``apply``.
 
         Removal rules (combined with *or*):
 
         * ``keep_families`` — records of any *other* family are removed;
         * ``max_age_days`` — records whose file is older (by mtime) are
           removed, whatever their family;
-        * ``invalid`` manifest tombstones (corrupt files, or leftovers of
-          a ``STORE_VERSION`` bump that can never be cache hits again) are
+        * record files :meth:`get` rejects (corrupt, or leftovers of a
+          ``STORE_VERSION`` bump that can never be cache hits again) are
           always removal candidates, even with no rule given;
         * orphaned ``.tmp`` files in ``runs/`` older than ``tmp_grace_s``
           (left by writers that died between ``mkstemp`` and
@@ -473,10 +305,8 @@ class ResultStore:
           ones are spared as possibly a concurrent sweep's in-flight put.
 
         A dry run (the default) touches nothing — it only reports what an
-        ``apply`` pass would delete.  An ``apply`` pass unlinks the record
-        files and rebuilds the manifest atomically, so a crash mid-GC
-        leaves at worst a stale manifest that the next cold open rebuilds
-        (tombstone-safe: no record can be half-deleted).
+        ``apply`` pass would delete.  An ``apply`` pass unlinks whole
+        files, so a crash mid-GC cannot leave a record half-deleted.
         """
         if max_age_days is not None and max_age_days < 0:
             raise ValueError("max_age_days must be non-negative")
@@ -484,10 +314,8 @@ class ResultStore:
             raise ValueError("tmp_grace_s must be non-negative")
         keep = set(keep_families) if keep_families is not None else None
         clock = time.time() if now is None else now
-        # Scan tmps before manifest(): a stale manifest triggers a lazy
-        # rebuild, and the rebuild sweeps stale tmps itself.
         tmps = self._scan_tmps(now=clock)
-        entries = self.manifest()
+        digests = self.digests()
         candidates: List[GcCandidate] = [
             GcCandidate(
                 digest="",
@@ -498,42 +326,33 @@ class ResultStore:
             for name, age_s in tmps
             if age_s >= tmp_grace_s
         ]
-        for digest in sorted(entries):
-            summary = entries[digest]
-            path = self.path_for(digest)
-            age_days: Optional[float] = None
+        for digest in digests:
             try:
-                age_days = max(0.0, clock - path.stat().st_mtime) / 86400.0
+                age_days = max(0.0, clock - self.path_for(digest).stat().st_mtime) / 86400.0
             except OSError:
-                pass  # already gone: the rebuild below reconciles the manifest
-            if summary.get("invalid"):
+                continue  # removed since the listing: nothing to collect
+            record = self.get(digest)
+            if record is None:
                 candidates.append(GcCandidate(
-                    digest=digest, reason="invalid record (tombstone)",
-                    age_days=age_days,
+                    digest=digest, reason="invalid record", age_days=age_days,
                 ))
                 continue
-            family = str(summary.get("family", ""))
-            label = str(summary.get("label", ""))
-            scheme = str(summary.get("scheme", ""))
+            family, label, scheme = record.family, record.label, record.scheme
             if keep is not None and family not in keep:
                 candidates.append(GcCandidate(
                     digest=digest, reason=f"family {family!r} not kept",
                     family=family, label=label, scheme=scheme, age_days=age_days,
                 ))
-            elif (
-                max_age_days is not None
-                and age_days is not None
-                and age_days > max_age_days
-            ):
+            elif max_age_days is not None and age_days > max_age_days:
                 candidates.append(GcCandidate(
                     digest=digest,
                     reason=f"older than {max_age_days:g} days",
                     family=family, label=label, scheme=scheme, age_days=age_days,
                 ))
         report = GcReport(
-            examined=len(entries) + len(tmps), candidates=candidates, applied=apply
+            examined=len(digests) + len(tmps), candidates=candidates, applied=apply
         )
-        if apply and candidates:
+        if apply:
             for candidate in candidates:
                 if candidate.filename:
                     path = self.runs_dir / candidate.filename
@@ -543,13 +362,8 @@ class ResultStore:
                     os.unlink(path)
                     report.removed += 1
                 except OSError:
-                    pass  # concurrent removal: the manifest rebuild reconciles
-            self.rebuild_manifest()
+                    pass  # concurrent removal: nothing left to delete
         return report
-
-    def digests(self) -> List[str]:
-        """Digests of every complete record currently in the store."""
-        return sorted(path.stem for path in self.runs_dir.glob("*.json"))
 
     def __len__(self) -> int:
         return len(self.digests())

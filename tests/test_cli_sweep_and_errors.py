@@ -194,10 +194,10 @@ def test_sweep_trace_writes_perfetto_trace_and_ledger(tmp_path, capsys):
     payload = json.loads(trace.read_text())
     names = {event["name"] for event in payload["traceEvents"]}
     assert "task.run" in names and "store.put" in names
-    # The timing ledger has one line per manifest record (fresh sweep).
+    # The timing ledger has one line per record file (fresh sweep).
     timings = (out_dir / "timings.jsonl").read_text().splitlines()
-    manifest = (out_dir / "manifest.jsonl").read_text().splitlines()
-    assert len([l for l in timings if l]) == len([l for l in manifest if l]) == 2
+    records = list((out_dir / "runs").glob("*.json"))
+    assert len([l for l in timings if l]) == len(records) == 2
 
 
 def test_sweep_trace_jsonl_extension_writes_events(tmp_path, capsys):

@@ -105,19 +105,6 @@ def test_idle_transition_candidates_match_gateway_scan():
     assert array.idle_transition_candidates(5.0) == expected
 
 
-def test_views_expose_gateway_api():
-    _, array = make_pair()
-    views = array.views()
-    view = views[0]
-    assert view.is_sleeping and not view.is_online
-    view.request_wake(1.0)
-    assert view.is_waking
-    assert view.wake_remaining(2.0) == pytest.approx(59.0)
-    array.step_to(61.0, set())
-    assert view.is_online
-    assert view.state is PowerState.ACTIVE
-
-
 def test_zero_timeout_pinned_gateways_never_sleep():
     _, array = make_pair(soi=SoIConfig(idle_timeout_s=0.0, wake_up_time_s=0.0))
     array.request_wake(0, 0.0)

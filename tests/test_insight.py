@@ -91,21 +91,21 @@ def test_waterfall_attributes_sleep_savings_and_fleet_generations():
 
 
 # ----------------------------------------------------------------------
-# Warehouse: ingest == manifest, idempotent re-ingest, queries
+# Warehouse: ingest == the store's records, idempotent re-ingest, queries
 # ----------------------------------------------------------------------
 def test_warehouse_ingest_matches_manifest_and_is_idempotent(tmp_path):
     store = ResultStore(tmp_path / "store")
     result = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG,
                        store=store, workers=1)
-    manifest = store.manifest()
+    digests = store.digests()
     with InsightWarehouse(tmp_path / "insight.db") as warehouse:
         counts = warehouse.ingest_store(store.root, git_sha="abc123")
-        assert counts["runs"] == len(manifest) == result.total_runs
+        assert counts["runs"] == len(digests) == result.total_runs
         assert counts["timings"] == len(store.read_timings())
-        assert len(warehouse.query_runs()) == len(manifest)
+        assert sorted(row["digest"] for row in warehouse.query_runs()) == digests
         # Re-ingesting the same store replaces its rows, not duplicates.
         warehouse.ingest_store(store.root, git_sha="abc123")
-        assert len(warehouse.query_runs()) == len(manifest)
+        assert sorted(row["digest"] for row in warehouse.query_runs()) == digests
         assert warehouse.counts()["sources"] == 1
         # Filters and the pulled-out metric column.
         soi_rows = warehouse.query_runs(scheme="SoI",
@@ -278,14 +278,14 @@ def test_watched_traced_ingested_store_is_byte_identical(tmp_path):
     assert not result.failures and stream.getvalue()
     with InsightWarehouse(tmp_path / "insight.db") as warehouse:
         counts = warehouse.ingest_store(watched_store.root)
-    assert counts["runs"] == len(watched_store.manifest())
+        rows = warehouse.query_runs()
+    assert counts["runs"] == len(rows)
+    assert sorted(row["digest"] for row in rows) == watched_store.digests()
     plain_runs = sorted((plain_store.root / "runs").glob("*.json"))
     watched_runs = sorted((watched_store.root / "runs").glob("*.json"))
     assert [p.name for p in plain_runs] == [p.name for p in watched_runs]
     for plain_file, watched_file in zip(plain_runs, watched_runs):
         assert plain_file.read_bytes() == watched_file.read_bytes()
-    assert (plain_store.manifest_path.read_bytes()
-            == watched_store.manifest_path.read_bytes())
 
 
 # ----------------------------------------------------------------------

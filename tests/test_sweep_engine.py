@@ -65,6 +65,19 @@ def test_interrupted_sweep_resumes_to_identical_aggregates(tmp_path):
     assert resumed.aggregates() == reference.aggregates()
 
 
+def test_resume_recomputes_only_a_corrupt_record(tmp_path):
+    store = ResultStore(tmp_path)
+    first = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG, store=store)
+    victim = sorted(first.records)[0]
+    original = store.path_for(victim).read_bytes()
+    store.path_for(victim).write_text("not json")
+    resumed = run_sweep(
+        families=[TINY], schemes=SCHEMES, config=CONFIG, store=ResultStore(tmp_path)
+    )
+    assert resumed.executed == 1
+    assert store.path_for(victim).read_bytes() == original
+
+
 def test_no_resume_recomputes_but_matches(tmp_path):
     store = ResultStore(tmp_path)
     first = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG, store=store)

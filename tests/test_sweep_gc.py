@@ -1,9 +1,9 @@
 """Tests for result-store garbage collection and the new CLI surfaces.
 
-GC is manifest-driven, dry-run by default, and tombstone-safe: invalid
-manifest entries (corrupt records, stale store versions) are always
-removal candidates, and an ``apply`` pass rebuilds the manifest so the
-store's fast cold listing stays consistent.
+GC reads every record and is dry-run by default: record files ``get``
+rejects (corrupt records, stale store versions) and stale orphaned
+``.tmp`` files are always removal candidates, and an ``apply`` pass
+unlinks whole files, so a cold listing agrees with it at once.
 """
 
 import json
@@ -46,7 +46,7 @@ def test_gc_dry_run_reports_without_deleting(store):
     assert report.examined == 3
     assert {c.digest for c in report.candidates} == {"b" * 64, "c" * 64}
     assert all("not kept" in c.reason for c in report.candidates)
-    # Dry run: every record is still there, manifest untouched.
+    # Dry run: every record is still there.
     assert len(store.digests()) == 3
     assert store.get("b" * 64) is not None
 
@@ -56,7 +56,7 @@ def test_gc_apply_removes_and_rebuilds_the_manifest(store):
     assert report.applied and report.removed == 2
     assert store.digests() == ["a" * 64]
     assert store.known_digests() == {"a" * 64}
-    # A cold open agrees (the manifest was rewritten, not just cached).
+    # A cold open agrees (the files are gone, not just forgotten).
     assert ResultStore(store.root).known_digests() == {"a" * 64}
 
 
@@ -78,12 +78,11 @@ def test_gc_rules_combine_as_or(store):
 
 
 def test_gc_without_rules_only_collects_tombstones(store):
-    # A corrupt record file becomes an invalid tombstone in the manifest.
+    # A corrupt record file is the one candidate when no rule is given.
     store.path_for("d" * 64).write_text("{not json")
-    store.rebuild_manifest()
     report = store.gc()
     assert [c.digest for c in report.candidates] == ["d" * 64]
-    assert "tombstone" in report.candidates[0].reason
+    assert "invalid record" in report.candidates[0].reason
     applied = store.gc(apply=True)
     assert applied.removed == 1
     assert not store.path_for("d" * 64).exists()
@@ -130,28 +129,9 @@ def test_gc_tmp_grace_is_tunable(store):
     assert report.removed == 1 and not orphan.exists()
 
 
-def test_rebuild_manifest_sweeps_stale_tmps(store):
-    stale = _orphan_tmp(store, "e" * 64, age_s=7200.0)
-    fresh = _orphan_tmp(store, "f" * 64)
-    store.rebuild_manifest()
-    assert not stale.exists() and fresh.exists()
-    assert len(store.known_digests()) == 3
-
-
-def test_stale_manifest_cold_open_heals_orphan_tmps(tmp_path):
-    store = ResultStore(tmp_path / "store")
-    store.put(_record("a" * 64))
-    stale = _orphan_tmp(store, "e" * 64, age_s=7200.0)
-    store.manifest_path.unlink()  # stale manifest forces the lazy rebuild
-    cold = ResultStore(store.root)
-    assert cold.known_digests() == {"a" * 64}
-    assert not stale.exists()
-
-
 def test_tmp_files_do_not_break_manifest_staleness_check(store):
     _orphan_tmp(store, "e" * 64)
-    # The record-file count ignores .tmp files, so the manifest still
-    # matches and no rebuild (which would resweep) is triggered.
+    # The listing counts only .json files: a tmp is never a record.
     cold = ResultStore(store.root)
     assert len(cold.known_digests()) == 3
 

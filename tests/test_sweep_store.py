@@ -1,9 +1,13 @@
 """Tests for the content-addressed result store and the run digest."""
 
+import gc
+import warnings
+
 import pytest
 
 from repro.core.schemes import bh2_kswitch, soi
-from repro.sweep.catalog import ScenarioSpec
+from repro.sweep.catalog import ScenarioFamily, ScenarioSpec
+from repro.sweep.engine import SweepConfig, run_sweep
 from repro.sweep.store import (
     STORE_VERSION,
     ResultStore,
@@ -89,21 +93,8 @@ def test_iteration_skips_incomplete_records(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Store-wide manifest
+# runs/ is the only index
 # ----------------------------------------------------------------------
-def test_put_appends_to_the_manifest(tmp_path):
-    store = ResultStore(tmp_path)
-    store.put(_record("a" * 64))
-    store.put(_record("b" * 64))
-    assert store.manifest_path.exists()
-    assert store.known_digests() == {"a" * 64, "b" * 64}
-    summary = store.manifest()["a" * 64]
-    assert summary["family"] == "f"
-    assert summary["scheme"] == "SoI"
-    # Metrics stay out of the manifest: it is a listing, not a cache.
-    assert "metrics" not in summary
-
-
 def test_cold_listing_reads_the_manifest_without_opening_records(tmp_path):
     store = ResultStore(tmp_path)
     for digest in ["a" * 64, "b" * 64, "c" * 64]:
@@ -112,21 +103,10 @@ def test_cold_listing_reads_the_manifest_without_opening_records(tmp_path):
     assert cold.known_digests() == set(store.digests())
 
 
-def test_missing_manifest_is_rebuilt_lazily(tmp_path):
-    store = ResultStore(tmp_path)
-    store.put(_record("a" * 64))
-    store.put(_record("b" * 64))
-    store.manifest_path.unlink()
-    cold = ResultStore(tmp_path)
-    assert cold.known_digests() == {"a" * 64, "b" * 64}
-    assert cold.manifest_path.exists()  # rebuilt and persisted
-
-
 def test_stale_manifest_is_rebuilt_when_counts_disagree(tmp_path):
     store = ResultStore(tmp_path)
     store.put(_record("a" * 64))
-    # Simulate a crash between the record write and the manifest append: a
-    # second record file exists that the manifest has never heard of.
+    # A record file another store wrote is listed as soon as it lands.
     other = ResultStore(tmp_path / "other")
     other.put(_record("b" * 64))
     other.path_for("b" * 64).rename(store.path_for("b" * 64))
@@ -134,44 +114,37 @@ def test_stale_manifest_is_rebuilt_when_counts_disagree(tmp_path):
     assert cold.known_digests() == {"a" * 64, "b" * 64}
 
 
-def test_torn_manifest_lines_are_ignored(tmp_path):
-    store = ResultStore(tmp_path)
-    store.put(_record("a" * 64))
-    with open(store.manifest_path, "a") as handle:
-        handle.write('{"digest": "tru')  # torn append
-    cold = ResultStore(tmp_path)
-    assert cold.known_digests() == {"a" * 64}
-
-
-def test_invalid_record_files_are_tombstoned_not_rebuilt_forever(tmp_path):
-    """One corrupt record must not force a manifest rebuild on every cold
-    open: it gets an ``invalid`` tombstone entry so the counts keep
-    matching."""
-    store = ResultStore(tmp_path)
-    store.put(_record("a" * 64))
-    store.path_for("b" * 64).write_text("not json")
-    first = ResultStore(tmp_path)
-    assert first.known_digests() == {"a" * 64}  # tombstone excluded
-    stamp = first.manifest_path.stat().st_mtime_ns
-    second = ResultStore(tmp_path)
-    assert second.known_digests() == {"a" * 64}
-    assert second.manifest_path.stat().st_mtime_ns == stamp  # no rewrite
-
-
-def test_overwriting_puts_do_not_duplicate_manifest_lines(tmp_path):
-    record = _record("a" * 64)
-    ResultStore(tmp_path).put(record)
-    for _ in range(3):  # e.g. repeated --no-resume sweeps, cold each time
-        ResultStore(tmp_path).put(record)
-    lines = [l for l in ResultStore(tmp_path).manifest_path.read_text().splitlines() if l]
-    assert len(lines) == 1
-
-
 def test_manifest_membership_is_advisory_only(tmp_path):
-    """A manifest entry whose record file vanished must not fabricate a
+    """A listed digest whose record file vanished must not fabricate a
     cache hit: get() stays authoritative."""
     store = ResultStore(tmp_path)
     store.put(_record("a" * 64))
     assert "a" * 64 in store.known_digests()
     store.path_for("a" * 64).unlink()
     assert store.get("a" * 64) is None
+
+
+def test_a_sweep_store_holds_only_runs_and_the_timings_ledger(tmp_path):
+    family = ScenarioFamily(
+        name="tiny", description="test family",
+        base=ScenarioSpec(label="tiny", num_clients=6, num_gateways=3,
+                          duration_s=900.0, seed=3),
+    )
+    store = ResultStore(tmp_path / "store")
+    result = run_sweep(families=[family], schemes=[soi()],
+                       config=SweepConfig(runs_per_scheme=2, step_s=5.0),
+                       store=store, workers=1)
+    assert result.executed == 2
+    assert sorted(p.name for p in store.root.iterdir()) == ["runs", "timings.jsonl"]
+
+
+def test_a_store_leaves_no_file_open(tmp_path):
+    gc.collect()  # earlier tests' garbage is not this store's to answer for
+    store = ResultStore(tmp_path)
+    store.put(_record("a" * 64))
+    store.append_timing({"digest": "a" * 64, "run_s": 0.5})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del store
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
