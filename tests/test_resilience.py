@@ -233,6 +233,25 @@ def test_keyboard_interrupt_surfaces_persisted_count(tmp_path):
 # ----------------------------------------------------------------------
 # Supervisor internals: timeout and dead-worker rescue in the pool
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def hang_drill(tmp_path_factory):
+    """One pooled sweep whose single hang waits out the 10 s timeout;
+    the rescue and the accounting tests both read its result."""
+    return run_sweep(
+        families=[TINY], schemes=SCHEMES, config=CONFIG,
+        store=ResultStore(tmp_path_factory.mktemp("hang_drill")), workers=2,
+        retry=RetryPolicy(task_timeout_s=10.0, max_retries=2),
+        chaos=ChaosConfig(hangs=1, seed=11),
+    )
+
+
+def test_hang_is_killed_by_timeout_and_rescued(hang_drill):
+    result = hang_drill
+    assert not result.failures
+    assert result.respawns >= 1 and result.retries >= 1
+    assert len(result.records) == result.total_runs
+
+
 def _active_threads(task):
     return threading.active_count()
 
@@ -274,13 +293,8 @@ def test_a_crash_right_after_a_result_loses_no_result():
 # ----------------------------------------------------------------------
 # SupervisedOutcome accounting: the counters the obs layer surfaces
 # ----------------------------------------------------------------------
-def test_timeout_only_chaos_accounts_timeouts_and_respawns(tmp_path):
-    result = run_sweep(
-        families=[TINY], schemes=SCHEMES, config=CONFIG,
-        store=ResultStore(tmp_path), workers=2,
-        retry=RetryPolicy(task_timeout_s=10.0, max_retries=2),
-        chaos=ChaosConfig(hangs=1, seed=11),
-    )
+def test_timeout_only_chaos_accounts_timeouts_and_respawns(hang_drill):
+    result = hang_drill
     assert not result.failures and not result.degraded
     # The hang costs exactly one timeout, which kills one worker and
     # requeues the cell: every counter the report surfaces agrees.
