@@ -359,20 +359,20 @@ def _add_regress_parser(subparsers) -> None:
 def _add_obs_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "obs",
-        help="trace runs, summarise timings, warehouse sweeps, explain kWh",
+        help="trace runs, summarise timings, query stores, explain kWh",
         description="The observability toolbox: 'trace' runs one traced "
         "simulation and exports its structured event trace; 'summary' "
         "tabulates the per-run timings.jsonl ledger a sweep store keeps "
         "beside its records; 'export' converts a JSONL event trace to "
         "Chrome trace-event JSON loadable in Perfetto or chrome://tracing; "
-        "'ingest'/'query'/'drift' maintain the cross-sweep SQLite insight "
-        "warehouse; 'explain' decomposes a run's energy savings into a "
+        "'query' lists the records of sweep stores and 'drift' compares "
+        "their metrics; 'explain' decomposes a run's energy savings into a "
         "waterfall vs its no-sleep twin; 'top' renders a store's progress.",
     )
     obs_sub = parser.add_subparsers(
         dest="obs_command",
         required=True,
-        metavar="trace|summary|export|ingest|query|drift|explain|top",
+        metavar="trace|summary|export|query|drift|explain|top",
     )
 
     trace = obs_sub.add_parser(
@@ -436,38 +436,17 @@ def _add_obs_parser(subparsers) -> None:
     export.add_argument("input", help="JSONL trace to read")
     export.add_argument("output", help="Chrome trace-event JSON to write")
 
-    ingest = obs_sub.add_parser(
-        "ingest",
-        help="index sweep stores, traces and history into the warehouse",
-        description="Ingest any number of sweep stores (records + metrics "
-        "+ timings ledger), JSONL traces and regress history ledgers into "
-        "one SQLite insight warehouse. "
-        "Re-ingesting a source replaces its rows (idempotent); the "
-        "warehouse only ever reads the sources.",
-    )
-    ingest.add_argument("--db", type=str, default="insight.db", metavar="PATH",
-                        help="warehouse database file (default: ./insight.db)")
-    ingest.add_argument("--store", action="append", default=None, metavar="DIR",
-                        help="sweep result store to ingest (repeatable)")
-    ingest.add_argument("--trace", action="append", default=None, metavar="PATH",
-                        help="JSONL event trace to ingest (repeatable)")
-    ingest.add_argument("--history", action="append", default=None, metavar="DIR",
-                        help="baselines directory whose history.jsonl to "
-                        "ingest (repeatable)")
-    ingest.add_argument("--git-sha", type=str, default=None, metavar="SHA",
-                        help="git sha to tag the ingested stores with "
-                        "(default: the current checkout's short sha)")
-    ingest.add_argument("--json", action="store_true",
-                        help="print the ingest accounting as JSON")
-
     query = obs_sub.add_parser(
         "query",
-        help="query the warehouse's run table",
-        description="Filter the warehouse's run rows by family, scheme, "
-        "scenario label or digest prefix; --metric pulls one stored "
-        "metric column out of each run's metrics payload.",
+        help="list the run records of one or more sweep stores",
+        description="List the records of every --out store by family, "
+        "scheme, scenario label or digest prefix; --metric pulls one "
+        "stored metric column out of each run's metrics payload. Record "
+        "files the store cannot read are skipped.",
     )
-    query.add_argument("--db", type=str, default="insight.db", metavar="PATH")
+    query.add_argument("--out", action="append", default=None, metavar="DIR",
+                       help="result-store directory, repeatable "
+                       "(default: ./sweep-results)")
     query.add_argument("--family", type=str, default=None)
     query.add_argument("--scheme", type=str, default=None)
     query.add_argument("--label", type=str, default=None)
@@ -481,24 +460,14 @@ def _add_obs_parser(subparsers) -> None:
 
     drift = obs_sub.add_parser(
         "drift",
-        help="flag per-cell metric/wall-time drift across ingested shas",
-        description="Compare every digest that appears in more than one "
-        "ingested source: metrics must be bit-identical (a difference "
-        "means the kernel silently changed its answers between shas), "
-        "and mean executed wall time must stay within --wall-ratio. "
-        "Findings are appended to the regress history ledger as an "
-        "advisory row unless --no-history.",
+        help="flag digests whose stored metrics differ between stores",
+        description="Compare every digest that two or more --out stores "
+        "hold against the first store holding it: metrics must be "
+        "bit-identical (a difference means the kernel silently changed "
+        "its answers between the sweeps that wrote the stores).",
     )
-    drift.add_argument("--db", type=str, default="insight.db", metavar="PATH")
-    drift.add_argument("--wall-ratio", type=float, default=1.5, metavar="R",
-                       help="flag a cell whose mean run_s moved by more "
-                       "than this factor between sources (default: 1.5)")
-    drift.add_argument("--baselines", type=str, default="baselines",
-                       metavar="DIR",
-                       help="baselines directory whose history.jsonl "
-                       "receives the advisory row (default: ./baselines)")
-    drift.add_argument("--no-history", action="store_true",
-                       help="do not append the advisory row")
+    drift.add_argument("--out", action="append", default=None, metavar="DIR",
+                       help="result-store directory; give at least two")
     drift.add_argument("--json", action="store_true",
                        help="print the findings as JSON")
 
@@ -689,6 +658,24 @@ def _resolve_schemes(spec: str):
         return None
 
 
+def _open_stores(paths: List[str]):
+    """The existing result stores at ``paths``; None after printing an error.
+
+    Read-only commands open stores through this: ``ResultStore`` creates
+    ``runs/`` on open, which would turn a mistyped path into an empty store.
+    """
+    from pathlib import Path as _Path
+
+    from repro.sweep import ResultStore
+
+    missing = [path for path in paths if not (_Path(path) / "runs").is_dir()]
+    for path in missing:
+        print(f"no result store at {path} (no runs/ directory)", file=sys.stderr)
+    if missing:
+        return None
+    return [ResultStore(path) for path in paths]
+
+
 def _cmd_simulate(args) -> int:
     scale = figures.EvaluationScale(
         num_clients=args.clients,
@@ -750,8 +737,6 @@ def _cmd_schemes(args) -> int:
 
 
 def _cmd_sweep_gc(args) -> int:
-    from repro.sweep import ResultStore
-
     if args.max_age_days is not None and args.max_age_days < 0:
         print(f"--max-age-days must be non-negative (got {args.max_age_days})",
               file=sys.stderr)
@@ -760,7 +745,10 @@ def _cmd_sweep_gc(args) -> int:
         print(f"--tmp-grace must be non-negative (got {args.tmp_grace})",
               file=sys.stderr)
         return 2
-    store = ResultStore(args.out)
+    stores = _open_stores([args.out])
+    if stores is None:
+        return 2
+    store = stores[0]
     gc_kwargs = {}
     if args.tmp_grace is not None:
         gc_kwargs["tmp_grace_s"] = args.tmp_grace
@@ -1043,9 +1031,11 @@ def _cmd_obs_trace(args) -> int:
 
 def _cmd_obs_summary(args) -> int:
     from repro.obs.insight import percentile
-    from repro.sweep import ResultStore
 
-    store = ResultStore(args.out)
+    stores = _open_stores([args.out])
+    if stores is None:
+        return 2
+    store = stores[0]
     entries = store.read_timings()
     by_family = getattr(args, "by", "scheme") == "family"
     groups: dict = {}
@@ -1137,72 +1127,16 @@ def _cmd_obs_export(args) -> int:
     return 0
 
 
-def _cmd_obs_ingest(args) -> int:
-    from repro.obs.insight import InsightWarehouse
-    from repro.regress.runner import git_sha
-
-    stores = args.store or []
-    traces = args.trace or []
-    histories = args.history or []
-    if not (stores or traces or histories):
-        print("nothing to ingest: pass at least one --store/--trace/--history",
-              file=sys.stderr)
-        return 2
-    sha = args.git_sha if args.git_sha else git_sha()
-    accounting: dict = {"db": args.db, "stores": {}, "traces": {}, "history": {}}
-    with InsightWarehouse(args.db) as warehouse:
-        for store_dir in stores:
-            try:
-                accounting["stores"][store_dir] = warehouse.ingest_store(
-                    store_dir, git_sha=sha
-                )
-            except OSError as error:
-                print(f"cannot ingest store {store_dir!r}: {error}",
-                      file=sys.stderr)
-                return 2
-        for path in traces:
-            try:
-                accounting["traces"][path] = warehouse.ingest_trace(path)
-            except OSError as error:
-                print(f"cannot ingest trace {path!r}: {error}", file=sys.stderr)
-                return 2
-        for baselines_dir in histories:
-            accounting["history"][baselines_dir] = warehouse.ingest_history(
-                baselines_dir
-            )
-        counts = warehouse.counts()
-    if args.json:
-        print(json.dumps({"ingested": accounting, "warehouse": counts},
-                         indent=1, sort_keys=True))
-        return 0
-    for store_dir, result in accounting["stores"].items():
-        print(f"ingested store {store_dir}: {result['runs']} run(s), "
-              f"{result['timings']} timing line(s)")
-    for path, events in accounting["traces"].items():
-        print(f"ingested trace {path}: {events} event(s)")
-    for baselines_dir, rows in accounting["history"].items():
-        print(f"ingested history {baselines_dir}: {rows} record(s)")
-    print()
-    print(report.render_key_values(
-        dict(counts), title=f"warehouse: {args.db}"
-    ))
-    return 0
-
-
 def _cmd_obs_query(args) -> int:
-    from pathlib import Path as _Path
+    from repro.obs.insight import query_runs
 
-    from repro.obs.insight import InsightWarehouse
-
-    if not _Path(args.db).exists():
-        print(f"no warehouse at {args.db!r} — run 'obs ingest' first",
-              file=sys.stderr)
+    stores = _open_stores(args.out or ["sweep-results"])
+    if stores is None:
         return 2
-    with InsightWarehouse(args.db) as warehouse:
-        rows = warehouse.query_runs(
-            family=args.family, scheme=args.scheme, label=args.label,
-            digest=args.digest, metric=args.metric,
-        )
+    rows = query_runs(
+        stores, family=args.family, scheme=args.scheme, label=args.label,
+        digest=args.digest, metric=args.metric,
+    )
     total = len(rows)
     shown = rows if args.limit is None else rows[: max(0, args.limit)]
     if args.json:
@@ -1212,14 +1146,13 @@ def _cmd_obs_query(args) -> int:
     if not rows:
         print("0 run row(s) matched")
         return 0
-    headers = ["family", "label", "scheme", "run", "digest", "sha"]
+    headers = ["family", "label", "scheme", "run", "digest", "store"]
     if args.metric is not None:
         headers.append(args.metric)
     table_rows = []
     for row in shown:
         cells = [row["family"], row["label"], row["scheme"],
-                 row["run_index"], str(row["digest"])[:12],
-                 row["git_sha"] or "-"]
+                 row["run_index"], str(row["digest"])[:12], row["store"]]
         if args.metric is not None:
             value = row.get(args.metric)
             cells.append("-" if value is None else value)
@@ -1231,55 +1164,37 @@ def _cmd_obs_query(args) -> int:
 
 
 def _cmd_obs_drift(args) -> int:
-    from pathlib import Path as _Path
+    from repro.obs.insight import drift
 
-    from repro.obs.insight import InsightWarehouse, drift_advisory
-    from repro.regress.runner import append_history
-
-    if not _Path(args.db).exists():
-        print(f"no warehouse at {args.db!r} — run 'obs ingest' first",
+    stores = _open_stores(args.out or [])
+    if stores is None:
+        return 2
+    if len(stores) < 2:
+        print("obs drift compares stores: pass --out at least twice",
               file=sys.stderr)
         return 2
-    try:
-        with InsightWarehouse(args.db) as warehouse:
-            findings = warehouse.drift(wall_ratio=args.wall_ratio)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    ledger = None
-    if not args.no_history:
-        ledger = append_history(drift_advisory(findings), args.baselines)
+    findings = drift(stores)
     if args.json:
-        print(json.dumps({
-            "count": len(findings),
-            "findings": findings,
-            "history": str(ledger) if ledger is not None else None,
-        }, indent=1, sort_keys=True))
+        print(json.dumps({"count": len(findings), "findings": findings},
+                         indent=1, sort_keys=True))
         return 0
     if findings:
-        rows = []
-        for finding in findings:
-            cell = (f"{finding['family']}/{finding['label']}/"
-                    f"{finding['scheme']}")
-            if finding["kind"] == "metric":
-                detail = "metrics changed: " + ", ".join(finding["metrics"][:4])
-            else:
-                detail = (f"run_s {finding['base_run_s']:.3f} -> "
-                          f"{finding['run_s']:.3f} (x{finding['ratio']:.2f})")
-            rows.append([
-                finding["kind"], cell, str(finding["digest"])[:12],
-                f"{finding['from_sha'] or '-'} -> {finding['to_sha'] or '-'}",
-                detail,
-            ])
+        rows = [
+            [
+                f"{finding['family']}/{finding['label']}/{finding['scheme']}",
+                str(finding["digest"])[:12],
+                f"{finding['from_store']} -> {finding['to_store']}",
+                ", ".join(finding["metrics"][:4]),
+            ]
+            for finding in findings
+        ]
         print(report.format_table(
-            ["kind", "cell", "digest", "shas", "detail"], rows
+            ["cell", "digest", "stores", "metrics changed"], rows
         ))
         print(f"\n{len(findings)} drift finding(s)")
     else:
-        print("no drift: every multiply-ingested cell is metric-identical "
-              "and within the wall-time band")
-    if ledger is not None:
-        print(f"advisory row appended to {ledger}")
+        print("no drift: every digest held by two or more stores carries "
+              "identical metrics")
     return 0
 
 
@@ -1332,13 +1247,15 @@ def _cmd_obs_explain(args) -> int:
 
 def _cmd_obs_top(args) -> int:
     from repro.obs.progress import render_store_top
-    from repro.sweep import ResultStore
 
     if args.interval <= 0:
         print(f"--interval must be positive (got {args.interval})",
               file=sys.stderr)
         return 2
-    store = ResultStore(args.out)
+    stores = _open_stores([args.out])
+    if stores is None:
+        return 2
+    store = stores[0]
     if args.once:
         print(render_store_top(store))
         return 0
@@ -1359,7 +1276,6 @@ def _cmd_obs(args) -> int:
         "trace": _cmd_obs_trace,
         "summary": _cmd_obs_summary,
         "export": _cmd_obs_export,
-        "ingest": _cmd_obs_ingest,
         "query": _cmd_obs_query,
         "drift": _cmd_obs_drift,
         "explain": _cmd_obs_explain,

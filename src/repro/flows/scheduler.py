@@ -14,18 +14,15 @@ step is a tight multiply-subtract loop with no completion bookkeeping.
 The per-flow arithmetic (including the iterative water-filling used for
 in-simulator rate computation) reproduces the seed bit for bit.
 
-:func:`max_min_allocation` is the public allocator, vectorized with a
-sort-based closed form; the seed's O(n²) iterative allocator is kept as
-:func:`_max_min_allocation_reference` for the regression tests and for the
-(bit-exact, small-n) in-simulator rate computation.
+:func:`max_min_allocation` is the public allocator: the seed's argument
+checks in front of :func:`_water_fill`, the seed's iterative water-filling
+that the scheduler also runs, so both produce the seed's rates bit for bit.
 """
 
 from __future__ import annotations
 
 from math import inf
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.flows.flow import ActiveFlow, FlowRecord
 
@@ -41,8 +38,9 @@ def _water_fill(capacity_bps: float, caps_bps: Sequence[float]) -> List[float]:
     """The seed's iterative water-filling loop, without argument validation.
 
     Used on the scheduler's hot path where the inputs are known valid; the
-    arithmetic (and therefore every produced rate) is bit-identical to
-    :func:`_max_min_allocation_reference`.
+    arithmetic (and therefore every produced rate) is bit-identical to the
+    seed's allocator, kept as
+    :func:`repro.simulation.reference_kernel.reference_max_min_allocation`.
     """
     n = len(caps_bps)
     if capacity_bps <= 1e-12:
@@ -91,73 +89,18 @@ def _water_fill(capacity_bps: float, caps_bps: Sequence[float]) -> List[float]:
     return allocation
 
 
-def _max_min_allocation_reference(capacity_bps: float, caps_bps: Sequence[float]) -> List[float]:
-    """Reference max-min allocation: the seed's iterative water-filling.
-
-    Repeatedly gives every unsatisfied flow an equal share of the remaining
-    capacity; flows whose cap is below the share get exactly their cap and
-    drop out.  Kept verbatim (modulo the extracted loop in
-    :func:`_water_fill`): the vectorized allocator is property-tested
-    against it, and the scheduler uses the same arithmetic so flow service
-    stays bit-identical to the seed kernel.
-    """
-    if capacity_bps < 0:
-        raise ValueError("capacity must be non-negative")
-    n = len(caps_bps)
-    if n == 0:
-        return []
-    if any(c < 0 for c in caps_bps):
-        raise ValueError("caps must be non-negative")
-    allocation = [0.0] * n
-    remaining = capacity_bps
-    unsatisfied = [i for i in range(n) if caps_bps[i] > 0]
-    while unsatisfied and remaining > 1e-12:
-        share = remaining / len(unsatisfied)
-        bottlenecked = [i for i in unsatisfied if caps_bps[i] - allocation[i] <= share]
-        if bottlenecked:
-            for i in bottlenecked:
-                remaining -= caps_bps[i] - allocation[i]
-                allocation[i] = caps_bps[i]
-            unsatisfied = [i for i in unsatisfied if i not in set(bottlenecked)]
-        else:
-            for i in unsatisfied:
-                allocation[i] += share
-            remaining = 0.0
-    return allocation
-
-
 def max_min_allocation(capacity_bps: float, caps_bps: Sequence[float]) -> List[float]:
     """Max-min fair allocation of ``capacity_bps`` under per-flow caps.
 
-    Vectorized sort-based water-filling: walking the caps in ascending
-    order, a flow is satisfied (gets its cap) exactly when its cap does not
-    exceed the equal share of the capacity left after satisfying everyone
-    before it; from the first unsatisfied flow on, everyone receives that
-    equal share.  O(n log n) instead of the reference's O(n²); equivalent
-    up to floating-point rounding (see the property test).
+    Repeatedly gives every unsatisfied flow an equal share of the remaining
+    capacity; flows whose cap is below the share get exactly their cap and
+    drop out.
     """
     if capacity_bps < 0:
         raise ValueError("capacity must be non-negative")
-    n = len(caps_bps)
-    if n == 0:
-        return []
-    caps = np.asarray(caps_bps, dtype=float)
-    if (caps < 0).any():
+    if any(c < 0 for c in caps_bps):
         raise ValueError("caps must be non-negative")
-    if n == 1:
-        return [min(float(caps[0]), capacity_bps)]
-    order = np.argsort(caps, kind="stable")
-    sorted_caps = caps[order]
-    already_given = np.concatenate(([0.0], np.cumsum(sorted_caps)[:-1]))
-    shares = (capacity_bps - already_given) / (n - np.arange(n))
-    unsatisfied = sorted_caps > shares
-    allocation_sorted = sorted_caps.copy()
-    if unsatisfied.any():
-        first = int(np.argmax(unsatisfied))
-        allocation_sorted[first:] = shares[first]
-    out = np.empty(n)
-    out[order] = allocation_sorted
-    return [float(a) for a in out]
+    return _water_fill(capacity_bps, caps_bps)
 
 
 class FlowScheduler:

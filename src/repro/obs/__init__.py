@@ -19,11 +19,10 @@ Three pillars, all opt-in and all observation-only:
 
 On top of the substrate sit the insight layers:
 
-- :class:`~repro.obs.insight.InsightWarehouse` — a SQLite index over any
-  number of sweep stores, traces and regress history ledgers
-  (``obs ingest`` / ``obs query``), with cross-sha drift
-  detection (``obs drift``) that feeds advisory rows back into the
-  ``regress history`` ledger.
+- :mod:`~repro.obs.insight` — a reader over any number of sweep stores:
+  :func:`~repro.obs.insight.query_runs` lists their records
+  (``obs query``) and :func:`~repro.obs.insight.drift` flags a digest
+  whose stored metrics differ between stores (``obs drift``).
 - :class:`~repro.obs.progress.SweepDashboard` — a live terminal view of
   a running sweep (``sweep --watch`` / ``obs top``) fed by the
   supervisor through the :class:`~repro.obs.progress.ProgressSink`
@@ -41,7 +40,7 @@ results are bit-identical to untraced ones.
 """
 
 from repro.obs.explain import explain_run, render_waterfall
-from repro.obs.insight import InsightWarehouse, drift_advisory, percentile
+from repro.obs.insight import percentile
 from repro.obs.metrics import MetricsRegistry, kernel_snapshot
 from repro.obs.progress import ProgressSink, SweepDashboard, notify, render_store_top
 from repro.obs.tracer import (
@@ -52,14 +51,12 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "InsightWarehouse",
     "MetricsRegistry",
     "ProgressSink",
     "SimTracer",
     "SweepDashboard",
     "add_gateway_segments",
     "chrome_trace_from_events",
-    "drift_advisory",
     "explain_run",
     "kernel_snapshot",
     "notify",

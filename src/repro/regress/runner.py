@@ -199,27 +199,6 @@ def history_record(
     }
 
 
-def advisory_record(
-    verdict: str,
-    families: Mapping[str, int],
-    counts: Mapping[str, int],
-) -> Dict[str, object]:
-    """A history record for an advisory (non-gate) event.
-
-    Same shape as :func:`history_record`, so advisory rows — e.g. the
-    ``obs drift`` detector flagging cross-sha wall-time or metric drift —
-    render in the same ``regress history`` table as the gate runs.  The
-    verdict string is free-form; :func:`render_history` is tolerant.
-    """
-    return {
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "git_sha": git_sha(),
-        "verdict": str(verdict),
-        "families": {str(name): int(count) for name, count in families.items()},
-        "counts": {str(name): int(count) for name, count in counts.items() if count},
-    }
-
-
 def append_history(record: Mapping[str, object], baselines_dir: str) -> Path:
     """Append one record to ``baselines/history.jsonl`` (created on demand)."""
     path = history_path(baselines_dir)

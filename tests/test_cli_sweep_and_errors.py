@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -241,8 +242,39 @@ def test_obs_summary_tabulates_ledger(tmp_path, capsys):
 
 
 def test_obs_summary_without_ledger_is_friendly(tmp_path, capsys):
+    (tmp_path / "empty" / "runs").mkdir(parents=True)
     assert main(["obs", "summary", "--out", str(tmp_path / "empty")]) == 0
     assert "no timing ledger" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "gc"],
+    ["obs", "summary"],
+    ["obs", "top", "--once"],
+    ["obs", "query"],
+    ["obs", "drift"],
+])
+def test_read_only_commands_refuse_a_missing_store(tmp_path, capsys, command):
+    typo = str(tmp_path / "typo")
+    assert main(command + ["--out", typo]) == 2
+    assert f"no result store at {typo}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_obs_query_and_drift_read_the_stores(tmp_path, capsys):
+    serial, copy = str(tmp_path / "serial"), str(tmp_path / "copy")
+    assert main(["sweep", "--family", "smoke", "--step", "10",
+                 "--out", serial, "--schemes", "no-sleep,SoI"]) == 0
+    shutil.copytree(serial, copy)
+    capsys.readouterr()
+    assert main(["obs", "query", "--out", serial, "--out", copy, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 4
+    assert {row["store"] for row in payload["rows"]} == {serial, copy}
+    assert main(["obs", "drift", "--out", serial, "--out", copy]) == 0
+    assert "no drift" in capsys.readouterr().out
+    assert main(["obs", "drift", "--out", serial]) == 2
+    assert "at least twice" in capsys.readouterr().err
 
 
 def test_obs_export_round_trip(tmp_path, capsys):

@@ -1,31 +1,29 @@
 """Insight-layer tests: the energy-savings waterfall (exact attribution
-of every scheme's kWh delta vs its no-sleep twin), the SQLite warehouse
-(ingest/query/drift), the live sweep dashboard and its non-TTY fallback,
-and the extended observe-don't-perturb guard rail (a watched + traced +
-ingested sweep's store stays byte-identical to a plain serial run)."""
+of every scheme's kWh delta vs its no-sleep twin), the cross-store reader
+(query/drift), the live sweep dashboard and its non-TTY fallback, and the
+extended observe-don't-perturb guard rail (a watched + traced + queried
+sweep's store stays byte-identical to a plain serial run)."""
 
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.schemes import no_sleep, soi, standard_schemes
 from repro.obs import SimTracer
 from repro.obs.explain import explain_run, render_waterfall
-from repro.obs.insight import InsightWarehouse, drift_advisory, percentile
+from repro.obs.insight import drift, percentile, query_runs
 from repro.obs.progress import (
     WATCH_MARKER,
     ProgressSink,
     SweepDashboard,
     notify,
     render_store_top,
-)
-from repro.regress.runner import (
-    advisory_record,
-    append_history,
-    load_history,
-    render_history,
 )
 from repro.resilience.supervisor import TaskFailure
 from repro.simulation.runner import scheme_run_seed
@@ -91,59 +89,48 @@ def test_waterfall_attributes_sleep_savings_and_fleet_generations():
 
 
 # ----------------------------------------------------------------------
-# Warehouse: ingest == the store's records, idempotent re-ingest, queries
+# Query: one row per record file of the store, filters, metric column
 # ----------------------------------------------------------------------
 def test_warehouse_ingest_matches_manifest_and_is_idempotent(tmp_path):
     store = ResultStore(tmp_path / "store")
     result = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG,
                        store=store, workers=1)
     digests = store.digests()
-    with InsightWarehouse(tmp_path / "insight.db") as warehouse:
-        counts = warehouse.ingest_store(store.root, git_sha="abc123")
-        assert counts["runs"] == len(digests) == result.total_runs
-        assert counts["timings"] == len(store.read_timings())
-        assert sorted(row["digest"] for row in warehouse.query_runs()) == digests
-        # Re-ingesting the same store replaces its rows, not duplicates.
-        warehouse.ingest_store(store.root, git_sha="abc123")
-        assert sorted(row["digest"] for row in warehouse.query_runs()) == digests
-        assert warehouse.counts()["sources"] == 1
-        # Filters and the pulled-out metric column.
-        soi_rows = warehouse.query_runs(scheme="SoI",
-                                        metric="mean_savings_percent")
-        assert soi_rows and all(row["scheme"] == "SoI" for row in soi_rows)
-        assert all(isinstance(row["mean_savings_percent"], float)
-                   for row in soi_rows)
-        by_digest = warehouse.query_runs(digest=soi_rows[0]["digest"][:12])
-        assert len(by_digest) == 1
+    rows = query_runs([store])
+    assert len(rows) == len(digests) == result.total_runs
+    assert sorted(row["digest"] for row in rows) == digests
+    # The rows come from the record files alone: a fresh store object
+    # over the same directory reads the same rows.
+    assert query_runs([ResultStore(store.root)]) == rows
+    # Filters and the pulled-out metric column.
+    soi_rows = query_runs([store], scheme="SoI", metric="mean_savings_percent")
+    assert soi_rows and all(row["scheme"] == "SoI" for row in soi_rows)
+    assert all(isinstance(row["mean_savings_percent"], float)
+               for row in soi_rows)
+    by_digest = query_runs([store], digest=soi_rows[0]["digest"][:12])
+    assert len(by_digest) == 1
 
 
-def test_warehouse_ingests_traces_bench_and_history(tmp_path):
-    tracer = SimTracer()
-    tracer.event("bh2.round", 1.0)
-    tracer.event("bh2.round", 2.0)
-    tracer.span("task.run", 1.0, 2.0, clock="wall")
-    trace_path = tmp_path / "trace.jsonl"
-    tracer.write_jsonl(trace_path)
-    append_history(advisory_record("PASS", {"smoke": 5}, {"checked": 5}),
-                   str(tmp_path / "baselines"))
-    with InsightWarehouse(tmp_path / "insight.db") as warehouse:
-        assert warehouse.ingest_trace(trace_path) == 3
-        assert warehouse.ingest_history(tmp_path / "baselines") == 1
-        counts = warehouse.counts()
-    # Trace events aggregate per (name, clock): two rows, three events.
-    assert counts["trace_events"] == 2
-    assert counts["history"] == 1
+def test_sweep_import_does_not_load_sqlite3():
+    # The insight layer reads the stores themselves; no second index.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "import sys, repro.sweep; print('sqlite3' in sys.modules)"
+    output = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert output.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------------------
-# Drift: same digest across shas must agree on metrics and wall time
+# Drift: the same digest in two stores must carry identical metrics
 # ----------------------------------------------------------------------
 def test_drift_flags_metric_and_wall_time_regressions(tmp_path):
     store_a = ResultStore(tmp_path / "a")
     run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG,
               store=store_a, workers=1)
     # Synthesize "the same sweep at a later sha": clone the store, then
-    # silently change one record's metrics and slow one cell down.
+    # silently change one record's metrics and slow another cell down.
     store_b_root = tmp_path / "b"
     shutil.copytree(store_a.root, store_b_root)
     victim = sorted((store_b_root / "runs").glob("*.json"))[0]
@@ -152,51 +139,32 @@ def test_drift_flags_metric_and_wall_time_regressions(tmp_path):
     victim.write_text(json.dumps(payload, sort_keys=True))
     timings_path = store_b_root / "timings.jsonl"
     lines = [json.loads(line) for line in timings_path.read_text().splitlines()]
-    slow = lines[-1]
+    slow = next(line for line in lines if line["digest"] != payload["digest"])
     slow["run_s"] = slow["run_s"] * 100.0 + 5.0
     timings_path.write_text(
         "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
     )
-    with InsightWarehouse(tmp_path / "insight.db") as warehouse:
-        warehouse.ingest_store(store_a.root, git_sha="aaa111")
-        warehouse.ingest_store(store_b_root, git_sha="bbb222")
-        findings = warehouse.drift(wall_ratio=1.5)
-        with pytest.raises(ValueError):
-            warehouse.drift(wall_ratio=1.0)
-    kinds = {finding["kind"] for finding in findings}
-    assert kinds == {"metric", "wall_time"}
-    metric = next(f for f in findings if f["kind"] == "metric")
-    assert metric["digest"] == payload["digest"]
-    assert metric["metrics"] == ["mean_savings_percent"]
-    assert (metric["from_sha"], metric["to_sha"]) == ("aaa111", "bbb222")
-    wall = next(f for f in findings if f["kind"] == "wall_time")
-    assert wall["digest"] == slow["digest"] and wall["ratio"] > 1.5
-    # Metric drift (silent answer change) outranks wall-time drift.
-    assert findings[0]["kind"] == "metric"
-    # The advisory row lands in the regress history ledger and renders
-    # beside the gate's own records.
-    append_history(drift_advisory(findings), str(tmp_path / "baselines"))
-    records = load_history(str(tmp_path / "baselines"))
-    assert records[-1]["verdict"] == "DRIFT"
-    assert records[-1]["families"] == {"tiny": 2}
-    assert records[-1]["counts"] == {"drift-metric": 1, "drift-wall_time": 1}
-    assert "DRIFT" in render_history(records)
-    # A drift-free warehouse yields the all-clear advisory.
-    assert drift_advisory([])["verdict"] == "DRIFT-OK"
+    findings = drift([store_a, ResultStore(store_b_root)])
+    # Only the metric change is drift: wall time is no drift criterion,
+    # so the 100x slower cell yields no finding.
+    assert len(findings) == 1
+    finding = findings[0]
+    assert finding["digest"] == payload["digest"]
+    assert finding["metrics"] == ["mean_savings_percent"]
+    assert (finding["from_store"], finding["to_store"]) == (
+        str(store_a.root), str(store_b_root)
+    )
 
 
 def test_drift_is_silent_on_identical_reingest(tmp_path):
     store = ResultStore(tmp_path / "store")
     run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG,
               store=store, workers=1)
-    with InsightWarehouse(tmp_path / "insight.db") as warehouse:
-        warehouse.ingest_store(store.root, git_sha="aaa111")
-        # Same bytes under a second source path == a re-sweep at a new
-        # sha that reproduced everything exactly: no drift.
-        clone = tmp_path / "clone"
-        shutil.copytree(store.root, clone)
-        warehouse.ingest_store(clone, git_sha="bbb222")
-        assert warehouse.drift() == []
+    # Same bytes under a second store path == a re-sweep at a new sha
+    # that reproduced everything exactly: no drift.
+    clone = tmp_path / "clone"
+    shutil.copytree(store.root, clone)
+    assert drift([store, ResultStore(clone)]) == []
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +229,7 @@ def test_watched_sweep_reports_cached_cells(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The extended guard rail: watched + traced + ingested == plain bytes
+# The extended guard rail: watched + traced + queried == plain bytes
 # ----------------------------------------------------------------------
 def test_watched_traced_ingested_store_is_byte_identical(tmp_path):
     plain_store = ResultStore(tmp_path / "plain")
@@ -276,10 +244,7 @@ def test_watched_traced_ingested_store_is_byte_identical(tmp_path):
         progress=SweepDashboard(stream=stream, force_plain=True),
     )
     assert not result.failures and stream.getvalue()
-    with InsightWarehouse(tmp_path / "insight.db") as warehouse:
-        counts = warehouse.ingest_store(watched_store.root)
-        rows = warehouse.query_runs()
-    assert counts["runs"] == len(rows)
+    rows = query_runs([watched_store])
     assert sorted(row["digest"] for row in rows) == watched_store.digests()
     plain_runs = sorted((plain_store.root / "runs").glob("*.json"))
     watched_runs = sorted((watched_store.root / "runs").glob("*.json"))

@@ -1,22 +1,18 @@
-"""Property tests: the vectorized max-min allocator matches the reference.
+"""Property tests: the max-min allocators match the seed's, bit for bit.
 
-The public :func:`max_min_allocation` is a sort-based closed form; the
-seed's O(n²) iterative water-filling is kept as
-:func:`_max_min_allocation_reference` and used as the oracle on randomized
-capacity/cap sets, including adversarial shapes (duplicates, zeros, huge
-spreads).  The in-simulator shortcut paths of the scheduler must agree with
-the reference bit for bit, because flow service derives from them.
+The seed's iterative water-filling is kept frozen as
+:func:`reference_max_min_allocation` in the preserved seed kernel and used
+as the oracle on randomized capacity/cap sets, including adversarial shapes
+(duplicates, zeros, huge spreads).  The public :func:`max_min_allocation`
+and the scheduler's shortcut paths must agree with it exactly, because
+flow service derives from them.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.flows.scheduler import (
-    FlowScheduler,
-    _max_min_allocation_reference,
-    _water_fill,
-    max_min_allocation,
-)
+from repro.flows.scheduler import FlowScheduler, _water_fill, max_min_allocation
+from repro.simulation.reference_kernel import reference_max_min_allocation
 
 
 @given(
@@ -25,11 +21,7 @@ from repro.flows.scheduler import (
 )
 @settings(max_examples=300, deadline=None)
 def test_vectorized_matches_reference(capacity, caps):
-    reference = _max_min_allocation_reference(capacity, caps)
-    vectorized = max_min_allocation(capacity, caps)
-    assert len(vectorized) == len(reference)
-    for fast, slow in zip(vectorized, reference):
-        assert fast == pytest.approx(slow, rel=1e-9, abs=1e-6)
+    assert max_min_allocation(capacity, caps) == reference_max_min_allocation(capacity, caps)
 
 
 @given(
@@ -39,7 +31,7 @@ def test_vectorized_matches_reference(capacity, caps):
 @settings(max_examples=300, deadline=None)
 def test_water_fill_bit_identical_to_reference(capacity, caps):
     """The scheduler's validation-free loop replays the reference exactly."""
-    assert _water_fill(capacity, caps) == _max_min_allocation_reference(capacity, caps)
+    assert _water_fill(capacity, caps) == reference_max_min_allocation(capacity, caps)
 
 
 @given(
@@ -50,16 +42,14 @@ def test_water_fill_bit_identical_to_reference(capacity, caps):
 @settings(max_examples=200, deadline=None)
 def test_equal_caps_match_reference_exactly(capacity, cap_value, n):
     caps = [cap_value] * n
-    assert _water_fill(capacity, caps) == _max_min_allocation_reference(capacity, caps)
+    assert _water_fill(capacity, caps) == reference_max_min_allocation(capacity, caps)
 
 
 def test_duplicate_caps_and_ties():
     caps = [2e6, 2e6, 2e6, 8e6, 8e6]
-    reference = _max_min_allocation_reference(6e6, caps)
-    vectorized = max_min_allocation(6e6, caps)
-    for fast, slow in zip(vectorized, reference):
-        assert fast == pytest.approx(slow, rel=1e-12)
-    assert sum(vectorized) == pytest.approx(6e6, rel=1e-9)
+    allocation = max_min_allocation(6e6, caps)
+    assert allocation == reference_max_min_allocation(6e6, caps)
+    assert sum(allocation) == pytest.approx(6e6, rel=1e-9)
 
 
 def test_validation_preserved():
@@ -87,5 +77,5 @@ def test_scheduler_rates_match_reference_water_filling():
         flows.append(flow)
         scheduler.admit(flow)
     scheduler.ensure_rates(0.0, {4})
-    expected = _max_min_allocation_reference(6e6, caps)
+    expected = reference_max_min_allocation(6e6, caps)
     assert [f.rate_bps for f in flows] == expected

@@ -4,8 +4,9 @@ import hashlib
 
 import pytest
 
-from repro.testbed.deployment import GatewayStatusServer, TestbedConfig, build_testbed_workload
-from repro.testbed.replay import TestbedReplay
+from repro.testbed import deployment
+from repro.testbed import replay as testbed_replay
+from repro.testbed.deployment import GatewayStatusServer, build_testbed_workload
 from repro.testbed.scheduler import Scheduler
 from repro.traces.synthetic import generate_crawdad_like_trace
 
@@ -22,14 +23,14 @@ def default_trace():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TestbedConfig(num_gateways=0)
+        deployment.TestbedConfig(num_gateways=0)
     with pytest.raises(ValueError):
-        TestbedConfig(low_threshold=0.6, high_threshold=0.5)
-    assert TestbedConfig().window_duration_s == pytest.approx(1800.0)
+        deployment.TestbedConfig(low_threshold=0.6, high_threshold=0.5)
+    assert deployment.TestbedConfig().window_duration_s == pytest.approx(1800.0)
 
 
 def test_build_workload_shapes(trace):
-    config = TestbedConfig(window_start_s=15 * 3600.0, window_end_s=15.5 * 3600.0)
+    config = deployment.TestbedConfig(window_start_s=15 * 3600.0, window_end_s=15.5 * 3600.0)
     flows, reachable = build_testbed_workload(trace, config, seed=1)
     assert set(flows) == set(range(config.num_gateways))
     assert set(reachable) == set(range(config.num_gateways))
@@ -101,7 +102,7 @@ def test_scheduler_rejects_negative_delay():
 
 def test_scheduler_process_exception_escapes_run():
     scheduler = Scheduler()
-    server = GatewayStatusServer(scheduler, TestbedConfig())
+    server = GatewayStatusServer(scheduler, deployment.TestbedConfig())
 
     def terminal():
         yield 1.0
@@ -114,7 +115,7 @@ def test_scheduler_process_exception_escapes_run():
 
 def test_status_server_lifecycle():
     scheduler = Scheduler()
-    config = TestbedConfig(idle_timeout_s=60.0, wake_up_time_s=60.0)
+    config = deployment.TestbedConfig(idle_timeout_s=60.0, wake_up_time_s=60.0)
     server = GatewayStatusServer(scheduler, config)
     assert server.status(0) == GatewayStatusServer.SLEEPING
     server.request_wake(0)
@@ -128,14 +129,14 @@ def test_status_server_lifecycle():
 
 def test_status_server_rejects_traffic_while_sleeping():
     scheduler = Scheduler()
-    server = GatewayStatusServer(scheduler, TestbedConfig())
+    server = GatewayStatusServer(scheduler, deployment.TestbedConfig())
     with pytest.raises(RuntimeError):
         server.report_traffic(0, 100.0)
 
 
 def test_status_server_load_estimation():
     scheduler = Scheduler()
-    config = TestbedConfig(adsl_bps=3e6, load_window_s=60.0)
+    config = deployment.TestbedConfig(adsl_bps=3e6, load_window_s=60.0)
     server = GatewayStatusServer(scheduler, config)
     server.request_wake(0)
     scheduler.now = 61.0
@@ -144,7 +145,7 @@ def test_status_server_load_estimation():
 
 
 def test_replay_bh2_sleeps_more_than_soi(trace):
-    replay = TestbedReplay(trace, seed=2)
+    replay = testbed_replay.TestbedReplay(trace, seed=2)
     results = replay.run_comparison()
     assert set(results) == {"BH2", "SoI"}
     num_gateways = replay.config.num_gateways
@@ -158,7 +159,7 @@ def test_replay_bh2_sleeps_more_than_soi(trace):
 
 
 def test_replay_records_online_time(trace):
-    replay = TestbedReplay(trace, seed=4)
+    replay = testbed_replay.TestbedReplay(trace, seed=4)
     result = replay.run(use_bh2=False)
     assert set(result.gateway_online_seconds) == set(range(replay.config.num_gateways))
     assert result.completed_flows >= 0
@@ -188,6 +189,7 @@ def _result_digest(result):
 
 @pytest.mark.parametrize("trace_name,seed", sorted(REPLAY_DIGESTS))
 def test_replay_is_bit_identical_to_pinned_digests(request, trace_name, seed):
-    results = TestbedReplay(request.getfixturevalue(trace_name), seed=seed).run_comparison()
+    trace = request.getfixturevalue(trace_name)
+    results = testbed_replay.TestbedReplay(trace, seed=seed).run_comparison()
     digests = {scheme: _result_digest(result) for scheme, result in results.items()}
     assert digests == REPLAY_DIGESTS[(trace_name, seed)]
