@@ -62,6 +62,19 @@ class SchemeConfig:
         if self.optimal_period_s <= 0:
             raise ValueError("optimal_period_s must be positive")
 
+    @property
+    def uses_run_seed(self) -> bool:
+        """Whether the run seed can change this scheme's trajectory.
+
+        The kernel's only seeded draw is each BH2 terminal's generator,
+        seeded from the run seed (its decision offsets and random gateway
+        picks); the channel's shadowing draw is off.  Every other scheme
+        repeats bit for bit under any run seed, so a sweep runs it once
+        per spec and reuses that trajectory for its later repetitions.
+        A scheme that draws from the run seed must return True here.
+        """
+        return self.aggregation is AggregationKind.BH2
+
     def with_name(self, name: str) -> "SchemeConfig":
         """A renamed copy (useful for ablation variants)."""
         return replace(self, name=name)

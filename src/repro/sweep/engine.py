@@ -14,7 +14,11 @@ worker regardless of how many scheme × repetition tasks land on it, and
 the next spec reuses the cached trace when their
 :meth:`~repro.sweep.catalog.ScenarioSpec.trace_key` values match.  Tasks
 arrive in grid order, so a family whose specs share one trace generates
-it once per worker.
+it once per worker.  Beside it, a worker keeps the last run of a scheme
+that does not read its run seed (:attr:`SchemeConfig.uses_run_seed`):
+that scheme's later repetitions on the same spec would recompute the
+same trajectory bit for bit, so they reuse it and still store their own
+records.
 Completed runs stream back to the parent, which persists each one to the
 :class:`~repro.sweep.store.ResultStore` immediately — a sweep killed
 mid-run loses at most the runs that were in flight.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.schemes import SchemeConfig, standard_schemes
@@ -194,6 +198,10 @@ def expand_tasks(
 #: share one trace (generating it dominates the scenario build).
 _SCENARIO_CACHE: dict = {}
 
+#: The last run of a seed-free scheme, without its flow records, keyed by
+#: the cell's digest inputs minus the seed; emptied before every kernel run.
+_RUN_MEMO: dict = {}
+
 #: Tracer handed to in-process (serial) task execution.  Set only around
 #: the ``workers == 1`` supervised run; worker processes of a pooled
 #: sweep are spawned while this is ``None``, so they never trace.
@@ -218,7 +226,13 @@ class TaskOutput:
 
 
 def _execute_task(task: SweepTask) -> TaskOutput:
-    """Run one grid cell (top-level so multiprocessing can pickle it)."""
+    """Run one grid cell (top-level so multiprocessing can pickle it).
+
+    A repetition (``run_index > 0``) of a seed-free scheme reuses its twin's
+    result when this process still holds it, instead of running the kernel.
+    Metrics, counters and the record stay per cell; ``run_s`` times the
+    kernel run or reuse plus metric extraction.
+    """
     scenario = _SCENARIO_CACHE.get(task.spec)
     build_s = 0.0
     if scenario is None:
@@ -230,6 +244,7 @@ def _execute_task(task: SweepTask) -> TaskOutput:
             None,
         )
         _SCENARIO_CACHE.clear()
+        _RUN_MEMO.clear()
         scenario = task.spec.build(trace=trace)
         build_s = time.perf_counter() - build_start
         _SCENARIO_CACHE[task.spec] = scenario
@@ -240,16 +255,24 @@ def _execute_task(task: SweepTask) -> TaskOutput:
     gc.disable()
     try:
         run_start = time.perf_counter()
-        result = run_scheme(
-            scenario,
-            task.scheme,
-            seed=task.seed,
-            step_s=task.step_s,
-            sample_interval_s=task.sample_interval_s,
-            tracer=_TASK_TRACER,
-        )
-        run_s = time.perf_counter() - run_start
+        run_key = (task.spec, task.scheme, task.step_s, task.sample_interval_s)
+        result = _RUN_MEMO.get(run_key) if task.run_index else None
+        if result is None:
+            _RUN_MEMO.clear()
+            result = run_scheme(
+                scenario,
+                task.scheme,
+                seed=task.seed,
+                step_s=task.step_s,
+                sample_interval_s=task.sample_interval_s,
+                tracer=_TASK_TRACER,
+            )
+            if not task.scheme.uses_run_seed:
+                # Without its flow records the copy pins none of the run's
+                # per-flow objects once the collector resumes.
+                _RUN_MEMO[run_key] = replace(result, flow_records=[])
         metrics = run_metrics(result, task.spec.duration_s)
+        run_s = time.perf_counter() - run_start
         snapshot = kernel_snapshot(result, run_s)
         del result
     finally:
@@ -514,6 +537,7 @@ def run_sweep(
             # degrades to serial: don't pin the last scenario (and its
             # trace) for the process lifetime.
             _SCENARIO_CACHE.clear()
+            _RUN_MEMO.clear()
         # Unwrap: SweepResult.records holds bare RunRecords (exactly what
         # the cache-served path yields), the snapshots merge sweep-wide.
         for digest, payload in outcome.records.items():

@@ -2,17 +2,19 @@
 
 import gc
 import os
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.core.schemes import no_sleep, soi
+from repro.core.schemes import no_sleep, soi, standard_schemes
 from repro.flows.scheduler import FlowScheduler
 from repro.sweep import engine
 from repro.sweep.catalog import ScenarioFamily, ScenarioSpec, resolve_families
-from repro.sweep.engine import SweepConfig, expand_tasks, run_sweep
+from repro.sweep.engine import SweepConfig, expand_tasks, run_metrics, run_sweep
 from repro.sweep.store import ResultStore
-from repro.simulation.runner import scheme_run_seed
+from repro.simulation.runner import run_scheme, scheme_run_seed
 from repro.traces.synthetic import SyntheticTraceGenerator
 
 TINY = ScenarioFamily(
@@ -255,3 +257,83 @@ def test_pooled_sweep_generates_a_shared_trace_once_per_worker(generations):
     assert pids, "no worker generated a trace"
     assert os.getpid() not in pids
     assert len(pids) == len(set(pids)) <= 2
+
+
+SMOKE = resolve_families(["smoke"])[0]
+#: ``smoke``'s half hour has no flows, so four of the standard schemes
+#: store equal metrics there; with every client online they all differ.
+BUSY_SMOKE = ScenarioFamily(
+    name="busy-smoke",
+    description="smoke with every client online",
+    base=replace(
+        SMOKE.base, label="busy-smoke", trace_overrides=(("peak_online_probability", 1.0),)
+    ),
+)
+
+
+def _stored_bytes(store):
+    return {path.name: path.read_bytes() for path in store.runs_dir.glob("*.json")}
+
+
+@pytest.mark.parametrize("family", [SMOKE, BUSY_SMOKE], ids=lambda family: family.name)
+def test_serial_sweep_runs_each_seed_free_scheme_once(monkeypatch, tmp_path, family):
+    """Repetitions of a scheme that ignores its run seed reuse its first run.
+
+    Of the five standard schemes only BH2+k-switch reads the run seed, so
+    three repetitions cost 4 + 3 kernel runs instead of 15.  No kernel
+    starts while an earlier run's result is alive, and every record still
+    holds the metrics of a kernel run of its own scheme at its own seed.
+    A pooled sweep (where a second repetition lands on the worker without
+    the twin and runs its kernel) and a resumed one (whose repeats have no
+    twin) store the same bytes.
+    """
+    families = [family]
+    config = SweepConfig(runs_per_scheme=3)
+    schemes = standard_schemes()
+    runs = Counter()
+    returned = []
+
+    def spy(scenario, scheme, **kwargs):
+        assert all(ref() is None for ref in returned), "an earlier run is alive"
+        assert not engine._RUN_MEMO, "a kernel started beside a memoised run"
+        result = run_scheme(scenario, scheme, **kwargs)
+        runs[scheme.name] += 1
+        returned.append(weakref.ref(result))
+        return result
+
+    def metrics_spy(result, duration_s):
+        # The held copy must not keep the run's flows alive through its
+        # lazy flow records: it holds a plain empty list instead.
+        assert all(type(held.flow_records) is list for held in engine._RUN_MEMO.values())
+        return run_metrics(result, duration_s)
+
+    monkeypatch.setattr(engine, "run_scheme", spy)
+    monkeypatch.setattr(engine, "run_metrics", metrics_spy)
+    serial = ResultStore(tmp_path / "serial")
+    result = run_sweep(families=families, schemes=schemes, config=config, store=serial)
+    monkeypatch.undo()
+    assert result.executed == len(result.tasks) == 15
+    assert runs == {
+        "no-sleep": 1, "SoI": 1, "SoI+k-switch": 1, "BH2+k-switch": 3, "Optimal": 1,
+    }
+    for task in result.tasks:
+        alone = run_scheme(
+            task.spec.build(), task.scheme, seed=task.seed, step_s=task.step_s,
+            sample_interval_s=task.sample_interval_s,
+        )
+        assert result.records[task.digest].metrics == run_metrics(
+            alone, task.spec.duration_s
+        ), (task.scheme.name, task.run_index)
+
+    stored = _stored_bytes(serial)
+    assert len(stored) == 15
+    pooled = ResultStore(tmp_path / "pooled")
+    run_sweep(families=families, schemes=schemes, config=config, store=pooled, workers=2)
+    assert _stored_bytes(pooled) == stored
+
+    for task in result.tasks:
+        if task.run_index == 1:
+            serial.path_for(task.digest).unlink()
+    resumed = run_sweep(families=families, schemes=schemes, config=config, store=serial)
+    assert resumed.executed == 5
+    assert _stored_bytes(serial) == stored
