@@ -31,12 +31,7 @@ from repro.simulation.metrics import (
     fraction_of_flows_affected,
     online_time_variation_cdf,
 )
-from repro.simulation.runner import (
-    ExperimentRunner,
-    ParallelExperimentRunner,
-    SchemeComparison,
-    run_scheme,
-)
+from repro.simulation.runner import ExperimentRunner, SchemeComparison, run_scheme
 from repro.topology.scenario import Scenario, build_default_scenario
 from repro.traces.adsl import AdslPopulationConfig, AdslUtilizationModel
 from repro.traces.analysis import peak_hour_gap_histogram, utilization_timeseries
@@ -150,34 +145,22 @@ def run_evaluation(
     scale: Optional[EvaluationScale] = None,
     schemes: Optional[Sequence[SchemeConfig]] = None,
     scenario: Optional[Scenario] = None,
-    workers: Optional[int] = None,
 ) -> SchemeComparison:
     """Run the scheme comparison all the Sec. 5 figures derive from.
 
-    ``workers`` > 1 fans the scheme × repetition grid over that many
-    processes with :class:`ParallelExperimentRunner`; the results are
-    identical to the serial runner (the per-run seeds are deterministic),
-    only faster.
+    Each distinct trajectory runs once (see
+    :class:`~repro.simulation.runner.ExperimentRunner`): only the BH2
+    schemes run every repetition.  To spread many comparisons over
+    processes, sweep them with ``repro-access sweep --workers N``.
     """
     scale = scale or quick_scale()
-    scenario = scenario or build_scenario(scale)
-    if workers is not None and workers > 1:
-        runner: ExperimentRunner = ParallelExperimentRunner(
-            scenario=scenario,
-            runs_per_scheme=scale.runs_per_scheme,
-            step_s=scale.step_s,
-            sample_interval_s=scale.sample_interval_s,
-            base_seed=scale.seed,
-            workers=workers,
-        )
-    else:
-        runner = ExperimentRunner(
-            scenario=scenario,
-            runs_per_scheme=scale.runs_per_scheme,
-            step_s=scale.step_s,
-            sample_interval_s=scale.sample_interval_s,
-            base_seed=scale.seed,
-        )
+    runner = ExperimentRunner(
+        scenario=scenario or build_scenario(scale),
+        runs_per_scheme=scale.runs_per_scheme,
+        step_s=scale.step_s,
+        sample_interval_s=scale.sample_interval_s,
+        base_seed=scale.seed,
+    )
     return runner.run(list(schemes) if schemes is not None else standard_schemes())
 
 
@@ -231,15 +214,17 @@ def table_online_cards(comparison: SchemeComparison, peak: Tuple[float, float] =
 
 def figure9a(comparison: SchemeComparison) -> Dict[str, Dict[str, List[float]]]:
     """Fig. 9a: CDF of flow completion time increase vs. no-sleep."""
+    baseline = comparison.baseline_durations
     series = {}
     for name in comparison.scheme_names:
         if name == "no-sleep":
             continue
-        values, probabilities = completion_time_variation_cdf(comparison.first(name))
+        result = comparison.first(name)
+        values, probabilities = completion_time_variation_cdf(result, baseline)
         series[name] = {
             "variation_percent": [float(v) for v in values],
             "cdf": [float(p) for p in probabilities],
-            "fraction_affected": fraction_of_flows_affected(comparison.first(name)),
+            "fraction_affected": fraction_of_flows_affected(result, baseline),
         }
     return series
 

@@ -51,13 +51,6 @@ def _add_simulate_parser(subparsers) -> None:
     parser.add_argument("--step", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan scheme runs out over this many processes "
-        "(results are identical to a serial run; default: serial)",
-    )
-    parser.add_argument(
         "--schemes",
         type=str,
         default=None,
@@ -677,6 +670,11 @@ def _open_stores(paths: List[str]):
 
 
 def _cmd_simulate(args) -> int:
+    for flag, value in [("--clients", args.clients), ("--gateways", args.gateways),
+                        ("--hours", args.hours), ("--runs", args.runs), ("--step", args.step)]:
+        if value <= 0:
+            print(f"{flag} must be positive (got {value})", file=sys.stderr)
+            return 2
     scale = figures.EvaluationScale(
         num_clients=args.clients,
         num_gateways=args.gateways,
@@ -691,7 +689,7 @@ def _cmd_simulate(args) -> int:
             return 2
     else:
         schemes = standard_schemes()
-    comparison = figures.run_evaluation(scale=scale, schemes=schemes, workers=args.workers)
+    comparison = figures.run_evaluation(scale=scale, schemes=schemes)
     summary = summarize_savings({name: comparison.first(name) for name in comparison.scheme_names})
     print(report.render_summary(summary))
     headline = figures.summary_savings(comparison)

@@ -70,8 +70,10 @@ class SchemeConfig:
         seeded from the run seed (its decision offsets and random gateway
         picks); the channel's shadowing draw is off.  Every other scheme
         repeats bit for bit under any run seed, so a sweep runs it once
-        per spec and reuses that trajectory for its later repetitions.
-        A scheme that draws from the run seed must return True here.
+        per spec, and :class:`~repro.simulation.runner.ExperimentRunner`
+        once per comparison, and both reuse that trajectory for its later
+        repetitions.  A scheme that draws from the run seed must return
+        True here.
         """
         return self.aggregation is AggregationKind.BH2
 

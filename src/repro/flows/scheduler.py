@@ -621,13 +621,8 @@ class FlowScheduler:
         self.served_bytes = served_bytes
 
     # ------------------------------------------------------------------
-    def records(self, baselines: Optional[Dict[int, float]] = None) -> List[FlowRecord]:
-        """Completion records of all finished flows.
-
-        ``baselines`` optionally maps flow id → no-sleep duration so that the
-        records carry the Fig. 9a comparison metric.
-        """
-        get_baseline = baselines.get if baselines else None
+    def records(self) -> List[FlowRecord]:
+        """Completion records of all finished flows."""
         make = FlowRecord._make  # tuple construction without __new__ overhead
         records: List[FlowRecord] = []
         append = records.append
@@ -642,7 +637,7 @@ class FlowScheduler:
                         flow.size_bytes,
                         flow.start_time,
                         active.completion_time,
-                        get_baseline(flow.flow_id) if get_baseline else None,
+                        None,
                     )
                 )
             )

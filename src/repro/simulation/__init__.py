@@ -11,7 +11,6 @@ into the quantities plotted in the paper's figures.
 from repro.simulation.simulator import AccessNetworkSimulator, SimulationResult
 from repro.simulation.runner import (
     ExperimentRunner,
-    ParallelExperimentRunner,
     SchemeComparison,
     run_scheme,
     scheme_run_seed,
@@ -27,7 +26,6 @@ __all__ = [
     "AccessNetworkSimulator",
     "SimulationResult",
     "ExperimentRunner",
-    "ParallelExperimentRunner",
     "SchemeComparison",
     "run_scheme",
     "scheme_run_seed",

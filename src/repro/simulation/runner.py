@@ -2,23 +2,21 @@
 
 The paper runs every scheme 10 times over the same trace and averages the
 results; the randomness lies in the BH2 decision offsets and random gateway
-selections.  :class:`ExperimentRunner` reproduces that protocol and also
-takes care of the bookkeeping the comparisons need (the no-sleep baseline
-flow durations for Fig. 9a, the SoI reference for Fig. 9b).
-
-:class:`ParallelExperimentRunner` fans the scheme × repetition grid out
-over a :mod:`multiprocessing` pool.  Because every run's seed is derived
-deterministically from ``(base_seed, run_index, scheme name)`` the parallel
-runner produces results identical to the serial one, just faster.
+selections.  :class:`ExperimentRunner` reproduces that protocol and runs
+each distinct trajectory once: a scheme that does not read its run seed
+(:attr:`~repro.core.schemes.SchemeConfig.uses_run_seed`) runs once, and
+that one result fills all of its repetitions, so every run-averaged
+aggregate is the one separate runs would give, bit for bit.  The
+comparison also carries the no-sleep flow durations Fig. 9a compares
+against.  Parallel comparisons run as ``sweep --workers N``
+(:mod:`repro.sweep.engine`), which is supervised, cached and resumable.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +45,6 @@ def run_scheme(
     sample_interval_s: float = 60.0,
     until: Optional[float] = None,
     power_model: AccessNetworkPowerModel = DEFAULT_POWER_MODEL,
-    baseline_durations: Optional[Dict[int, float]] = None,
     tracer=None,
 ) -> SimulationResult:
     """Run one scheme once over a scenario.
@@ -62,7 +59,6 @@ def run_scheme(
         step_s=step_s,
         sample_interval_s=sample_interval_s,
         seed=seed,
-        baseline_durations=baseline_durations,
         tracer=tracer,
     )
     return simulator.run(until=until)
@@ -75,6 +71,9 @@ class SchemeComparison:
     scenario: Scenario
     runs_per_scheme: int
     results: Dict[str, List[SimulationResult]] = field(default_factory=dict)
+    #: No-sleep completion time of every finished flow, keyed by flow id:
+    #: the baseline of Fig. 9a.  Empty when no compared scheme sleeps.
+    baseline_durations: Dict[int, float] = field(default_factory=dict)
 
     def first(self, scheme_name: str) -> SimulationResult:
         """The first run of a scheme (convenient for per-flow metrics)."""
@@ -131,8 +130,6 @@ class ExperimentRunner:
         runs_per_scheme: int = 1,
         step_s: float = 1.0,
         sample_interval_s: float = 60.0,
-        until: Optional[float] = None,
-        power_model: AccessNetworkPowerModel = DEFAULT_POWER_MODEL,
         base_seed: int = 0,
     ):
         if runs_per_scheme <= 0:
@@ -141,155 +138,37 @@ class ExperimentRunner:
         self.runs_per_scheme = runs_per_scheme
         self.step_s = step_s
         self.sample_interval_s = sample_interval_s
-        self.until = until
-        self.power_model = power_model
         self.base_seed = base_seed
-        self._baseline_durations: Optional[Dict[int, float]] = None
 
-    # ------------------------------------------------------------------
-    def baseline_durations(self) -> Dict[int, float]:
-        """Flow durations under no-sleep, computed once and cached."""
-        if self._baseline_durations is None:
-            result = run_scheme(
-                self.scenario,
-                no_sleep(),
-                seed=self.base_seed,
-                step_s=self.step_s,
-                sample_interval_s=self.sample_interval_s,
-                until=self.until,
-                power_model=self.power_model,
-            )
-            self._baseline_durations = result.flow_durations()
-        return self._baseline_durations
-
-    def run(self, schemes: Sequence[SchemeConfig]) -> SchemeComparison:
-        """Run every scheme ``runs_per_scheme`` times."""
-        comparison = SchemeComparison(scenario=self.scenario, runs_per_scheme=self.runs_per_scheme)
-        needs_baseline = any(s.sleep_enabled for s in schemes)
-        baseline = self.baseline_durations() if needs_baseline else {}
-        for scheme in schemes:
-            runs = []
-            for run_index in range(self.runs_per_scheme):
-                runs.append(
-                    run_scheme(
-                        self.scenario,
-                        scheme,
-                        seed=scheme_run_seed(self.base_seed, run_index, scheme.name),
-                        step_s=self.step_s,
-                        sample_interval_s=self.sample_interval_s,
-                        until=self.until,
-                        power_model=self.power_model,
-                        baseline_durations=baseline,
-                    )
-                )
-            comparison.results[scheme.name] = runs
-        return comparison
-
-
-#: Per-worker context installed by the pool initializer, so the (large)
-#: scenario and baseline-durations map cross the process boundary once per
-#: worker rather than once per task.
-_WORKER_CONTEXT: dict = {}
-
-
-def _parallel_worker_init(
-    scenario: Scenario,
-    step_s: float,
-    sample_interval_s: float,
-    until: Optional[float],
-    power_model: AccessNetworkPowerModel,
-    baseline: Dict[int, float],
-) -> None:
-    _WORKER_CONTEXT["scenario"] = scenario
-    _WORKER_CONTEXT["step_s"] = step_s
-    _WORKER_CONTEXT["sample_interval_s"] = sample_interval_s
-    _WORKER_CONTEXT["until"] = until
-    _WORKER_CONTEXT["power_model"] = power_model
-    _WORKER_CONTEXT["baseline"] = baseline
-
-
-def _parallel_run_task(args: Tuple[SchemeConfig, int]) -> SimulationResult:
-    """Top-level worker body (must be picklable for multiprocessing)."""
-    scheme, seed = args
-    context = _WORKER_CONTEXT
-    return run_scheme(
-        context["scenario"],
-        scheme,
-        seed=seed,
-        step_s=context["step_s"],
-        sample_interval_s=context["sample_interval_s"],
-        until=context["until"],
-        power_model=context["power_model"],
-        baseline_durations=context["baseline"],
-    )
-
-
-class ParallelExperimentRunner(ExperimentRunner):
-    """Experiment runner that fans scheme × repetition runs over processes.
-
-    Seeds are derived per task with :func:`scheme_run_seed`, so the results
-    (and therefore every :class:`SchemeComparison` aggregate) are
-    bit-identical to the serial :class:`ExperimentRunner` for the same
-    ``base_seed`` — only the wall-clock differs.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        runs_per_scheme: int = 1,
-        step_s: float = 1.0,
-        sample_interval_s: float = 60.0,
-        until: Optional[float] = None,
-        power_model: AccessNetworkPowerModel = DEFAULT_POWER_MODEL,
-        base_seed: int = 0,
-        workers: Optional[int] = None,
-    ):
-        super().__init__(
-            scenario=scenario,
-            runs_per_scheme=runs_per_scheme,
-            step_s=step_s,
-            sample_interval_s=sample_interval_s,
-            until=until,
-            power_model=power_model,
-            base_seed=base_seed,
-        )
-        if workers is not None and workers <= 0:
-            raise ValueError("workers must be positive")
-        self.workers = workers
-
-    def run(self, schemes: Sequence[SchemeConfig]) -> SchemeComparison:
-        """Run every scheme ``runs_per_scheme`` times across worker processes."""
-        schemes = list(schemes)
-        comparison = SchemeComparison(scenario=self.scenario, runs_per_scheme=self.runs_per_scheme)
-        needs_baseline = any(s.sleep_enabled for s in schemes)
-        baseline = self.baseline_durations() if needs_baseline else {}
-        tasks = [
-            (scheme, scheme_run_seed(self.base_seed, run_index, scheme.name))
-            for scheme in schemes
-            for run_index in range(self.runs_per_scheme)
-        ]
-        init_args = (
+    def _run(self, scheme: SchemeConfig, run_index: int) -> SimulationResult:
+        return run_scheme(
             self.scenario,
-            self.step_s,
-            self.sample_interval_s,
-            self.until,
-            self.power_model,
-            baseline,
+            scheme,
+            seed=scheme_run_seed(self.base_seed, run_index, scheme.name),
+            step_s=self.step_s,
+            sample_interval_s=self.sample_interval_s,
         )
-        workers = self.workers or os.cpu_count() or 1
-        workers = max(1, min(workers, len(tasks)))
-        if workers == 1:
-            _parallel_worker_init(*init_args)
-            results = [_parallel_run_task(task) for task in tasks]
-        else:
-            with multiprocessing.Pool(
-                processes=workers,
-                initializer=_parallel_worker_init,
-                initargs=init_args,
-            ) as pool:
-                results = pool.map(_parallel_run_task, tasks)
-        cursor = 0
+
+    def run(self, schemes: Sequence[SchemeConfig]) -> SchemeComparison:
+        """Run every scheme ``runs_per_scheme`` times, each distinct trajectory once.
+
+        A seed-free scheme's one result fills all of its repetitions.  The
+        Fig. 9a baseline comes from the compared no-sleep run, or from one
+        extra no-sleep run when no-sleep is not compared.
+        """
+        comparison = SchemeComparison(scenario=self.scenario, runs_per_scheme=self.runs_per_scheme)
+        baseline_scheme = no_sleep()
+        baseline: Optional[SimulationResult] = None
         for scheme in schemes:
-            comparison.results[scheme.name] = results[cursor : cursor + self.runs_per_scheme]
-            cursor += self.runs_per_scheme
+            if scheme.uses_run_seed:
+                runs = [self._run(scheme, index) for index in range(self.runs_per_scheme)]
+            else:
+                runs = [self._run(scheme, 0)] * self.runs_per_scheme
+            if scheme == baseline_scheme:
+                baseline = runs[0]
+            comparison.results[scheme.name] = runs
+        if any(scheme.sleep_enabled for scheme in schemes):
+            if baseline is None:
+                baseline = self._run(baseline_scheme, 0)
+            comparison.baseline_durations = baseline.flow_durations()
         return comparison

@@ -105,8 +105,7 @@ class LazyFlowRecords(_SequenceABC):
         return self._materialise() == other
 
     def __reduce__(self):
-        # Pickles as a plain list (materialised where the pickling happens —
-        # inside the worker process for parallel runs).
+        # Pickles as a plain list, materialised where the pickling happens.
         return (list, (self._materialise(),))
 
     def __repr__(self) -> str:
@@ -260,7 +259,6 @@ class AccessNetworkSimulator:
         step_s: float = 1.0,
         sample_interval_s: float = 60.0,
         seed: int = 0,
-        baseline_durations: Optional[Dict[int, float]] = None,
         tracer=None,
     ):
         if step_s <= 0 or sample_interval_s <= 0:
@@ -271,7 +269,6 @@ class AccessNetworkSimulator:
         self.step_s = step_s
         self.sample_interval_s = sample_interval_s
         self.seed = seed
-        self.baseline_durations = baseline_durations or {}
         #: Optional :class:`~repro.obs.tracer.SimTracer`.  Every emit site
         #: guards on ``is not None`` (hoisted out of hot loops), so with no
         #: tracer attached the kernel does zero tracing work; with one
@@ -1488,11 +1485,7 @@ class AccessNetworkSimulator:
             energy_series_isp_j=np.array(energy_isp, dtype=float),
             # Bind only what records() needs — closing over `self` would pin
             # the whole simulator in memory for every unmaterialised run.
-            flow_records=LazyFlowRecords(
-                lambda scheduler=self.scheduler, baselines=self.baseline_durations: (
-                    scheduler.records(baselines=baselines)
-                )
-            ),
+            flow_records=LazyFlowRecords(self.scheduler.records),
             gateway_online_seconds={
                 g: gateway_array.online_seconds[g] + gateway_array.waking_seconds[g]
                 for g in range(self.scenario.num_gateways)

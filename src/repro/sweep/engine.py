@@ -1,7 +1,8 @@
 """The sweep engine: shard the scenario × scheme × repetition grid.
 
-The engine generalises :class:`~repro.simulation.runner.ParallelExperimentRunner`
-from one scenario to the whole catalog grid: every task carries its own
+The engine runs the comparison protocol of
+:class:`~repro.simulation.runner.ExperimentRunner` over the whole catalog
+grid, on one process or a pool: every task carries its own
 :class:`~repro.sweep.catalog.ScenarioSpec` and is seeded with the same
 crc32-deterministic :func:`~repro.simulation.runner.scheme_run_seed`, so a
 serial execution, a parallel execution and a resumed execution of the
@@ -231,7 +232,8 @@ def _execute_task(task: SweepTask) -> TaskOutput:
     A repetition (``run_index > 0``) of a seed-free scheme reuses its twin's
     result when this process still holds it, instead of running the kernel.
     Metrics, counters and the record stay per cell; ``run_s`` times the
-    kernel run or reuse plus metric extraction.
+    kernel run or reuse plus metric extraction.  The kernel wall-time
+    histograms observe kernel runs only, never a reuse.
     """
     scenario = _SCENARIO_CACHE.get(task.spec)
     build_s = 0.0
@@ -257,8 +259,10 @@ def _execute_task(task: SweepTask) -> TaskOutput:
         run_start = time.perf_counter()
         run_key = (task.spec, task.scheme, task.step_s, task.sample_interval_s)
         result = _RUN_MEMO.get(run_key) if task.run_index else None
+        kernel_s = None
         if result is None:
             _RUN_MEMO.clear()
+            kernel_start = time.perf_counter()
             result = run_scheme(
                 scenario,
                 task.scheme,
@@ -267,13 +271,14 @@ def _execute_task(task: SweepTask) -> TaskOutput:
                 sample_interval_s=task.sample_interval_s,
                 tracer=_TASK_TRACER,
             )
+            kernel_s = time.perf_counter() - kernel_start
             if not task.scheme.uses_run_seed:
                 # Without its flow records the copy pins none of the run's
                 # per-flow objects once the collector resumes.
                 _RUN_MEMO[run_key] = replace(result, flow_records=[])
         metrics = run_metrics(result, task.spec.duration_s)
         run_s = time.perf_counter() - run_start
-        snapshot = kernel_snapshot(result, run_s)
+        snapshot = kernel_snapshot(result, kernel_s)
         del result
     finally:
         if gc_was_enabled:

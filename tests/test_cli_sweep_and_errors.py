@@ -47,6 +47,11 @@ def test_sweep_unknown_scheme_exits_2_with_message(capsys):
     (["sweep", "--family", "smoke", "--step", "0"], "--step"),
     (["sweep", "--family", "smoke", "--sample", "-1"], "--sample"),
     (["sweep", "--family", "smoke", "--workers", "0"], "--workers"),
+    (["simulate", "--runs", "0"], "--runs"),
+    (["simulate", "--step", "0"], "--step"),
+    (["simulate", "--clients", "0"], "--clients"),
+    (["simulate", "--gateways", "0"], "--gateways"),
+    (["simulate", "--hours", "0"], "--hours"),
 ])
 def test_sweep_invalid_numeric_flags_exit_2(capsys, argv, flag):
     assert main(argv) == 2

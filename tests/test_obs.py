@@ -227,7 +227,16 @@ def test_obs_off_leaves_no_residue():
 # ----------------------------------------------------------------------
 # Sweep integration: ledger, merged metrics, per-cell accounting
 # ----------------------------------------------------------------------
-def test_traced_sweep_ledger_matches_manifest_and_obs_merges(tmp_path):
+def test_traced_sweep_ledger_matches_manifest_and_obs_merges(tmp_path, monkeypatch):
+    import repro.sweep.engine as engine_module
+
+    kernel_runs = []
+
+    def spy(scenario, scheme, **kwargs):
+        kernel_runs.append(scheme.name)
+        return run_scheme(scenario, scheme, **kwargs)
+
+    monkeypatch.setattr(engine_module, "run_scheme", spy)
     store = ResultStore(tmp_path)
     tracer = SimTracer()
     result = run_sweep(
@@ -243,7 +252,11 @@ def test_traced_sweep_ledger_matches_manifest_and_obs_merges(tmp_path):
     # Worker metrics merged into the sweep-wide registry snapshot.
     assert result.obs["counters"]["kernel.runs"] == result.executed
     assert result.obs["counters"]["store.executed"] == result.executed
-    assert result.obs["histograms"]["kernel.run_s"]["count"] == result.executed
+    # The kernel wall-time histograms observe kernel runs only: both
+    # schemes are seed-free, so each second repetition reuses its first.
+    assert len(kernel_runs) == result.executed // 2
+    for name in ("kernel.run_s", "kernel.steps_per_s", "kernel.sim_hours_per_s"):
+        assert result.obs["histograms"][name]["count"] == len(kernel_runs)
     # Executed cells carry wall-clock + attempt accounting.
     assert set(result.task_stats) == set(result.records)
     assert all(s["attempts"] == 1 for s in result.task_stats.values())

@@ -1,26 +1,44 @@
-"""Determinism and parallel-runner identity of the experiment layer.
+"""Determinism of the experiment layer, and one kernel run per trajectory.
 
 The seed derived each run's RNG seed from ``hash(scheme.name)``, which
 varies with ``PYTHONHASHSEED`` — "identical" runs differed across
 processes.  The runner now derives seeds with ``zlib.crc32``
 (:func:`repro.simulation.runner.scheme_run_seed`), so repeated runs and
-worker processes agree exactly.
+processes agree exactly.  Only BH2 reads that seed, so the runner runs
+every other scheme once per comparison and fills its repetitions with
+that one result.
 """
 
+import hashlib
+import json
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.core.schemes import bh2_kswitch, no_sleep, soi
-from repro.simulation.runner import (
-    ExperimentRunner,
-    ParallelExperimentRunner,
-    scheme_run_seed,
+import repro.simulation.runner as runner_module
+from repro.analysis import figures
+from repro.core.schemes import (
+    bh2_full_switch,
+    bh2_kswitch,
+    bh2_no_backup_kswitch,
+    no_sleep,
+    optimal,
+    soi,
+    soi_full_switch,
+    soi_kswitch,
 )
+from repro.simulation.runner import ExperimentRunner, run_scheme, scheme_run_seed
 from repro.topology.scenario import build_default_scenario
 
 FLAT_PROFILE = tuple([1.0] * 24)
+
+#: Every sample and energy series of a result.
+SERIES = (
+    "sample_times", "online_gateways", "waking_gateways", "online_modems",
+    "online_line_cards", "energy_series_times", "energy_series_total_j",
+    "energy_series_isp_j",
+)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +51,19 @@ def scenario():
         diurnal_profile=FLAT_PROFILE,
         peak_online_probability=0.5,
     )
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The (scheme name, seed) of every kernel run the runner makes."""
+    calls = []
+
+    def spy(scenario, scheme, seed=0, **kwargs):
+        calls.append((scheme.name, seed))
+        return run_scheme(scenario, scheme, seed=seed, **kwargs)
+
+    monkeypatch.setattr(runner_module, "run_scheme", spy)
+    return calls
 
 
 def test_scheme_run_seed_is_hash_seed_independent():
@@ -53,35 +84,75 @@ def test_repeated_runs_are_identical(scenario):
             assert np.array_equal(run_a.online_gateways, run_b.online_gateways)
 
 
-def test_parallel_runner_matches_serial_bitwise(scenario):
-    """N workers must reproduce the serial aggregates bit for bit."""
-    schemes = [no_sleep(), soi(), bh2_kswitch()]
-    serial = ExperimentRunner(scenario, runs_per_scheme=2, step_s=2.0, base_seed=7).run(schemes)
-    parallel = ParallelExperimentRunner(
-        scenario, runs_per_scheme=2, step_s=2.0, base_seed=7, workers=2
-    ).run(schemes)
-    assert parallel.scheme_names == serial.scheme_names
-    for scheme in schemes:
-        name = scheme.name
-        assert parallel.mean_savings(name) == serial.mean_savings(name)
-        assert parallel.mean_online_gateways(name) == serial.mean_online_gateways(name)
-        assert parallel.mean_online_line_cards(name) == serial.mean_online_line_cards(name)
-        for run_s, run_p in zip(serial.results[name], parallel.results[name]):
-            assert np.array_equal(run_s.online_gateways, run_p.online_gateways)
-            assert np.array_equal(run_s.energy_series_total_j, run_p.energy_series_total_j)
-            assert run_s.flow_durations() == run_p.flow_durations()
+def test_runner_runs_each_seed_free_scheme_once(scenario, kernel_runs):
+    base_seed = 7
+    cases = [
+        ([no_sleep(), soi(), bh2_kswitch(), optimal()], 6),
+        ([soi(), optimal()], 3),
+        ([no_sleep()], 1),
+    ]
+    for schemes, expected_runs in cases:
+        kernel_runs.clear()
+        comparison = ExperimentRunner(
+            scenario, runs_per_scheme=3, step_s=2.0, base_seed=base_seed
+        ).run(schemes)
+        assert len(kernel_runs) == expected_runs, kernel_runs
+        assert comparison.scheme_names == [scheme.name for scheme in schemes]
+        for scheme in schemes:
+            runs = comparison.results[scheme.name]
+            assert len(runs) == 3
+            for index, run in enumerate(runs):
+                direct = run_scheme(
+                    scenario, scheme, seed=scheme_run_seed(base_seed, index, scheme.name),
+                    step_s=2.0,
+                )
+                for name in SERIES:
+                    assert np.array_equal(getattr(run, name), getattr(direct, name)), (
+                        scheme.name, index, name)
+                assert run.mean_savings() == direct.mean_savings()
+                assert run.flow_durations() == direct.flow_durations()
+        if any(scheme.sleep_enabled for scheme in schemes):
+            # One no-sleep trajectory serves as the Fig. 9a baseline.
+            expected = run_scheme(scenario, no_sleep(), step_s=2.0).flow_durations()
+            assert expected
+            assert comparison.baseline_durations == expected
+            if "no-sleep" in comparison.scheme_names:
+                assert comparison.baseline_durations == comparison.first("no-sleep").flow_durations()
+        else:
+            assert comparison.baseline_durations == {}
 
 
-def test_parallel_runner_validates_workers(scenario):
-    with pytest.raises(ValueError):
-        ParallelExperimentRunner(scenario, workers=0)
+#: sha256 of each figure's JSON.  Running every repetition of every scheme
+#: plus a separate no-sleep baseline (25 kernel runs) gives the same digests.
+FIGURE_DIGESTS = {
+    "figure6": "46dc3057247929ccbd20a69940d49f22c6464b969f9c319b4eec2cd321b35c38",
+    "figure7": "067cf5fd1171bbcc4f5bbd5b2bec8058a827501155c8efdf76a1f49df26f6ec3",
+    "figure8": "d2cd6170bbb0222d7c662f4fb699834ba957624a25856ef6ab7fb19f51e0025c",
+    "figure9a": "8b7c5299db4efb48cc50622487756916b00b244dec6df6f21538477388bf54bf",
+    "figure9b": "6cabf35357fd962bc3b02cf43ab14abaa01e266ebeae02426edbf0054f10ac14",
+    "table_online_cards": "384c9a94197095e5d97e3a439a1dd1cf2c8ad4c09ff8d1983cea5c033936e4ad",
+    "summary_savings": "e58e4ff13eb08f8bbf545ffb00b26017d90202a19aafc66f220c22d528bb5920",
+}
 
 
-def test_parallel_runner_single_worker_inline(scenario):
-    """workers=1 avoids the pool entirely but still matches the serial run."""
-    schemes = [soi()]
-    serial = ExperimentRunner(scenario, runs_per_scheme=1, step_s=2.0, base_seed=1).run(schemes)
-    inline = ParallelExperimentRunner(
-        scenario, runs_per_scheme=1, step_s=2.0, base_seed=1, workers=1
-    ).run(schemes)
-    assert inline.mean_savings("SoI") == serial.mean_savings("SoI")
+def test_comparison_figures_are_pinned(kernel_runs):
+    """The benchmark schemes' figures, bit for bit, from 14 kernel runs."""
+    schemes = [
+        no_sleep(), soi(), soi_kswitch(), soi_full_switch(),
+        bh2_kswitch(), bh2_no_backup_kswitch(), bh2_full_switch(), optimal(),
+    ]
+    scale = figures.EvaluationScale(
+        num_clients=68, num_gateways=10, duration_s=6 * 3600.0,
+        runs_per_scheme=3, step_s=2.0, seed=2011,
+    )
+    comparison = figures.run_evaluation(scale=scale, schemes=schemes)
+    # Three BH2 schemes run each of their 3 repetitions; the other five,
+    # no-sleep (the Fig. 9a baseline) among them, run once.
+    assert len(kernel_runs) == 3 * 3 + 5
+    digests = {
+        name: hashlib.sha256(
+            json.dumps(getattr(figures, name)(comparison), sort_keys=True).encode()
+        ).hexdigest()
+        for name in FIGURE_DIGESTS
+    }
+    assert digests == FIGURE_DIGESTS

@@ -179,9 +179,20 @@ def test_simulator_validation(busy_scenario):
         AccessNetworkSimulator(busy_scenario, soi(), step_s=0.0)
 
 
-def test_runner_baseline_durations_cached(busy_scenario):
-    runner = ExperimentRunner(busy_scenario, runs_per_scheme=1, step_s=2.0)
-    first = runner.baseline_durations()
-    second = runner.baseline_durations()
-    assert first is second
-    assert len(first) > 0
+def test_runner_baseline_durations_cached(busy_scenario, monkeypatch):
+    """Without a compared no-sleep run, one extra run supplies the baseline."""
+    import repro.simulation.runner as runner_module
+
+    runs = []
+
+    def spy(scenario, scheme, **kwargs):
+        runs.append(scheme.name)
+        return run_scheme(scenario, scheme, **kwargs)
+
+    monkeypatch.setattr(runner_module, "run_scheme", spy)
+    runner = ExperimentRunner(busy_scenario, runs_per_scheme=2, step_s=2.0)
+    comparison = runner.run([soi(), soi_kswitch()])
+    assert runs == ["SoI", "SoI+k-switch", "no-sleep"]
+    baseline = run_scheme(busy_scenario, no_sleep(), step_s=2.0).flow_durations()
+    assert len(baseline) > 0
+    assert comparison.baseline_durations == baseline

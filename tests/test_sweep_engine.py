@@ -142,7 +142,7 @@ def test_sweep_cells_build_no_flow_records(monkeypatch):
     expected = run_sweep(families=families)
     assert any(r.metrics["served_flows"] for r in expected.records.values())
 
-    def refuse(self, baselines=None):
+    def refuse(self):
         raise AssertionError("a sweep cell built FlowRecords")
 
     monkeypatch.setattr(FlowScheduler, "records", refuse)
