@@ -205,9 +205,15 @@ def figure8(comparison: SchemeComparison) -> Dict[str, Dict[str, List[float]]]:
 
 
 def table_online_cards(comparison: SchemeComparison, peak: Tuple[float, float] = PEAK_WINDOW) -> Dict[str, float]:
-    """Sec. 5.2.3 table: average number of online line cards during peak hours."""
+    """Sec. 5.2.3 table: average number of online line cards during peak hours.
+
+    A comparison that ends before the peak window opens is averaged over its
+    whole horizon, as in :func:`figure10`.
+    """
+    duration = comparison.scenario.trace.duration
+    window = peak if duration > peak[0] else (0.0, duration)
     return {
-        name: comparison.mean_online_line_cards(name, *peak)
+        name: comparison.mean_online_line_cards(name, *window)
         for name in comparison.scheme_names
     }
 

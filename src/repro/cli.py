@@ -25,7 +25,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.analysis import figures, report
+from repro.analysis import report
 from repro.core.schemes import all_schemes, standard_schemes
 from repro.simulation.metrics import summarize_savings
 from repro.traces.io import write_trace
@@ -670,6 +670,8 @@ def _open_stores(paths: List[str]):
 
 
 def _cmd_simulate(args) -> int:
+    from repro.analysis import figures
+
     for flag, value in [("--clients", args.clients), ("--gateways", args.gateways),
                         ("--hours", args.hours), ("--runs", args.runs), ("--step", args.step)]:
         if value <= 0:
@@ -981,6 +983,7 @@ def _write_trace(tracer, path: str) -> None:
 
 
 def _cmd_obs_trace(args) -> int:
+    from repro.analysis import figures
     from repro.obs import SimTracer
     from repro.simulation.runner import run_scheme
 
@@ -1448,6 +1451,8 @@ def _cmd_fleet(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    from repro.analysis import figures
+
     if args.id == "2":
         data = figures.figure2()
     elif args.id == "3":
@@ -1469,6 +1474,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_crosstalk(args) -> int:
+    from repro.analysis import figures
+
     data = figures.figure14(num_sequences=args.sequences, seed=args.seed)
     rows = []
     for label, curve in data.items():
@@ -1485,6 +1492,8 @@ def _cmd_crosstalk(args) -> int:
 
 
 def _cmd_testbed(args) -> int:
+    from repro.analysis import figures
+
     data = figures.figure12(seed=args.seed)
     rows = [[name, series["mean_online"], 9 - series["mean_online"]] for name, series in data.items()]
     print(report.format_table(["scheme", "mean online APs", "mean sleeping APs"], rows))

@@ -6,18 +6,25 @@ paper:
 * :func:`generate_overlap_topology` — a connected random graph over the
   gateways with a prescribed (residential) degree sequence, in the spirit of
   Viger & Latapy [37]; a client can reach its home gateway plus the home
-  gateway's neighbours, giving an average of ~5.6 networks in range.
+  gateway's neighbours, giving an average of ~5.6 networks in range.  The
+  configuration model behind it is implemented here, in plain Python, and
+  reproduces networkx 3.6.1's graph for the same seed, neighbour order
+  included (``tests/test_topology.py`` checks this wherever networkx is
+  installed).
 * :func:`binomial_connectivity` — the direct client↔gateway binomial
   reachability matrices used for the density sweep of Fig. 10.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
+
+#: Each gateway's neighbours in the overlap graph, indexed by gateway id.
+OverlapGraph = Tuple[Tuple[int, ...], ...]
 
 
 def residential_degree_sequence(
@@ -66,8 +73,9 @@ class GatewayTopology:
 
     Attributes:
         num_gateways: number of gateways.
-        gateway_graph: overlap graph between gateways (may be ``None`` when
-            the topology was generated directly as a client↔gateway matrix).
+        gateway_graph: overlap graph between gateways: entry ``g`` holds
+            gateway ``g``'s neighbours in adjacency order (``None`` when the
+            topology was generated directly as a client↔gateway matrix).
         reachable: mapping of client id to the set of gateway ids the client
             can associate with (always includes the home gateway).
         home_gateway: mapping of client id to home gateway id.
@@ -76,7 +84,7 @@ class GatewayTopology:
     num_gateways: int
     home_gateway: Dict[int, int]
     reachable: Dict[int, FrozenSet[int]]
-    gateway_graph: Optional[nx.Graph] = None
+    gateway_graph: Optional[OverlapGraph] = None
 
     def __post_init__(self) -> None:
         for client, home in self.home_gateway.items():
@@ -131,7 +139,10 @@ def generate_overlap_topology(
     graph = _connected_graph_with_degrees(degrees, seed=seed)
     reachable = {}
     for client, home in home_gateway.items():
-        in_range = {home} | set(graph.neighbors(home))
+        # Built exactly as from a networkx graph: a set filled one neighbour
+        # at a time, in adjacency order.  A set's iteration order depends on
+        # how it was filled, and BH2 draws its candidates in that order.
+        in_range = {home} | set(iter(graph[home]))
         reachable[client] = frozenset(in_range)
     return GatewayTopology(
         num_gateways=num_gateways,
@@ -141,40 +152,75 @@ def generate_overlap_topology(
     )
 
 
-def _connected_graph_with_degrees(degrees: Sequence[int], seed: int) -> nx.Graph:
+def _connected_graph_with_degrees(degrees: Sequence[int], seed: int) -> OverlapGraph:
     """A simple connected graph approximately realising ``degrees``.
 
     Uses the configuration model, removes parallel edges and self-loops, and
     then stitches components together (the same practical recipe the paper's
-    reference [37] formalises).  Falls back to a connected Erdős–Rényi graph
-    when the degree sequence is degenerate.
+    reference [37] formalises).  Every step mirrors networkx 3.6.1's
+    ``configuration_model``, ``Graph(multigraph)``, self-loop removal and
+    ``connected_components``, so the neighbour order matches networkx's too.
     """
     n = len(degrees)
-    if n == 0:
-        return nx.Graph()
-    if n == 1 or sum(degrees) == 0:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        return graph
+    if n <= 1 or sum(degrees) == 0:
+        return tuple(() for _ in range(n))
+    if sum(degrees) % 2:
+        raise ValueError("the degree sequence must have an even sum")
 
     rng = np.random.default_rng(seed)
-    try:
-        multigraph = nx.configuration_model(degrees, seed=int(rng.integers(2**31 - 1)))
-        graph = nx.Graph(multigraph)
-        graph.remove_edges_from(nx.selfloop_edges(graph))
-    except nx.NetworkXError:
-        p = min(1.0, float(np.mean(degrees)) / max(n - 1, 1))
-        graph = nx.gnp_random_graph(n, p, seed=int(rng.integers(2**31 - 1)))
-    graph.add_nodes_from(range(n))
+    # Configuration model: pair up a shuffled list of degree-repeated stubs.
+    # Each multigraph neighbour dict keeps first-seen order, as networkx does.
+    stubs = [node for node, degree in enumerate(degrees) for _ in range(degree)]
+    random.Random(int(rng.integers(2**31 - 1))).shuffle(stubs)
+    half = len(stubs) // 2
+    multigraph: List[Dict[int, None]] = [{} for _ in range(n)]
+    for u, v in zip(stubs[:half], stubs[half:]):
+        multigraph[u][v] = None
+        multigraph[v][u] = None
+
+    # Collapse to a simple graph.  networkx visits the gateways in id order
+    # and skips an edge it already added from the other end, so each edge is
+    # added from its lower end.  The self-loops it adds and then removes
+    # leave the other neighbours' order as it is, so they are never added.
+    graph: List[List[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        for v in multigraph[u]:
+            if v > u:
+                graph[u].append(v)
+                graph[v].append(u)
 
     # Stitch components together so every gateway is part of the neighbourhood.
-    components = [list(c) for c in nx.connected_components(graph)]
+    components = _connected_components(graph)
     while len(components) > 1:
-        a = components[0]
-        b = components[1]
-        graph.add_edge(int(rng.choice(a)), int(rng.choice(b)))
-        components = [list(c) for c in nx.connected_components(graph)]
-    return graph
+        u, v = int(rng.choice(components[0])), int(rng.choice(components[1]))
+        graph[u].append(v)
+        graph[v].append(u)
+        components = _connected_components(graph)
+    return tuple(tuple(neighbours) for neighbours in graph)
+
+
+def _connected_components(graph: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Components in networkx's order, each listed in its set's order.
+
+    A breadth-first search from each unseen gateway, in id order, fills a
+    set in discovery order; listing that set gives the order the stitching
+    draws from.
+    """
+    seen: Set[int] = set()
+    components = []
+    for source in range(len(graph)):
+        if source in seen:
+            continue
+        component = {source}
+        queue = [source]
+        for node in queue:
+            for neighbour in graph[node]:
+                if neighbour not in component:
+                    component.add(neighbour)
+                    queue.append(neighbour)
+        seen.update(component)
+        components.append(list(component))
+    return components
 
 
 def binomial_connectivity(

@@ -18,10 +18,14 @@ Scheme wiring (``optimal-watts``, ``bh2-watts``, …) lives in
 :mod:`repro.core.schemes`; the ``watt-aware`` sweep family and the
 ``watts_saved_vs_count_kwh`` report column in :mod:`repro.sweep`; the
 ``repro-access wattopt`` subcommand in :mod:`repro.cli`.
+
+The watt/served-demand Pareto front, :mod:`repro.wattopt.front`, is imported
+as a submodule (``from repro.wattopt.front import WATT_FRONT``): the package
+does not load it, because it pulls in :mod:`repro.regress`, which a sweep
+does not need.
 """
 
 from repro.wattopt.cost import WattCostModel, scenario_cost_model
-from repro.wattopt.front import WATT_FRONT, watt_front_rows
 from repro.wattopt.solver import (
     ExactWattAggregationSolver,
     WattGreedyAggregationSolver,
@@ -31,11 +35,9 @@ from repro.wattopt.solver import (
 
 __all__ = [
     "ExactWattAggregationSolver",
-    "WATT_FRONT",
     "WattCostModel",
     "WattGreedyAggregationSolver",
     "count_vs_watt_gap",
     "scenario_cost_model",
-    "watt_front_rows",
     "watt_objective",
 ]

@@ -90,6 +90,44 @@ def test_sweep_import_does_not_load_scipy():
     assert output.stdout.strip() == "False"
 
 
+def _run_fresh(script):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+def test_sweep_import_loads_only_what_a_sweep_runs():
+    # Figures, crosstalk, the testbed and the regression gate are imported
+    # as submodules by the commands that use them, never by a sweep or by
+    # the CLI module that `repro-access sweep` loads.
+    script = (
+        "import sys\n"
+        "unwanted = ('networkx', 'repro.analysis.figures', 'repro.crosstalk',\n"
+        "            'repro.testbed', 'repro.regress')\n"
+        "from repro.sweep import ResultStore, SweepConfig, render_sweep, run_sweep\n"
+        "print(sorted(name for name in unwanted if name in sys.modules))\n"
+        "import repro.cli\n"
+        "print(sorted(name for name in unwanted if name in sys.modules))\n"
+    )
+    assert _run_fresh(script).splitlines() == ["[]", "[]"]
+
+
+def test_repro_runs_without_networkx():
+    # numpy is the only declared runtime dependency; the overlap generator
+    # must not need networkx even where it is installed.
+    script = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import repro\n"
+        "from repro.sweep.catalog import family\n"
+        "scenario = family('smoke').expand()[0].build()\n"
+        "print(scenario.topology.gateway_graph is not None)\n"
+    )
+    assert _run_fresh(script) == "True"
+
+
 def test_degenerate_probabilities():
     assert card_sleep_probability_exact(1, 4, 24, 0.0) == pytest.approx(1.0)
     assert card_sleep_probability_exact(1, 4, 24, 1.0) == pytest.approx(0.0)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import figures, report
 from repro.cli import build_parser, main
+from repro.core.schemes import no_sleep, soi
 from repro.traces.synthetic import generate_crawdad_like_trace
 
 
@@ -56,6 +57,17 @@ def test_figure14_and_15_data():
 def test_evaluation_scales():
     assert figures.quick_scale().num_gateways < figures.full_scale().num_gateways
     assert figures.full_scale().runs_per_scheme == 10
+
+
+def test_online_cards_table_covers_a_horizon_shorter_than_the_peak():
+    """A comparison that ends before the 11:00 peak averages its whole horizon."""
+    scale = figures.EvaluationScale(
+        num_clients=68, num_gateways=10, duration_s=6 * 3600.0, step_s=2.0, seed=2011
+    )
+    comparison = figures.run_evaluation(scale=scale, schemes=[no_sleep(), soi()])
+    table = figures.table_online_cards(comparison)
+    assert table["no-sleep"] == comparison.scenario.dslam.num_line_cards
+    assert 0.0 < table["SoI"] <= table["no-sleep"]
 
 
 def test_report_format_table():

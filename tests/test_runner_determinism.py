@@ -130,7 +130,7 @@ FIGURE_DIGESTS = {
     "figure8": "d2cd6170bbb0222d7c662f4fb699834ba957624a25856ef6ab7fb19f51e0025c",
     "figure9a": "8b7c5299db4efb48cc50622487756916b00b244dec6df6f21538477388bf54bf",
     "figure9b": "6cabf35357fd962bc3b02cf43ab14abaa01e266ebeae02426edbf0054f10ac14",
-    "table_online_cards": "384c9a94197095e5d97e3a439a1dd1cf2c8ad4c09ff8d1983cea5c033936e4ad",
+    "table_online_cards": "5c7b9b274336ed51503201ef6d296f8af08bb531f0ab1a9e56791ae14ca52285",
     "summary_savings": "e58e4ff13eb08f8bbf545ffb00b26017d90202a19aafc66f220c22d528bb5920",
 }
 

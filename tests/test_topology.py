@@ -1,10 +1,14 @@
 """Tests for topology generation and scenario construction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.sweep.catalog import family
 from repro.topology.overlap import (
     GatewayTopology,
+    _connected_graph_with_degrees,
     binomial_connectivity,
     generate_overlap_topology,
     residential_degree_sequence,
@@ -43,8 +47,77 @@ def test_overlap_topology_connectivity_and_reachability():
         assert home[client] in reachable
     assert 2.0 <= topology.mean_reachable() <= 9.0
     # The gateway graph is connected by construction.
+    graph = topology.gateway_graph
+    assert len(graph) == 20
+    reached = {0}
+    queue = [0]
+    for gateway in queue:
+        for neighbour in graph[gateway]:
+            assert gateway in graph[neighbour]
+            if neighbour not in reached:
+                reached.add(neighbour)
+                queue.append(neighbour)
+    assert reached == set(range(20))
+    for client, gateway in home.items():
+        assert topology.reachable[client] == {gateway, *graph[gateway]}
+
+
+def _networkx_graph(degrees, seed):
+    """The overlap graph built with networkx: the reference the generator must match."""
     import networkx as nx
-    assert nx.is_connected(topology.gateway_graph)
+
+    rng = np.random.default_rng(seed)
+    graph = nx.Graph(nx.configuration_model(degrees, seed=int(rng.integers(2**31 - 1))))
+    graph.remove_edges_from(nx.selfloop_edges(graph))
+    components = [list(c) for c in nx.connected_components(graph)]
+    while len(components) > 1:
+        graph.add_edge(int(rng.choice(components[0])), int(rng.choice(components[1])))
+        components = [list(c) for c in nx.connected_components(graph)]
+    return graph
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 8, 10, 20, 40, 80, 200))
+def test_overlap_graph_matches_networkx(n):
+    """Same neighbour order, and so the same reachable-set order, as networkx.
+
+    BH2 draws its candidate gateways in the iteration order of a client's
+    reachable set, so the order, not only the membership, has to match.
+    """
+    pytest.importorskip("networkx")
+    home = {client: client for client in range(n)}
+    for mean_degree in (1, 2, 4.6, 8):
+        for seed in range(150):
+            degrees = residential_degree_sequence(n, mean_degree=mean_degree, seed=seed)
+            expected = _networkx_graph(degrees, seed)
+            topology = generate_overlap_topology(home, n, mean_degree + 1.0, seed=seed)
+            case = (mean_degree, seed)
+            assert topology.gateway_graph == tuple(
+                tuple(expected.adj[gateway]) for gateway in range(n)
+            ), case
+            for gateway in range(n):
+                in_range = frozenset({gateway} | set(expected.neighbors(gateway)))
+                assert tuple(topology.reachable[gateway]) == tuple(in_range), case
+
+
+#: SHA-256 of ``repr`` of every client's ``tuple(reachable[client])``, in
+#: client order, as the networkx-built overlap graph gave them.
+_REACHABLE_DIGESTS = {
+    "paper-default": "018b5a71bd1fad16f0089bb6e89688139baa4dc5e8fd9c22cd5ca16de38c8c80",
+    "mixed-fleet": "f8ffbd46d0454779dcbefb92050fa3f24d5c3e91beb5bc7cace3cf20b6623fe0",
+}
+
+
+@pytest.mark.parametrize("family_name", sorted(_REACHABLE_DIGESTS))
+def test_reachable_sets_are_pinned(family_name):
+    topology = family(family_name).expand()[0].build().topology
+    rows = [tuple(topology.reachable[client]) for client in sorted(topology.reachable)]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == _REACHABLE_DIGESTS[family_name]
+
+
+def test_odd_degree_sum_is_rejected():
+    with pytest.raises(ValueError):
+        _connected_graph_with_degrees([1, 1, 1], seed=0)
 
 
 def test_overlap_topology_requires_home_in_range():
