@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.access.kswitch import KSwitchBank
 from repro.topology.scenario import DslamConfig
@@ -87,7 +87,10 @@ class Dslam:
             for c in range(config.num_line_cards)
         ]
         self._kswitch_banks: List[KSwitchBank] = []
-        self._bank_of_line: Dict[int, int] = {}
+        #: line id -> (batch index, switch index) of the k-switch it is wired to.
+        self._switch_of_line: Dict[int, Tuple[int, int]] = {}
+        #: Whether a rewire has packed every k-switch since construction.
+        self._packed = False
         if self.mode is SwitchingMode.KSWITCH:
             self._build_kswitch_banks()
 
@@ -116,7 +119,12 @@ class Dslam:
         return len(self.online_cards(active_lines))
 
     # ------------------------------------------------------------------
-    def rewire(self, line_active: Dict[int, bool], movable: Optional[Set[int]] = None) -> None:
+    def rewire(
+        self,
+        line_active: Dict[int, bool],
+        movable: Optional[Set[int]] = None,
+        changed: Optional[Iterable[int]] = None,
+    ) -> None:
         """Re-terminate lines according to the switching mode.
 
         Args:
@@ -125,13 +133,23 @@ class Dslam:
             movable: line ids whose port may be changed right now.  Defaults
                 to *all* lines for ``FULL`` mode and to the inactive lines
                 for ``KSWITCH`` (matching the paper's no-disruption rule).
+            changed: line ids whose ``line_active`` entry or membership in
+                ``movable`` may differ from the previous rewire.  ``KSWITCH``
+                mode then packs only the k-switches holding them: a switch
+                packs its movable lines by a deterministic function of its
+                own lines' activity and mobility and of the cards its pinned
+                lines hold, and pinned lines never move, so a switch none of
+                whose lines changed already sits where a repack would put it.
+                ``None`` (the default) packs every switch, and so does the
+                first rewire, because the initial wiring need not be a packed
+                one.  ``FULL`` mode packs across cards and ignores it.
         """
         if self.mode is SwitchingMode.FIXED:
             return
         if self.mode is SwitchingMode.FULL:
             self._rewire_full(line_active, movable)
         else:
-            self._rewire_kswitch(line_active, movable)
+            self._rewire_kswitch(line_active, movable, changed)
 
     # ------------------------------------------------------------------
     def accumulate_card_time(self, active_lines: Iterable[int], dt: float) -> None:
@@ -165,8 +183,6 @@ class Dslam:
                 line_ids=batch_lines,
             )
             self._kswitch_banks.append(bank)
-            for line in batch_lines:
-                self._bank_of_line[line] = batch
             # Normalise the initial wiring so that every line terminates on
             # the port position owned by its switch: line j of switch s in
             # this batch starts on card (first_card + j) at position s.
@@ -174,20 +190,36 @@ class Dslam:
                 for offset, line in enumerate(switch_lines):
                     card = batch_cards[offset]
                     self.line_port[line] = card * self.config.ports_per_card + switch_index
+                    self._switch_of_line[line] = (batch, switch_index)
 
-    def _rewire_kswitch(self, line_active: Dict[int, bool], movable: Optional[Set[int]]) -> None:
+    def _rewire_kswitch(
+        self,
+        line_active: Dict[int, bool],
+        movable: Optional[Set[int]],
+        changed: Optional[Iterable[int]],
+    ) -> None:
         k = self.config.switch_size or 1
-        for batch_index, bank in enumerate(self._kswitch_banks):
-            first_card = batch_index * k
-            for switch_index, switch_lines in bank.switch_lines.items():
-                self._pack_switch(
-                    switch_lines,
-                    switch_index,
-                    first_card,
-                    bank.k,
-                    line_active,
-                    movable,
-                )
+        banks = self._kswitch_banks
+        if changed is None or not self._packed:
+            switches = [
+                (batch_index, switch_index)
+                for batch_index, bank in enumerate(banks)
+                for switch_index in bank.switch_lines
+            ]
+            self._packed = True
+        else:
+            switch_of_line = self._switch_of_line
+            switches = sorted({switch_of_line[l] for l in changed if l in switch_of_line})
+        for batch_index, switch_index in switches:
+            bank = banks[batch_index]
+            self._pack_switch(
+                bank.switch_lines[switch_index],
+                switch_index,
+                batch_index * k,
+                bank.k,
+                line_active,
+                movable,
+            )
 
     def _pack_switch(
         self,

@@ -25,7 +25,7 @@ idle-timeout behaviour.
 from __future__ import annotations
 
 from math import inf
-from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.access.soi import SoIConfig
 
@@ -135,6 +135,10 @@ class GatewayArray:
         #: Bumped on every state change; callers cache derived structures
         #: (online sets, DSLAM wiring, device counts) against it.
         self.version = 0
+        #: Ids of the gateways that changed state since the caller last
+        #: cleared this set (the simulator's DSLAM sync re-packs only the
+        #: k-switches of these lines).
+        self.changed_ids: Set[int] = set()
         #: Optional transition log for the obs layer: while a list is
         #: attached, every state change appends
         #: ``(now, gateway_id, old_state, new_state)``.  ``None`` (the
@@ -202,6 +206,7 @@ class GatewayArray:
         elif new_state == STATE_WAKING:
             self.waking_count += 1
         self.version += 1
+        self.changed_ids.add(gateway_id)
         log = self.transition_log
         if log is not None:
             log.append((now, gateway_id, old_state, new_state))

@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.access.gateway_array import STATE_ACTIVE
 
 
 @dataclass(frozen=True)
@@ -128,63 +130,6 @@ class GatewayObservation:
     def __post_init__(self) -> None:
         if not 0.0 <= self.load <= 1.0:
             raise ValueError("load must lie in [0, 1]")
-
-
-class _ObservationProxy:
-    """Flyweight standing in for one gateway's :class:`GatewayObservation`.
-
-    Reads ``online``/``load`` straight out of the owning view's arrays, so a
-    decision round allocates nothing per gateway.
-    """
-
-    __slots__ = ("_view", "gateway_id")
-
-    def __init__(self, view: "GatewayObservationArray", gateway_id: int):
-        self._view = view
-        self.gateway_id = gateway_id
-
-    @property
-    def online(self) -> bool:
-        return self._view.online[self.gateway_id]
-
-    @property
-    def load(self) -> float:
-        return self._view.load[self.gateway_id]
-
-    def __repr__(self) -> str:
-        return f"<ObservationProxy gw={self.gateway_id} online={self.online} load={self.load:.3f}>"
-
-
-class GatewayObservationArray:
-    """Reusable array-backed view of every gateway's observation.
-
-    Quacks like the ``Dict[int, GatewayObservation]`` that
-    :meth:`BH2Terminal.decide` consumes (``get``/``[]``/``in``) but is
-    refreshed in place each decision round: the simulator rewrites the
-    ``online`` and ``load`` arrays instead of allocating one validated
-    dataclass per gateway per round.
-    """
-
-    __slots__ = ("online", "load", "_proxies")
-
-    def __init__(self, num_gateways: int):
-        self.online: List[bool] = [False] * num_gateways
-        self.load: List[float] = [0.0] * num_gateways
-        self._proxies = [_ObservationProxy(self, g) for g in range(num_gateways)]
-
-    def get(self, gateway_id: int, default=None):
-        if 0 <= gateway_id < len(self._proxies):
-            return self._proxies[gateway_id]
-        return default
-
-    def __getitem__(self, gateway_id: int) -> _ObservationProxy:
-        return self._proxies[gateway_id]
-
-    def __contains__(self, gateway_id: int) -> bool:
-        return 0 <= gateway_id < len(self._proxies)
-
-    def __len__(self) -> int:
-        return len(self._proxies)
 
 
 @dataclass(frozen=True)
@@ -378,61 +323,59 @@ class BH2Terminal:
         )
 
     # ------------------------------------------------------------------
-    # Array fast path (used by the simulator's decision rounds)
+    # Fast path over the live gateway state (the simulator's decision rounds)
     # ------------------------------------------------------------------
     def decide_fast(
         self,
         now: float,
-        online_flags: Sequence[bool],
-        loads: Sequence[float],
-        candidates_possible: bool = True,
+        state: Sequence[int],
+        utilization: Callable[[int, float], float],
     ) -> "Tuple[int, bool]":
-        """Run one BH2 decision against per-gateway observation arrays.
+        """Run one BH2 decision against the live gateway state.
 
         Behaviourally identical to :meth:`decide` (same decisions, same RNG
-        consumption, same statistics) but reads ``online_flags[g]`` /
-        ``loads[g]`` directly instead of observation objects, and returns
-        just ``(selected_gateway, wake_home)``.  ``candidates_possible``
-        may be passed as ``False`` when the caller knows no gateway at all
-        is hitch-hiking-eligible this round (no online gateway with load in
-        ``(candidate_min_load, high)``) — the candidate search is then
-        skipped outright, with identical outcomes.  The simulator uses this
-        on its hot path; :meth:`decide` remains for dict-based callers.
+        consumption, same statistics) but reads power-state codes straight
+        out of ``state`` (a gateway is online when its code is
+        ``STATE_ACTIVE``) and asks ``utilization(gateway, now)`` for the
+        load of only the gateways it examines: its current gateway, then,
+        when it looks for a hitch-hiking target, the online gateways in its
+        range.  Returns just ``(selected_gateway, wake_home)``.  The
+        simulator passes :attr:`GatewayArray.state` and
+        :meth:`GatewayArray.utilization`; :meth:`decide` remains for
+        dict-based callers.
         """
         self.schedule_next_decision(now)
         cfg = self.config
         home = self.home_gateway
         current = self.current_gateway
-        current_online = online_flags[current]
-        current_load = loads[current] if current_online else 0.0
+        current_online = state[current] == STATE_ACTIVE
+        current_load = utilization(current, now) if current_online else 0.0
 
         if current == home:
             if current_online and current_load >= cfg.low_threshold:
                 return current, False
-            if candidates_possible:
-                ids, cand_loads = self._candidates_fast(online_flags, loads, home, -1)
-                if len(ids) > cfg.backup:
-                    selected = self._pick_fast(ids, cand_loads)
-                    self.moves_to_remote += 1
-                    self.current_gateway = selected
-                    return selected, False
-            return home, False
-
-        if not current_online or current_load >= cfg.high_threshold:
-            return self._return_home_fast(online_flags)
-        if current_load >= cfg.low_threshold:
-            return current, False
-        if candidates_possible:
-            ids, cand_loads = self._candidates_fast(online_flags, loads, current, home)
+            ids, cand_loads = self._candidates_fast(now, state, utilization, home, -1)
             if len(ids) > cfg.backup:
                 selected = self._pick_fast(ids, cand_loads)
                 self.moves_to_remote += 1
                 self.current_gateway = selected
                 return selected, False
-        return self._return_home_fast(online_flags)
+            return home, False
 
-    def _return_home_fast(self, online_flags: Sequence[bool]) -> "Tuple[int, bool]":
-        wake_home = not online_flags[self.home_gateway]
+        if not current_online or current_load >= cfg.high_threshold:
+            return self._return_home_fast(state)
+        if current_load >= cfg.low_threshold:
+            return current, False
+        ids, cand_loads = self._candidates_fast(now, state, utilization, current, home)
+        if len(ids) > cfg.backup:
+            selected = self._pick_fast(ids, cand_loads)
+            self.moves_to_remote += 1
+            self.current_gateway = selected
+            return selected, False
+        return self._return_home_fast(state)
+
+    def _return_home_fast(self, state: Sequence[int]) -> "Tuple[int, bool]":
+        wake_home = state[self.home_gateway] != STATE_ACTIVE
         self.returns_home += 1
         if wake_home:
             self.home_wakeups_requested += 1
@@ -441,12 +384,13 @@ class BH2Terminal:
 
     def _candidates_fast(
         self,
-        online_flags: Sequence[bool],
-        loads: Sequence[float],
+        now: float,
+        state: Sequence[int],
+        utilization: Callable[[int, float], float],
         exclude_a: int,
         exclude_b: int,
     ) -> "Tuple[List[int], List[float]]":
-        """Array twin of :meth:`_candidate_gateways` (same order, same tiers)."""
+        """Fast twin of :meth:`_candidate_gateways` (same order, same tiers)."""
         cfg = self.config
         low = cfg.low_threshold
         high = cfg.high_threshold
@@ -458,9 +402,9 @@ class BH2Terminal:
         for gateway_id in self._reachable_seq:
             if gateway_id == exclude_a or gateway_id == exclude_b:
                 continue
-            if not online_flags[gateway_id]:
+            if state[gateway_id] != STATE_ACTIVE:
                 continue
-            load = loads[gateway_id]
+            load = utilization(gateway_id, now)
             if load >= high:
                 continue
             if load > low:

@@ -17,8 +17,14 @@ O(devices) per step:
 * flow service uses the incremental cached rates of
   :class:`~repro.flows.scheduler.FlowScheduler` — rates are recomputed only
   for gateways whose flow set or power state changed,
+* a BH2 round computes the load of only the gateways its due terminals
+  examine (each one's current gateway and, when it looks for a target,
+  the online gateways in its range),
 * energy is charged per *constant-power segment* instead of per step,
-  DSLAM re-wiring runs only when some gateway changed state, and
+  DSLAM re-wiring runs only when some gateway changed state and re-packs
+  only the k-switches holding such a gateway's line,
+* a trace's sorted arrivals and the *Optimal* scheme's per-period demand
+  are built once per trace and shared by every run over it, and
 * — the stepper extension — steps *stretch* over runs of the step grid that
   provably contain no event (flow arrival or completion, BH2 decision
   epoch, optimal solve, metric sample, or Sleep-on-Idle transition).
@@ -50,7 +56,7 @@ from repro.access.gateway_array import (
     STATE_WAKING,
 )
 from repro.access.soi import SoIConfig
-from repro.core.bh2 import BH2Terminal, GatewayObservationArray
+from repro.core.bh2 import BH2Terminal
 from repro.core.optimal import AggregationProblem, GreedyAggregationSolver
 from repro.core.schemes import AggregationKind, SchemeConfig, SwitchingKind
 from repro.fleet.churn import EMPTY_TIMELINE
@@ -414,7 +420,6 @@ class AccessNetworkSimulator:
         ]
         heapify(self._decision_heap)
         self._min_decision_at = self._decision_heap[0][0] if self._decision_heap else inf
-        self._obs_view = GatewayObservationArray(scenario.num_gateways)
         if (
             self._watt_cost_model is not None
             and scheme.aggregation is AggregationKind.OPTIMAL
@@ -430,12 +435,15 @@ class AccessNetworkSimulator:
         self._optimal_online: Set[int] = set()
 
         # --- trace -------------------------------------------------------
-        self._arrivals: List[Flow] = scenario.trace.all_flows()
-        self._arrival_times: List[float] = [f.start_time for f in self._arrivals]
+        # Built once per trace and shared by every run over it: the kernel
+        # only indexes these, and _run_optimal copies a period's demand.
+        arrivals, arrival_times = scenario.trace.arrival_stream()
+        self._arrivals: List[Flow] = arrivals
+        self._arrival_times: List[float] = arrival_times
         self._arrival_index = 0
         self._upcoming_demand: Dict[int, Dict[int, float]] = {}
         if scheme.aggregation is AggregationKind.OPTIMAL:
-            self._upcoming_demand = self._precompute_period_demand()
+            self._upcoming_demand = scenario.trace.period_demand(scheme.optimal_period_s)
 
         # --- accounting ---------------------------------------------------
         self.energy = EnergyAccumulator(
@@ -462,9 +470,20 @@ class AccessNetworkSimulator:
         self._max_stretch = max(1, int(sample_interval_s / step_s) + 2)
         self._cards_on = len(self.dslam.online_cards(self.gateway_array.not_sleeping_ids()))
         self._dslam_version = self.gateway_array.version
+        # What the DSLAM sync passes to Dslam.rewire, kept up to date for
+        # the gateways that change state: whether a line is powered, and
+        # whether it may be re-terminated now (any line under idealised
+        # transitions, otherwise any line whose gateway is not active).
+        state = self.gateway_array.state
+        self._line_active: Dict[int, bool] = {
+            g: state[g] != STATE_SLEEPING for g in range(scenario.num_gateways)
+        }
+        self._movable: Set[int] = {
+            g for g in range(scenario.num_gateways)
+            if scheme.idealized_transitions or state[g] != STATE_ACTIVE
+        }
         self._online_set: Set[int] = set(self.gateway_array.online_ids())
         self._online_version = self.gateway_array.version
-        self._obs_flags_version = -1
         self._optimal_wireless_cache: Optional[Dict[Tuple[int, int], float]] = None
         self._optimal_capacities_cache: Optional[Dict[int, float]] = None
         #: Pending energy segment: [start, end, active, waking, cards_on].
@@ -957,29 +976,17 @@ class AccessNetworkSimulator:
             self._min_decision_at = heap[0][0] if heap else inf
             return
         due.sort()
-        view = self._gateway_observations(now)
-        online_flags = view.online
-        loads = view.load
-        # When no gateway at all is hitch-hiking-eligible this round (very
-        # common at night), every candidate search is provably empty and the
-        # terminals can skip it.
-        bh2_config = self.scheme.bh2
-        # A candidate needs load above either tier's floor (the preferred
-        # tier uses low_threshold, the fallback tier candidate_min_load —
-        # either may be the smaller) and below the high threshold.
-        min_load = min(bh2_config.candidate_min_load, bh2_config.low_threshold)
-        high = bh2_config.high_threshold
-        candidates_possible = False
-        for gateway_id in self._current_online_set():
-            load = loads[gateway_id]
-            if min_load < load < high:
-                candidates_possible = True
-                break
         # Only decisions that send a terminal home with a wake request need
         # the set of clients with traffic — compute it lazily (rare).
         clients_with_flows: Optional[Set[int]] = None
         gateway_array = self.gateway_array
+        # Terminals read the live state codes and compute the load of only
+        # the gateways they examine.  Within a round no gateway comes online
+        # or goes offline (a wake request only turns sleeping into waking)
+        # and no traffic is recorded, so every terminal sees what a snapshot
+        # taken at the start of the round would hold.
         state = gateway_array.state
+        utilization = gateway_array.utilization
         decision_at = self._decision_at
         terminals = self._terminal_list
         selected_map = self.selected_gateway
@@ -987,9 +994,7 @@ class AccessNetworkSimulator:
         for index in due:
             terminal = terminals[index]
             previous = terminal.current_gateway
-            selected, wake_home = terminal.decide_fast(
-                now, online_flags, loads, candidates_possible
-            )
+            selected, wake_home = terminal.decide_fast(now, state, utilization)
             client = terminal.client_id
             if selected != previous:
                 if wake_home:
@@ -1023,43 +1028,6 @@ class AccessNetworkSimulator:
                 online=sorted(self._current_online_set()),
             )
 
-    def _gateway_observations(self, now: float) -> GatewayObservationArray:
-        """Refresh and return the reusable array-backed observation view."""
-        view = self._obs_view
-        online_flags = view.online
-        loads = view.load
-        gateway_array = self.gateway_array
-        if self._obs_flags_version != gateway_array.version:
-            state = gateway_array.state
-            for gateway_id in range(self.scenario.num_gateways):
-                online_flags[gateway_id] = state[gateway_id] == STATE_ACTIVE
-            self._obs_flags_version = gateway_array.version
-        # Offline gateways keep stale load entries: every consumer gates the
-        # read behind the online flag, so only online loads need refreshing.
-        # Inlined utilisation fast path: reuse each gateway's cached window
-        # sum while its live sample slice is unchanged.
-        window = gateway_array.load_window_s
-        denom = gateway_array.backhaul_bps * window
-        sample_times = gateway_array._sample_times
-        util_cache = gateway_array._util_cache
-        utilization = gateway_array.utilization
-        horizon = now - window
-        windowed = now >= window
-        for gateway_id in self._current_online_set():
-            times = sample_times[gateway_id]
-            length = len(times)
-            cached = util_cache[gateway_id]
-            if (
-                windowed
-                and cached[1] == length
-                and (cached[0] == length or times[cached[0]] >= horizon)
-            ):
-                load = cached[2] / denom
-                loads[gateway_id] = load if load < 1.0 else 1.0
-            else:
-                loads[gateway_id] = utilization(gateway_id, now)
-        return view
-
     def _optimal_wireless(self) -> Dict[Tuple[int, int], float]:
         """The full client↔gateway wireless-capacity map, built once.
 
@@ -1087,29 +1055,6 @@ class AccessNetworkSimulator:
             }
             self._optimal_capacities_cache = cached
         return cached
-
-    def _precompute_period_demand(self) -> Dict[int, Dict[int, float]]:
-        """Per-period, per-client demand (bps) implied by the trace.
-
-        The paper's *Optimal* scheme recomputes the assignment every minute
-        knowing the users' demands; we give it the demand each client will
-        actually generate during the upcoming period, which is the natural
-        clairvoyant upper bound.
-        """
-        period = self.scheme.optimal_period_s
-        demand: Dict[int, Dict[int, float]] = {}
-        # Arrivals are sorted by start time, so the period buckets come in
-        # non-decreasing runs and the bucket lookup can be hoisted.
-        current_index = -1
-        bucket: Dict[int, float] = {}
-        for flow in self._arrivals:
-            index = int(flow.start_time // period)
-            if index != current_index:
-                bucket = demand.setdefault(index, {})
-                current_index = index
-            client = flow.client_id
-            bucket[client] = bucket.get(client, 0.0) + flow.size_bytes * 8.0 / period
-        return demand
 
     def _run_optimal(self, now: float) -> None:
         period_index = int(now // self.scheme.optimal_period_s)
@@ -1197,23 +1142,29 @@ class AccessNetworkSimulator:
 
         The seed rewires every step; rewiring is deterministic and
         idempotent for unchanged gateway states, so it only needs to run
-        when some state actually changed.
+        when some state actually changed, and then only for the k-switches
+        holding a line whose gateway changed state.
         """
         gateway_array = self.gateway_array
         if gateway_array.version == self._dslam_version:
             return
-        state = gateway_array.state
+        changed = gateway_array.changed_ids
         if self.dslam.mode is not SwitchingMode.FIXED:
-            line_active = {
-                g: state[g] != STATE_SLEEPING for g in range(self.scenario.num_gateways)
-            }
-            if self.scheme.idealized_transitions:
-                movable = set(range(self.scenario.num_gateways))
-            else:
-                movable = {
-                    g for g in range(self.scenario.num_gateways) if state[g] != STATE_ACTIVE
-                }
-            self.dslam.rewire(line_active, movable)
+            # A line's activity and mobility depend on its own gateway's
+            # state only, so both maps are updated for the changed lines.
+            state = gateway_array.state
+            line_active = self._line_active
+            movable = self._movable
+            idealized = self.scheme.idealized_transitions
+            for g in changed:
+                code = state[g]
+                line_active[g] = code != STATE_SLEEPING
+                if idealized or code != STATE_ACTIVE:
+                    movable.add(g)
+                else:
+                    movable.discard(g)
+            self.dslam.rewire(line_active, movable, changed)
+        changed.clear()
         self._cards_on = len(self.dslam.online_cards(gateway_array.not_sleeping_ids()))
         self._dslam_version = gateway_array.version
 

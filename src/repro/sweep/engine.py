@@ -125,8 +125,14 @@ def run_metrics(result: SimulationResult, duration_s: float) -> Dict[str, float]
     metrics["served_flows"] = float(result.served_flows)
     metrics["served_demand_gb"] = result.served_bytes / 1e9
     # Total gateway-side energy: the column the watt-aware report pairs
-    # across schemes to compute watts_saved_vs_count_kwh.
-    metrics["gateway_kwh"] = sum(result.generation_energy_j.values()) / 3.6e6
+    # across schemes to compute watts_saved_vs_count_kwh.  Added left to
+    # right in an explicit loop: from Python 3.12 the built-in sum() of
+    # floats is compensated and can round differently, and every stored
+    # record holds the left-to-right value.
+    gateway_j = 0.0
+    for joules in result.generation_energy_j.values():
+        gateway_j += joules
+    metrics["gateway_kwh"] = gateway_j / 3.6e6
     generation_names = list(result.generation_energy_j)
     # The homogeneous default reports a single pseudo-generation named
     # "default"; real fleet profiles (mixed or uniform-but-non-default)

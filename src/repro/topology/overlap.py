@@ -195,7 +195,11 @@ def _connected_graph_with_degrees(degrees: Sequence[int], seed: int) -> OverlapG
         u, v = int(rng.choice(components[0])), int(rng.choice(components[1]))
         graph[u].append(v)
         graph[v].append(u)
-        components = _connected_components(graph)
+        # The first component (gateway 0's) absorbs the second.  Each later
+        # one keeps its start gateway, the lowest id outside the components
+        # before it, and its edges, so a full recount would list it exactly
+        # as before: only the first is walked again.
+        components[:2] = [list(_component(graph, 0))]
     return tuple(tuple(neighbours) for neighbours in graph)
 
 
@@ -211,16 +215,22 @@ def _connected_components(graph: Sequence[Sequence[int]]) -> List[List[int]]:
     for source in range(len(graph)):
         if source in seen:
             continue
-        component = {source}
-        queue = [source]
-        for node in queue:
-            for neighbour in graph[node]:
-                if neighbour not in component:
-                    component.add(neighbour)
-                    queue.append(neighbour)
+        component = _component(graph, source)
         seen.update(component)
         components.append(list(component))
     return components
+
+
+def _component(graph: Sequence[Sequence[int]], source: int) -> Set[int]:
+    """The component of ``source``, its set filled in breadth-first order."""
+    component = {source}
+    queue = [source]
+    for node in queue:
+        for neighbour in graph[node]:
+            if neighbour not in component:
+                component.add(neighbour)
+                queue.append(neighbour)
+    return component
 
 
 def binomial_connectivity(

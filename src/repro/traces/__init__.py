@@ -5,19 +5,14 @@ over 40 access points during 24 hours) and characterises a 10 K-subscriber
 commercial ADSL dataset.  Neither dataset can be shipped here, so this
 package provides seeded synthetic generators that reproduce the published
 aggregate statistics (diurnal utilisation shape, continuous light traffic,
-inter-packet-gap distribution) together with the analysis utilities used by
-the figures and the simulator.
+inter-packet-gap distribution).  The package exports the trace model and
+the generator the simulator replays; the ADSL utilisation model
+(:mod:`repro.traces.adsl`) and the trace analysis used by the figures
+(:mod:`repro.traces.analysis`) are imported as submodules.
 """
 
 from repro.traces.models import Flow, Packet, ClientTrace, WirelessTrace, TraceStats
 from repro.traces.synthetic import SyntheticTraceConfig, SyntheticTraceGenerator, generate_crawdad_like_trace
-from repro.traces.adsl import AdslPopulationConfig, AdslUtilizationModel, diurnal_profile
-from repro.traces.analysis import (
-    busy_intervals,
-    gap_histogram,
-    idle_gaps,
-    utilization_timeseries,
-)
 
 __all__ = [
     "Flow",
@@ -28,11 +23,4 @@ __all__ = [
     "SyntheticTraceConfig",
     "SyntheticTraceGenerator",
     "generate_crawdad_like_trace",
-    "AdslPopulationConfig",
-    "AdslUtilizationModel",
-    "diurnal_profile",
-    "busy_intervals",
-    "idle_gaps",
-    "gap_histogram",
-    "utilization_timeseries",
 ]

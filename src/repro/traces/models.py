@@ -9,7 +9,7 @@ secondary representation for the inter-packet-gap analysis of Fig. 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 SECONDS_PER_DAY = 24 * 3600.0
 
@@ -113,6 +113,11 @@ class WirelessTrace:
         bad_gateways = {g for g in self.home_gateway.values() if not 0 <= g < self.num_gateways}
         if bad_gateways:
             raise ValueError(f"home gateway ids out of range: {sorted(bad_gateways)}")
+        # Built on first use by arrival_stream() and period_demand(), then
+        # shared by every simulation run over this trace.  Plain attributes,
+        # not fields: they take no part in equality, repr or digests.
+        self._arrival_stream: Tuple[List[Flow], List[float]] | None = None
+        self._period_demand: Dict[float, Dict[int, Dict[int, float]]] = {}
 
     # -- convenience accessors ------------------------------------------------
     @property
@@ -137,6 +142,47 @@ class WirelessTrace:
             flows.extend(client.flows)
         flows.sort(key=lambda f: f.start_time)
         return flows
+
+    def arrival_stream(self) -> Tuple[List[Flow], List[float]]:
+        """:meth:`all_flows` and their start times, built once per trace.
+
+        Every simulation run over the trace receives the same two lists, so
+        callers must read them and never modify them (nor the trace's flows
+        once it has been simulated).
+        """
+        stream = self._arrival_stream
+        if stream is None:
+            flows = self.all_flows()
+            stream = (flows, [f.start_time for f in flows])
+            self._arrival_stream = stream
+        return stream
+
+    def period_demand(self, period_s: float) -> Dict[int, Dict[int, float]]:
+        """Per-period, per-client demand (bps) the trace's flows generate.
+
+        Maps ``int(start_time // period_s)`` to each client's bytes starting
+        in that period, as a rate over the period.  The *Optimal* scheme is
+        given the demand each client will actually generate during the
+        upcoming period, which is the natural clairvoyant upper bound.  Built
+        once per period length and shared like :meth:`arrival_stream`.
+        """
+        demand = self._period_demand.get(period_s)
+        if demand is not None:
+            return demand
+        demand = {}
+        # Arrivals are sorted by start time, so the period buckets come in
+        # non-decreasing runs and the bucket lookup can be hoisted.
+        current_index = -1
+        bucket: Dict[int, float] = {}
+        for flow in self.arrival_stream()[0]:
+            index = int(flow.start_time // period_s)
+            if index != current_index:
+                bucket = demand.setdefault(index, {})
+                current_index = index
+            client = flow.client_id
+            bucket[client] = bucket.get(client, 0.0) + flow.size_bytes * 8.0 / period_s
+        self._period_demand[period_s] = demand
+        return demand
 
     def flows_by_gateway(self) -> Dict[int, List[Flow]]:
         """Flows grouped by the home gateway of their client."""

@@ -1,8 +1,10 @@
 """Tests for the DSLAM model and HDF switching."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.access.dslam import Dslam, SwitchingMode
+from repro.access.gateway_array import STATE_ACTIVE, STATE_SLEEPING, STATE_WAKING
 from repro.topology.scenario import DslamConfig
 
 
@@ -108,3 +110,80 @@ def test_accumulate_card_time():
     assert dslam.cards[1].sleep_seconds == pytest.approx(10.0)
     with pytest.raises(ValueError):
         dslam.accumulate_card_time([0], dt=-1.0)
+
+
+# ----------------------------------------------------------------------
+# Re-packing only the k-switches whose lines changed
+# ----------------------------------------------------------------------
+STATES = (STATE_SLEEPING, STATE_WAKING, STATE_ACTIVE)
+
+
+@st.composite
+def kswitch_histories(draw):
+    """A KSWITCH layout, a random initial wiring and per-line state changes."""
+    k = draw(st.integers(2, 5))
+    num_cards = draw(st.integers(k, 11))
+    ports_per_card = draw(st.integers(1, 5))
+    total_ports = num_cards * ports_per_card
+    num_lines = draw(st.integers(1, total_ports))
+    ports = draw(st.permutations(range(total_ports)))[:num_lines]
+    # The simulator's two policies, plus the Dslam's own default.
+    policy = draw(st.sampled_from(("idealized", "not-active", None)))
+    initial = draw(st.lists(st.sampled_from(STATES), min_size=num_lines, max_size=num_lines))
+    syncs = draw(st.lists(
+        st.lists(
+            st.tuples(st.integers(0, num_lines - 1), st.sampled_from(STATES)),
+            max_size=4,
+        ),
+        max_size=15,
+    ))
+    config = DslamConfig(num_line_cards=num_cards, ports_per_card=ports_per_card, switch_size=k)
+    return config, dict(enumerate(ports)), policy, initial, syncs
+
+
+@settings(max_examples=300, deadline=None)
+@given(kswitch_histories())
+def test_repacking_changed_kswitches_matches_packing_every_switch(history):
+    config, line_ports, policy, initial, syncs = history
+    every_switch = Dslam(config, line_ports)
+    changed_only = Dslam(config, line_ports)
+    lines = list(line_ports)
+    state = list(initial)
+    # The first sync sees no change at all, yet must still pack every
+    # switch: the normalised initial wiring need not be a packed one.
+    for transitions in [[]] + syncs:
+        changed = set()
+        for line, code in transitions:
+            # A line that changes and changes back still counts as changed,
+            # as it does in GatewayArray.changed_ids.
+            if state[line] != code:
+                state[line] = code
+                changed.add(line)
+        line_active = {line: state[line] != STATE_SLEEPING for line in lines}
+        if policy == "idealized":
+            movable = set(lines)
+        elif policy == "not-active":
+            movable = {line for line in lines if state[line] != STATE_ACTIVE}
+        else:
+            movable = None
+        every_switch.rewire(line_active, movable)
+        changed_only.rewire(line_active, movable, changed)
+        assert changed_only.line_port == every_switch.line_port
+
+
+def test_first_kswitch_rewire_packs_every_switch():
+    # Every gateway active under idealised transitions: nothing changed, but
+    # the normalised wiring puts each switch's lines on its lowest cards, so
+    # the first rewire must move them to the highest.
+    config = DslamConfig(num_line_cards=4, ports_per_card=3, switch_size=4)
+    lines = range(10)
+    dslam = Dslam(config, {line: line for line in lines})
+    twin = Dslam(config, {line: line for line in lines})
+    initial = dict(dslam.line_port)
+    everything = {line: True for line in lines}
+    dslam.rewire(everything, set(lines), changed=())
+    twin.rewire(everything, set(lines))
+    assert dslam.line_port == twin.line_port != initial
+    # Later rewires with no change leave the packed wiring alone.
+    dslam.rewire(everything, set(lines), changed=())
+    assert dslam.line_port == twin.line_port

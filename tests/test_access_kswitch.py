@@ -99,13 +99,15 @@ def _run_fresh(script):
 
 
 def test_sweep_import_loads_only_what_a_sweep_runs():
-    # Figures, crosstalk, the testbed and the regression gate are imported
-    # as submodules by the commands that use them, never by a sweep or by
-    # the CLI module that `repro-access sweep` loads.
+    # Figures, crosstalk, the testbed, the regression gate and the figures'
+    # ADSL model and trace analysis are imported as submodules by the
+    # commands that use them, never by a sweep or by the CLI module that
+    # `repro-access sweep` loads.
     script = (
         "import sys\n"
         "unwanted = ('networkx', 'repro.analysis.figures', 'repro.crosstalk',\n"
-        "            'repro.testbed', 'repro.regress')\n"
+        "            'repro.testbed', 'repro.regress', 'repro.traces.adsl',\n"
+        "            'repro.traces.analysis')\n"
         "from repro.sweep import ResultStore, SweepConfig, render_sweep, run_sweep\n"
         "print(sorted(name for name in unwanted if name in sys.modules))\n"
         "import repro.cli\n"

@@ -181,11 +181,22 @@ def test_decide_fast_matches_decide():
             g: GatewayObservation(gateway_id=g, online=online[g], load=loads[g] if online[g] else 0.0)
             for g in range(num_gateways)
         }
-        flags = [online[g] for g in range(num_gateways)]
+        # Offline gateways are asleep or waking: neither is online.
+        state = [
+            STATE_ACTIVE if online[g] else (STATE_WAKING if g % 2 else STATE_SLEEPING)
+            for g in range(num_gateways)
+        ]
         obs_loads = [loads[g] if online[g] else 0.0 for g in range(num_gateways)]
+        reads = []
+
+        def utilization(gateway_id, now):
+            reads.append((gateway_id, now))
+            return obs_loads[gateway_id]
 
         decision = terminal_dict.decide(100.0 + trial, observations)
-        selected, wake_home = terminal_fast.decide_fast(100.0 + trial, flags, obs_loads)
+        selected, wake_home = terminal_fast.decide_fast(100.0 + trial, state, utilization)
+        # Loads are read only for online gateways, at the decision instant.
+        assert all(online[g] and now == 100.0 + trial for g, now in reads)
         assert selected == decision.selected_gateway
         assert wake_home == decision.wake_home
         assert terminal_fast.current_gateway == terminal_dict.current_gateway

@@ -1,8 +1,13 @@
 """Integration tests for the access-network simulator and metrics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.access.dslam import Dslam
+from repro.access.gateway_array import GatewayArray, STATE_ACTIVE, STATE_SLEEPING
+from repro.core.bh2 import BH2Terminal
 from repro.core.schemes import bh2_kswitch, no_sleep, optimal, soi, soi_kswitch
 from repro.simulation.metrics import (
     average_timeseries,
@@ -196,3 +201,92 @@ def test_runner_baseline_durations_cached(busy_scenario, monkeypatch):
     baseline = run_scheme(busy_scenario, no_sleep(), step_s=2.0).flow_durations()
     assert len(baseline) > 0
     assert comparison.baseline_durations == baseline
+
+
+def test_bh2_rounds_read_only_the_loads_their_terminals_use(busy_scenario, monkeypatch):
+    # A load is computed only for a deciding terminal: for its current
+    # gateway, or for a gateway in its range when it looks for a target.
+    deciding = []
+    reads = []
+    strays = []
+    real_utilization = GatewayArray.utilization
+    real_decide = BH2Terminal.decide_fast
+
+    def utilization(self, gateway_id, now):
+        in_use = deciding and gateway_id in deciding[-1]
+        (reads if in_use else strays).append(gateway_id)
+        return real_utilization(self, gateway_id, now)
+
+    def decide_fast(self, now, *args):
+        deciding.append({self.current_gateway, *self.reachable_gateways})
+        try:
+            return real_decide(self, now, *args)
+        finally:
+            deciding.pop()
+
+    monkeypatch.setattr(GatewayArray, "utilization", utilization)
+    monkeypatch.setattr(BH2Terminal, "decide_fast", decide_fast)
+    result = run_scheme(busy_scenario, bh2_kswitch(), seed=3, step_s=2.0)
+    assert result.bh2_decisions > 0 and reads
+    assert strays == []
+
+
+@pytest.mark.parametrize(
+    "scheme", [soi_kswitch(), bh2_kswitch(), optimal()], ids=lambda scheme: scheme.name
+)
+def test_dslam_sync_keeps_its_line_maps_and_changed_lines_exact(
+    busy_scenario, scheme, monkeypatch
+):
+    # The sync updates its maps for the changed gateways only; they must
+    # equal maps rebuilt from every gateway's state, and the changed set
+    # must hold every gateway whose state differs from the previous sync.
+    simulator = AccessNetworkSimulator(busy_scenario, scheme, step_s=2.0, seed=3)
+    state = simulator.gateway_array.state
+    gateways = range(len(state))
+    previous = list(state)
+    changed_counts = []
+    real_rewire = Dslam.rewire
+
+    def rewire(self, line_active, movable=None, changed=None):
+        assert line_active == {g: state[g] != STATE_SLEEPING for g in gateways}
+        assert movable == {
+            g for g in gateways
+            if scheme.idealized_transitions or state[g] != STATE_ACTIVE
+        }
+        assert {g for g in gateways if state[g] != previous[g]} <= set(changed)
+        previous[:] = state
+        changed_counts.append(len(changed))
+        return real_rewire(self, line_active, movable, changed)
+
+    monkeypatch.setattr(Dslam, "rewire", rewire)
+    simulator.run()
+    assert changed_counts and max(changed_counts) > 0
+
+
+def _stream_digest(simulator):
+    digest = hashlib.sha256()
+    for flow, start in zip(simulator._arrivals, simulator._arrival_times):
+        digest.update(
+            f"{flow.flow_id} {flow.client_id} {flow.start_time.hex()} "
+            f"{flow.size_bytes} {start.hex()};".encode()
+        )
+    for period, demand in sorted(simulator._upcoming_demand.items()):
+        for client, bps in sorted(demand.items()):
+            digest.update(f"{period} {client} {bps.hex()};".encode())
+    return digest.hexdigest()
+
+
+def test_runs_over_one_trace_share_its_arrival_stream_and_demand(busy_scenario):
+    first = AccessNetworkSimulator(busy_scenario, optimal(), step_s=2.0)
+    second = AccessNetworkSimulator(busy_scenario, optimal(), step_s=2.0)
+    assert first._arrivals is second._arrivals
+    assert first._arrival_times is second._arrival_times
+    assert first._upcoming_demand is second._upcoming_demand
+    assert first._arrivals == busy_scenario.trace.all_flows()
+    assert first._arrival_times == [f.start_time for f in first._arrivals]
+    assert first._upcoming_demand
+    before = _stream_digest(first)
+    # Runs only read the shared stream and demand.
+    run_scheme(busy_scenario, bh2_kswitch(), seed=3, step_s=2.0)
+    first.run()
+    assert _stream_digest(second) == before

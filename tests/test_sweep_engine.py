@@ -1,5 +1,6 @@
 """Sweep engine tests: determinism, caching, crash-safe resume."""
 
+import builtins
 import gc
 import os
 import weakref
@@ -25,6 +26,48 @@ TINY = ScenarioFamily(
 )
 SCHEMES = [no_sleep(), soi()]
 CONFIG = SweepConfig(runs_per_scheme=2, step_s=5.0, sample_interval_s=60.0)
+
+
+_REAL_SUM = builtins.sum
+
+
+def _compensated_sum(values, start=0):
+    """Python 3.12's built-in sum() of floats (Neumaier compensation)."""
+    values = list(values)
+    if not all(isinstance(v, float) for v in values):
+        return _REAL_SUM(values, start)
+    total = float(start)
+    compensation = 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
+def test_gateway_kwh_adds_generation_energy_left_to_right(monkeypatch):
+    # Generation energies of the paper-scale cell
+    # mixed-fleet[fleet=tri-mix]/BH2+k-switch (run seed 2866).  Added left
+    # to right they give the stored ...136; a compensated sum gives ...134.
+    energies = {
+        "legacy-9w": float.fromhex("0x1.1e900c6e76efcp+21"),
+        "efficient-5w": float.fromhex("0x1.267c88d536953p+20"),
+        "deepsleep-7w": float.fromhex("0x1.eae477b58fc9ep+19"),
+    }
+    assert _compensated_sum(energies.values()) / 3.6e6 == 1.2664127352514134
+    scenario = TINY.expand()[0].build()
+    result = replace(
+        run_scheme(scenario, soi(), step_s=5.0),
+        generation_energy_j=energies,
+        generation_counts={"legacy-9w": 1, "efficient-5w": 1, "deepsleep-7w": 1},
+    )
+    assert run_metrics(result, 900.0)["gateway_kwh"] == 1.2664127352514136
+    # The stored value does not depend on the interpreter's sum().
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert run_metrics(result, 900.0)["gateway_kwh"] == 1.2664127352514136
 
 
 def test_expand_tasks_grid_shape_and_seeding():

@@ -15,6 +15,7 @@ Three pillars:
 import numpy as np
 import pytest
 
+from repro.access.gateway_array import STATE_ACTIVE
 from repro.core.bh2 import BH2Terminal
 from repro.core.optimal import (
     AggregationProblem,
@@ -241,22 +242,32 @@ def test_bh2_watt_bias_validation_and_neutrality():
         0, 0, frozenset({0, 1, 2}), rng=np.random.default_rng(7),
         watt_bias=[1.0, 1.0, 1.0],
     )
-    online = [True, True, True]
+    state = [STATE_ACTIVE] * 3
     loads = [0.0, 0.2, 0.3]
-    assert plain.decide_fast(1000.0, online, loads) == biased.decide_fast(1000.0, online, loads)
+
+    def utilization(gateway_id, _now):
+        return loads[gateway_id]
+
+    assert plain.decide_fast(1000.0, state, utilization) == biased.decide_fast(
+        1000.0, state, utilization
+    )
 
 
 def test_bh2_watt_bias_tilts_the_draw_toward_efficient_gateways():
     counts = {1: 0, 2: 0}
-    online = [True, True, True]
+    state = [STATE_ACTIVE] * 3
     loads = [0.0, 0.25, 0.25]  # equal loads: only the bias separates them
     bias = [1.0, 1.0, 0.2]
+
+    def utilization(gateway_id, _now):
+        return loads[gateway_id]
+
     for seed in range(400):
         terminal = BH2Terminal(
             0, 0, frozenset({0, 1, 2}),
             rng=np.random.default_rng(seed), watt_bias=bias,
         )
-        selected, _wake = terminal.decide_fast(1000.0, online, loads)
+        selected, _wake = terminal.decide_fast(1000.0, state, utilization)
         if selected in counts:
             counts[selected] += 1
     assert counts[1] > 3 * counts[2]
