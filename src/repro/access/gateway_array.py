@@ -284,28 +284,23 @@ class GatewayArray:
         if now > self.last_traffic_at[gateway_id]:
             self.last_traffic_at[gateway_id] = now
 
-    def record_step_totals(
-        self, step_ends: Sequence[float], per_step_totals: Sequence[Dict[int, float]]
-    ) -> None:
-        """Report the bits served per gateway for a run of simulator steps.
+    def record_served(self, end: float, totals: Dict[int, float]) -> None:
+        """Report the bits served per gateway over the step ending at ``end``.
 
-        Reproduces, sample for sample, what per-step
-        ``Gateway.record_traffic`` calls would have stored: one
-        ``(step_end, bits)`` sample per gateway per step with traffic.
+        Stores what a ``Gateway.record_traffic(bits, end)`` call per
+        gateway with traffic would: the served total, the last-traffic
+        instant and, while load is tracked, one ``(end, bits)`` sample.
         """
         track = self.track_load
         last_traffic = self.last_traffic_at
         bits_served = self.bits_served
-        times = self._sample_times
-        sample_bits = self._sample_bits
-        for end, totals in zip(step_ends, per_step_totals):
-            for gateway_id, bits in totals.items():
-                if bits > 0:
-                    bits_served[gateway_id] += bits
-                    last_traffic[gateway_id] = end
-                    if track:
-                        times[gateway_id].append(end)
-                        sample_bits[gateway_id].append(bits)
+        for gateway_id, bits in totals.items():
+            if bits > 0:
+                bits_served[gateway_id] += bits
+                last_traffic[gateway_id] = end
+                if track:
+                    self._sample_times[gateway_id].append(end)
+                    self._sample_bits[gateway_id].append(bits)
 
     # ------------------------------------------------------------------
     # Load estimation
@@ -474,26 +469,6 @@ class GatewayArray:
         self._snapshot = (tuple(active), tuple(waking), tuple(sleeping))
         self._snapshot_version = self.version
         return self._snapshot
-
-    def stretch_transition_bound(self, pending: Container[int]) -> float:
-        """Exact earliest transition for stretch planning.
-
-        Wake deadlines are tracked exactly; idle-timeout sleeps can only
-        come from gateways that are active and traffic-free *now* — a
-        pending gateway first has to drain, which the caller bounds
-        separately via the flow-completion guard.
-        """
-        bound = self._min_wake_deadline
-        if self.sleep_enabled:
-            timeout = self.soi.idle_timeout_s
-            state = self.state
-            last_traffic = self.last_traffic_at
-            for gateway_id in range(self.num_gateways):
-                if state[gateway_id] == STATE_ACTIVE and gateway_id not in pending:
-                    deadline = last_traffic[gateway_id] + timeout
-                    if deadline < bound:
-                        bound = deadline
-        return bound
 
     def idle_transition_candidates(self, now: float) -> float:
         """Seed-equivalent ``next_transition_time`` minimum for the idle path.

@@ -6,7 +6,7 @@ restriction declaratively — gateways power on (join) mid-trace, get
 decommissioned, or fail transiently, and clients subscribe or cancel —
 without touching the trace itself.  The simulator compiles the timeline
 into primitive in/out-of-service *actions* executed at their exact
-instants through the kernel's stretch/deadline machinery.
+instants: the kernel cuts any step short to land on one.
 
 Semantics:
 

@@ -140,16 +140,6 @@ class FlowScheduler:
         """Flows that still have bytes to transfer."""
         return [flow for group in self._groups.values() for flow in group]
 
-    @property
-    def completed_flows(self) -> List[ActiveFlow]:
-        """Flows that finished, in completion order."""
-        return list(self._completed)
-
-    @property
-    def has_active(self) -> bool:
-        """Whether any flow is in flight (cheaper than ``active_flows``)."""
-        return self._n_active > 0
-
     def admit(self, flow: ActiveFlow) -> None:
         """Add a new flow to the system."""
         if flow.remaining_bytes <= _DONE_BYTES:
@@ -221,34 +211,11 @@ class FlowScheduler:
             self.cancel(flow)
         return len(doomed)
 
-    def flows_at_gateway(self, gateway_id: int) -> List[ActiveFlow]:
-        """Active flows currently routed through ``gateway_id``."""
-        return list(self._groups.get(gateway_id, ()))
-
-    def gateways_with_traffic(self) -> Set[int]:
-        """Gateways that have at least one active (possibly waiting) flow."""
-        return set(self._groups)
-
-    def gateway_group_map(self) -> Dict[int, List[ActiveFlow]]:
-        """Live gateway → flows mapping (read-only for callers)."""
-        return self._groups
-
     def clients_with_traffic(self) -> Set[int]:
         """Clients that have at least one active flow."""
         return {
             flow.flow.client_id for group in self._groups.values() for flow in group
         }
-
-    def demand_bps(self, gateway_id: int, horizon_s: float = 60.0) -> float:
-        """Aggregate demand of the flows at ``gateway_id`` over a horizon.
-
-        Used by the optimal ILP as the per-user demand estimate d_i(t).
-        """
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
-        return sum(
-            flow.remaining_bytes * 8.0 for flow in self._groups.get(gateway_id, ())
-        ) / horizon_s
 
     def client_demand_bps(self, horizon_s: float = 60.0) -> Dict[int, float]:
         """Per-client aggregate demand over a horizon (d_i of Eq. 1)."""
@@ -268,28 +235,14 @@ class FlowScheduler:
     # ------------------------------------------------------------------
     # Rate maintenance
     # ------------------------------------------------------------------
-    def ensure_rates(
-        self,
-        now: float,
-        online_gateways: Set[int],
-        backhaul_bps: Optional[Dict[int, float]] = None,
-    ) -> None:
+    def ensure_rates(self, now: float, online_gateways: Set[int]) -> None:
         """Recompute the cached per-flow rates where anything changed.
 
         Passing the *same set object* for ``online_gateways`` as the last
         call signals an unchanged online set; a different object is diffed
         against the previous membership and only affected gateways are
-        recomputed.  A per-call ``backhaul_bps`` override forces a one-off
-        full recomputation that is not cached.
+        recomputed.
         """
-        if backhaul_bps is not None:
-            self._online_members = set(online_gateways)
-            self.rate_recomputes += len(self._groups)
-            for gateway_id in self._groups:
-                self._recompute_gateway(gateway_id, now, backhaul_bps)
-            self._dirty = set(self._groups)
-            self._online_ref = None
-            return
         if online_gateways is not self._online_ref:
             if self._online_ref is None:
                 self._dirty.update(self._groups)
@@ -325,12 +278,10 @@ class FlowScheduler:
                 else:
                     gw_completion.pop(gateway_id, None)
             else:
-                self._recompute_gateway(gateway_id, now, None)
+                self._recompute_gateway(gateway_id, now)
         self._dirty.clear()
 
-    def _recompute_gateway(
-        self, gateway_id: int, now: float, backhaul_bps: Optional[Dict[int, float]]
-    ) -> None:
+    def _recompute_gateway(self, gateway_id: int, now: float) -> None:
         group = self._groups.get(gateway_id)
         if not group:
             self._gw_completion.pop(gateway_id, None)
@@ -341,8 +292,6 @@ class FlowScheduler:
             self._gw_completion.pop(gateway_id, None)
             return
         capacity = self.backhaul_bps
-        if backhaul_bps is not None:
-            capacity = backhaul_bps.get(gateway_id, self.backhaul_bps)
         earliest = inf
         if len(group) == 1:
             flow = group[0]
@@ -396,51 +345,11 @@ class FlowScheduler:
         else:
             self._gw_completion.pop(gateway_id, None)
 
-    def stretch_completion_bound(self, now: float, online_gateways: Set[int], sleep_guard_s: float) -> float:
-        """Earliest instant a flow completion becomes a *stepper* event.
-
-        A completion at a gateway with co-flows redistributes their shares,
-        so it bounds a step stretch directly.  The completion of a
-        gateway's *only* flow is transparent — :meth:`serve` drains the
-        gateway mid-stretch with exact arithmetic — until ``sleep_guard_s``
-        later, when the drained gateway's idle timeout could fire (pass
-        ``inf`` for schemes whose gateways never sleep).
-        """
-        self.ensure_rates(now, online_gateways)
-        bound = inf
-        groups = self._groups
-        gw_completion = self._gw_completion
-        any_multi = False
-        last_drain = 0.0
-        for gateway_id, instant in gw_completion.items():
-            if len(groups[gateway_id]) > 1:
-                any_multi = True
-                if instant < bound:
-                    bound = instant
-            else:
-                if instant > last_drain:
-                    last_drain = instant
-                guarded = instant + sleep_guard_s
-                if guarded < bound:
-                    bound = guarded
-        # If every flow is a served singleton the whole scheduler can drain
-        # mid-stretch, after which the seed kernel switches to its idle-skip
-        # path (off the step grid) — so the stretch must end at the final
-        # completion to keep the two timelines aligned.
-        if not any_multi and gw_completion and len(gw_completion) == len(groups):
-            if last_drain < bound:
-                bound = last_drain
-        return bound
-
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
     def step(
-        self,
-        now: float,
-        dt: float,
-        online_gateways: Set[int],
-        backhaul_bps: Optional[Dict[int, float]] = None,
+        self, now: float, dt: float, online_gateways: Set[int]
     ) -> Tuple[Dict[int, float], List[ActiveFlow]]:
         """Advance all flows by ``dt`` seconds ending at ``now + dt``.
 
@@ -455,14 +364,19 @@ class FlowScheduler:
         # Defensive copy: ensure_rates detects online-set changes by object
         # identity (callers like the simulator pass a stable cached set);
         # step() callers may mutate one set in place between calls.
-        self.ensure_rates(now, set(online_gateways), backhaul_bps)
-        step_totals, completed = self.serve(now, dt, (now + dt,))
-        return step_totals[0], completed
+        self.ensure_rates(now, set(online_gateways))
+        return self.serve(now, now + dt, dt)
 
-    def serve_single(
+    def serve(
         self, now: float, end: float, dt: float
     ) -> Tuple[Dict[int, float], List[ActiveFlow]]:
-        """One-step specialisation of :meth:`serve` (the common case)."""
+        """Serve flows over the step of length ``dt`` ending at ``end``.
+
+        Rates must already be ensured.  Returns the bits served per gateway
+        and the flows that completed; the per-flow arithmetic is
+        bit-identical to the seed kernel's ``ActiveFlow.serve`` call
+        sequence.
+        """
         groups = self._groups
         gw_completion = self._gw_completion
         totals: Dict[int, float] = {}
@@ -537,78 +451,9 @@ class FlowScheduler:
             self._record_completions(completed)
         return totals, completed
 
-    def serve(
-        self, now: float, dt: float, step_ends: Sequence[float]
-    ) -> Tuple[List[Dict[int, float]], List[ActiveFlow]]:
-        """Serve flows over one or more consecutive steps of length ``dt``.
-
-        ``step_ends`` are the end instants of the steps; rates must already
-        be ensured and are held constant across the whole run (the caller
-        guarantees — via its stretch planning — that no completion can fall
-        before the final step).  Returns the per-step bits served per
-        gateway and the flows that completed.
-
-        The per-flow arithmetic is bit-identical to the seed kernel's
-        ``ActiveFlow.serve`` call sequence.
-        """
-        per_step: List[Dict[int, float]] = []
-        completed: List[ActiveFlow] = []
-        groups = self._groups
-        gw_completion = self._gw_completion
-        start = now
-        for end in step_ends:
-            totals: Dict[int, float] = {}
-            drained: List[int] = []
-            # The serving gateways are exactly the keys of the completion
-            # map (online, at least one flow, positive rates).
-            for gateway_id, earliest in gw_completion.items():
-                group = groups[gateway_id]
-                if end < earliest - _COMPLETION_MARGIN_S:
-                    # No flow here can complete this step: plain linear progress.
-                    total = 0.0
-                    for flow in group:
-                        bits = flow.rate_bps * dt
-                        flow.remaining_bytes -= bits / 8.0
-                        total += bits
-                    totals[gateway_id] = total
-                else:
-                    total = 0.0
-                    finished: Optional[List[ActiveFlow]] = None
-                    for flow in group:
-                        remaining_bits = flow.remaining_bytes * 8.0
-                        rate = flow.rate_bps
-                        bits = rate * dt
-                        if bits > remaining_bits:
-                            bits = remaining_bits
-                        flow.remaining_bytes -= bits / 8.0
-                        total += bits
-                        if flow.remaining_bytes <= _DONE_BYTES:
-                            served_for = bits / rate if rate > 0 else dt
-                            flow.completion_time = start + (
-                                dt if dt < served_for else served_for
-                            )
-                            if finished is None:
-                                finished = [flow]
-                            else:
-                                finished.append(flow)
-                    totals[gateway_id] = total
-                    if finished:
-                        completed.extend(finished)
-                        self._n_active -= len(finished)
-                        if len(finished) == len(group):
-                            drained.append(gateway_id)
-                        else:
-                            for flow in finished:
-                                group.remove(flow)
-                        self._dirty.add(gateway_id)
-            for gateway_id in drained:
-                del groups[gateway_id]
-                gw_completion.pop(gateway_id, None)
-            per_step.append(totals)
-            start = end
-        if completed:
-            self._record_completions(completed)
-        return per_step, completed
+    #: The sweep benchmark's layer table wraps ``serve_single`` by name;
+    #: this alias keeps that target until the benchmark drops it.
+    serve_single = serve
 
     def _record_completions(self, completed: List[ActiveFlow]) -> None:
         """Keep finished flows for :meth:`records` and count what they served."""

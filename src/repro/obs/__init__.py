@@ -6,9 +6,9 @@ Three pillars, all opt-in and all observation-only:
   events on two clocks (simulated seconds and wall-clock seconds),
   exportable as JSONL and as Chrome trace-event JSON loadable in
   Perfetto.  The simulator emits sim-time events (gateway sleep/wake/
-  boot segments, BH2 decision rounds, churn/rescue/drop, stretched
-  steps); the sweep engine and supervisor emit wall-clock spans (trace
-  build, kernel run, store put, retries/respawns).
+  boot segments, BH2 decision rounds, Optimal solves,
+  churn/rescue/drop); the sweep engine and supervisor emit wall-clock
+  spans (trace build, kernel run, store put, retries/respawns).
 - :class:`~repro.obs.metrics.MetricsRegistry` — a process-local registry
   of counters/gauges/histograms whose plain-dict snapshots workers ship
   back to the parent, where the engine merges them into the sweep-wide

@@ -4,9 +4,9 @@ A :class:`SimTracer` is a plain in-memory buffer of event dicts.  Events
 live on one of two clocks:
 
 - ``clock="sim"`` — timestamps are simulated seconds.  The kernel emits
-  these at its *rare* event sites (churn, BH2 rounds, solver calls,
-  stretched steps) and, post-run, converts the gateway transition log
-  into per-gateway sleep/wake/boot spans.
+  these at its *rare* event sites (churn, BH2 rounds, solver calls) and,
+  post-run, converts the gateway transition log into per-gateway
+  sleep/wake/boot spans.
 - ``clock="wall"`` — timestamps are ``time.perf_counter()`` seconds.
   The sweep engine and supervisor emit these around trace builds,
   kernel runs, store puts and retry/respawn decisions.

@@ -1,14 +1,17 @@
 """The trace-driven access-network simulator.
 
-The simulator advances in (adaptively sized) time steps.  During every step
-it admits newly arrived flows, runs the aggregation logic (BH2 terminal
+The simulator advances in time steps, as the seed kernel does: one grid
+step (``step_s``) per iteration while a flow is in flight and, while none
+is, a skip to the next flow arrival, metric sample, gateway transition or
+*Optimal* solve (at most ``MAX_IDLE_SKIP_S``).  During every step it
+admits newly arrived flows, runs the aggregation logic (BH2 terminal
 decisions or the centralised optimal), shares each online gateway's
 backhaul among its flows, advances the gateway Sleep-on-Idle state
 machines, re-terminates lines through the HDF switches, and charges energy
 to every device category.
 
-The kernel is event-aware and O(changes) per step where the seed kernel was
-O(devices) per step:
+The kernel is O(changes) per step where the seed kernel was O(devices) per
+step:
 
 * gateway state machines live in a
   :class:`~repro.access.gateway_array.GatewayArray` (state codes, wake
@@ -22,12 +25,9 @@ O(devices) per step:
   the online gateways in its range),
 * energy is charged per *constant-power segment* instead of per step,
   DSLAM re-wiring runs only when some gateway changed state and re-packs
-  only the k-switches holding such a gateway's line,
+  only the k-switches holding such a gateway's line, and
 * a trace's sorted arrivals and the *Optimal* scheme's per-period demand
-  are built once per trace and shared by every run over it, and
-* — the stepper extension — steps *stretch* over runs of the step grid that
-  provably contain no event (flow arrival or completion, BH2 decision
-  epoch, optimal solve, metric sample, or Sleep-on-Idle transition).
+  are built once per trace and shared by every run over it.
 
 The result reproduces the seed kernel's per-step trajectory exactly (same
 transitions at the same grid instants, same traffic samples, same RNG
@@ -144,7 +144,8 @@ class SimulationResult:
     #: but are counted as flows complete, so reading them builds no record.
     served_flows: int
     served_bytes: int
-    #: Number of kernel iterations the run took (stretched steps count once).
+    #: Number of kernel iterations the run took: one per busy grid step or
+    #: idle skip, as in the seed kernel.
     steps_taken: int = 0
     #: Energy charged to gateways of each fleet generation (joules).  With
     #: the homogeneous default fleet this holds one entry for all gateways.
@@ -462,12 +463,6 @@ class AccessNetworkSimulator:
             client: self.channel.capacity(client, home, True)
             for client, home in self._home_gateway.items()
         }
-        #: Delay between a gateway draining and its idle timeout becoming an
-        #: event the stepper must stop for (inf when gateways never sleep).
-        self._sleep_guard_s = soi.idle_timeout_s if scheme.sleep_enabled else inf
-        #: Upper bound on the grid steps a stretch may cover (a metric sample
-        #: always lands within one sample interval).
-        self._max_stretch = max(1, int(sample_interval_s / step_s) + 2)
         self._cards_on = len(self.dslam.online_cards(self.gateway_array.not_sleeping_ids()))
         self._dslam_version = self.gateway_array.version
         # What the DSLAM sync passes to Dslam.rewire, kept up to date for
@@ -526,18 +521,11 @@ class AccessNetworkSimulator:
         step_s = self.step_s
         sample_interval_s = self.sample_interval_s
         optimal_period_s = self.scheme.optimal_period_s
-        track_load = gateway_array.track_load
-        sample_times = gateway_array._sample_times
-        sample_bits = gateway_array._sample_bits
-        bits_served = gateway_array.bits_served
-        last_traffic = gateway_array.last_traffic_at
         record_sample = self._record_sample
+        record_served = gateway_array.record_served
         next_dt = self._next_dt
         admit_arrivals = self._admit_arrivals
-        plan_stretch = self._plan_stretch
         hetero = self._fleet_hetero
-        tracer = self.tracer
-        single: List[float] = [0.0]
         steps = 0
         now = 0.0
         next_sample = 0.0
@@ -550,8 +538,8 @@ class AccessNetworkSimulator:
             # landing on a BH2 decision epoch is seen by that decision).
             if now >= self._next_churn_at:
                 self._apply_churn(now)
-            # Inlined _next_dt active path (the idle path stays a helper).
-            self._now_hint = now
+            # A busy step is one grid step, cut short by the horizon or a
+            # churn instant; an idle one skips ahead (_next_dt).
             if scheduler._n_active > 0:
                 leftover = horizon - now
                 dt = step_s if step_s < leftover else leftover
@@ -559,12 +547,9 @@ class AccessNetworkSimulator:
                 if next_churn < now + dt:
                     # Land exactly on the churn instant, even mid-activity.
                     dt = next_churn - now
-                    stretchable = False
-                else:
-                    stretchable = dt == step_s
             else:
                 dt = next_dt(now, next_sample, horizon)
-                stretchable = False
+            end = now + dt
             admit_arrivals(now)
             if is_bh2:
                 if now >= self._min_decision_at:
@@ -573,51 +558,12 @@ class AccessNetworkSimulator:
                 self._run_optimal(now)
                 self._next_optimal_at += optimal_period_s
 
-            # ---- plan the step (possibly a stretched run of grid steps)
-            has_active = scheduler._n_active > 0
-            if stretchable and has_active:
-                grid = plan_stretch(now, next_sample, horizon)
-            else:
-                grid = None
-            if grid is None:
-                k = 1
-                end = now + dt
-                single[0] = end
-                grid = single
-            else:
-                k = len(grid)
-                end = grid[-1]
-                if tracer is not None and k > 1:
-                    # Stretch-segment boundary: k event-free grid steps
-                    # covered in one kernel iteration.
-                    tracer.span(
-                        "kernel.stretch", now, end, cat="kernel", steps=k
-                    )
-
             # ---- serve flows at the cached constant rates
-            if k > 1 and gateway_array.version != self._dslam_version:
-                # Intermediate grid steps re-run the DSLAM packing with the
-                # loop-top state (exactly as the seed does once per step).
-                self._sync_dslam()
-            pre_active = gateway_array.active_count
-            pre_waking = gateway_array.waking_count
-            pre_cards = self._cards_on
-            pre_power = gateway_array.power_snapshot() if hetero else None
-            if has_active:
+            if scheduler._n_active > 0:
                 scheduler.ensure_rates(now, self._current_online_set())
-                if k == 1:
-                    totals, _completed = scheduler.serve_single(now, end, dt)
-                    if totals:
-                        for gateway_id, bits in totals.items():
-                            if bits > 0:
-                                bits_served[gateway_id] += bits
-                                last_traffic[gateway_id] = end
-                                if track_load:
-                                    sample_times[gateway_id].append(end)
-                                    sample_bits[gateway_id].append(bits)
-                else:
-                    served_steps, _completed = scheduler.serve(now, step_s, grid)
-                    gateway_array.record_step_totals(grid, served_steps)
+                totals, _completed = scheduler.serve(now, end, dt)
+                if totals:
+                    record_served(end, totals)
 
             # ---- advance gateway state machines, rewire, charge energy
             gateway_array.step_to(
@@ -627,34 +573,16 @@ class AccessNetworkSimulator:
             )
             if gateway_array.version != self._dslam_version:
                 self._sync_dslam()
-            post_active = gateway_array.active_count
-            post_waking = gateway_array.waking_count
+            active = gateway_array.active_count
+            waking = gateway_array.waking_count
             if hetero:
                 # Per-gateway power: segments carry per-generation power
                 # sums instead of device counts.
-                post_power = gateway_array.power_snapshot()
-                if k == 1 or (
-                    post_active == pre_active
-                    and post_waking == pre_waking
-                    and self._cards_on == pre_cards
-                    and post_power == pre_power
-                ):
-                    self._accumulate_energy_het(
-                        now, end, post_power, post_active + post_waking, self._cards_on
-                    )
-                else:
-                    second_last = grid[-2]
-                    self._accumulate_energy_het(
-                        now, second_last, pre_power, pre_active + pre_waking, pre_cards
-                    )
-                    self._accumulate_energy_het(
-                        second_last, end, post_power, post_active + post_waking, self._cards_on
-                    )
-            elif k == 1 or (
-                post_active == pre_active
-                and post_waking == pre_waking
-                and self._cards_on == pre_cards
-            ):
+                self._accumulate_energy_het(
+                    now, end, gateway_array.power_snapshot(), active + waking,
+                    self._cards_on,
+                )
+            else:
                 # Inlined copy of _accumulate_energy's segment-extend check
                 # (hot path: most steps just extend the open segment); keep
                 # the two in sync if the segment fields ever change.
@@ -662,21 +590,13 @@ class AccessNetworkSimulator:
                 if (
                     run_segment is not None
                     and run_segment[1] == now
-                    and run_segment[2] == post_active
-                    and run_segment[3] == post_waking
+                    and run_segment[2] == active
+                    and run_segment[3] == waking
                     and run_segment[4] == self._cards_on
                 ):
                     run_segment[1] = end
                 else:
-                    self._accumulate_energy(now, end, post_active, post_waking, self._cards_on)
-            else:
-                # Transitions happen only at the end of the final grid step,
-                # so the earlier steps are charged with the pre-transition
-                # state and the final one with the post-transition state
-                # (the seed charges each step with its end-of-step state).
-                second_last = grid[-2]
-                self._accumulate_energy(now, second_last, pre_active, pre_waking, pre_cards)
-                self._accumulate_energy(second_last, end, post_active, post_waking, self._cards_on)
+                    self._accumulate_energy(now, end, active, waking, self._cards_on)
 
             now = end
             steps += 1
@@ -805,7 +725,7 @@ class AccessNetworkSimulator:
         # The selected remote gateway went to sleep.  A terminal can only
         # wake its own home gateway, so return home.
         if self.scheme.aggregation is AggregationKind.OPTIMAL:
-            alternative = self._best_online_gateway(client)
+            alternative = self._best_online_gateway(client, now)
             if alternative is not None:
                 self.selected_gateway[client] = alternative
                 return alternative
@@ -813,7 +733,7 @@ class AccessNetworkSimulator:
         self.fallback_gateway[client] = None
         return home
 
-    def _best_online_gateway(self, client: int) -> Optional[int]:
+    def _best_online_gateway(self, client: int, now: float) -> Optional[int]:
         """Least-loaded online gateway reachable by ``client`` (optimal scheme)."""
         state = self.gateway_array.state
         candidates = [
@@ -823,7 +743,7 @@ class AccessNetworkSimulator:
         ]
         if not candidates:
             return None
-        return min(candidates, key=lambda g: self.gateway_array.utilization(g, self._now_hint))
+        return min(candidates, key=lambda g: self.gateway_array.utilization(g, now))
 
     # ------------------------------------------------------------------
     # Fleet churn
@@ -1197,27 +1117,16 @@ class AccessNetworkSimulator:
         sleeping = self.gateway_array.in_service_count - active - waking
         return ((int(active), int(waking), max(0, int(sleeping))),)
 
-    def _segment_counts_het(self, segment_end: float) -> tuple:
+    def _segment_counts_het(self) -> tuple:
         """Per-generation (active, waking, sleeping-in-service) counts of
-        the state charged over the segment ending at ``segment_end``.
-
-        Called at segment creation.  The live state arrays already hold
-        the post-``step_to`` state, so for a stretched run's pre-segment —
-        charged with the state *before* the transitions applied at the
-        grid end — the log tail's later transitions are undone first.
+        the live state, which a segment opened after ``step_to`` is
+        charged with.
         """
         array = self.gateway_array
-        state = list(array.state)
-        log = array.transition_log
-        if log:
-            for ts, gateway_id, old_state, _new_state in reversed(log):
-                if ts <= segment_end:
-                    break
-                state[gateway_id] = old_state
         counts = [[0, 0, 0] for _ in self._generation_names]
         generation = array._generation
         in_service = array.in_service
-        for gateway_id, device_state in enumerate(state):
+        for gateway_id, device_state in enumerate(array.state):
             if not in_service[gateway_id]:
                 continue  # out-of-service devices are charged nothing
             # Slot order (active, waking, sleeping) = states (2, 1, 0).
@@ -1251,7 +1160,7 @@ class AccessNetworkSimulator:
             self._flush_energy()
             self._energy_run = [start, end, snapshot, powered, cards_on]
             if self.energy_segments is not None:
-                self._energy_run_counts = self._segment_counts_het(end)
+                self._energy_run_counts = self._segment_counts_het()
 
     def _flush_energy(self) -> None:
         run = self._energy_run
@@ -1292,11 +1201,9 @@ class AccessNetworkSimulator:
 
     # ------------------------------------------------------------------
     def _next_dt(self, now: float, next_sample: float, horizon: float) -> float:
-        self._now_hint = now
+        """Length of an idle step (no flow in flight at ``now``): a skip to
+        the next interesting instant."""
         dt = self.step_s
-        if self.scheduler.has_active:
-            return min(dt, horizon - now)
-        # Network idle: skip ahead to the next interesting instant.
         candidates = [now + self.MAX_IDLE_SKIP_S, next_sample if next_sample > now else now + dt, horizon]
         if self._arrival_index < len(self._arrivals):
             candidates.append(self._arrival_times[self._arrival_index])
@@ -1314,69 +1221,6 @@ class AccessNetworkSimulator:
         if now < next_churn < now + dt:
             dt = next_churn - now
         return dt
-
-    def _plan_stretch(
-        self, now: float, next_sample: float, horizon: float
-    ) -> Optional[List[float]]:
-        """Grid instants (step ends) of the longest provably event-free run.
-
-        The returned run may *end* on an event instant — loop-top events
-        (samples, arrivals, decision epochs, optimal solves) are handled at
-        the next iteration's top and end-of-step events (wake completions,
-        idle-timeout sleeps, flow completions) are applied at the end of the
-        final step, exactly where the seed kernel applies them.  Returns
-        ``None`` when no stretch beyond a single step is possible.
-        """
-        step = self.step_s
-        # Cheap scalar bounds first: most busy steps are capped at one step
-        # by the next arrival or completion, so bail before any set work.
-        limit = next_sample
-        if self._arrival_index < len(self._arrival_times):
-            arrival = self._arrival_times[self._arrival_index]
-            if arrival < limit:
-                limit = arrival
-        if self._min_decision_at < limit:
-            limit = self._min_decision_at
-        next_churn = self._next_churn_at
-        if next_churn < limit:
-            limit = next_churn
-        if self.scheme.aggregation is AggregationKind.OPTIMAL and self._next_optimal_at < limit:
-            limit = self._next_optimal_at
-        if limit <= now + step:
-            return None
-        pending = self.scheduler.gateway_group_map()
-        if self.scheme.aggregation is AggregationKind.OPTIMAL and self._optimal_online:
-            pending = set(pending) | self._optimal_online
-        transition = self.gateway_array.stretch_transition_bound(pending)
-        if transition < limit:
-            limit = transition
-        if limit <= now + step:
-            return None
-        completion = self.scheduler.stretch_completion_bound(
-            now, self._current_online_set(), self._sleep_guard_s
-        )
-        if completion < limit:
-            limit = completion
-            if limit <= now + step:
-                return None
-        grid: List[float] = []
-        t = now
-        max_steps = self._max_stretch
-        while len(grid) < max_steps:
-            if horizon - t < step:
-                break
-            t_next = t + step
-            if t_next > next_churn:
-                # A stretch may end *on* a churn instant but never cross
-                # one: the dt-capped single-step path lands on it exactly.
-                break
-            t = t_next
-            grid.append(t)
-            if t >= limit:
-                break
-        if not grid:
-            return None
-        return grid
 
     # ------------------------------------------------------------------
     def _build_result(self, horizon: float) -> SimulationResult:
@@ -1456,6 +1300,3 @@ class AccessNetworkSimulator:
             rate_recomputes=self.scheduler.rate_recomputes,
             rate_cache_hits=self.scheduler.rate_cache_hits,
         )
-
-    #: Time hint used by helpers that need "now" outside the main loop.
-    _now_hint: float = 0.0

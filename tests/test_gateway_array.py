@@ -47,7 +47,7 @@ def drive(gateway: Gateway, array: GatewayArray, script):
             array.touch(0, now)
         elif isinstance(action, float):
             gateway.record_traffic(action, now)
-            array.record_step_totals([now], [{0: action}])
+            array.record_served(now, {0: action})
         gateway.step(now, 1.0, has_pending_traffic=pending)
         array.step_to(now, {0} if pending else set())
         assert array.state[0] == {
@@ -80,7 +80,7 @@ def test_utilization_matches_gateway():
     gateway, array = make_pair(initially_sleeping=False, sleep_enabled=False)
     for t, bits in [(10.0, 3e6), (20.0, 1.5e6), (70.0, 2e6)]:
         gateway.record_traffic(bits, t)
-        array.record_step_totals([t], [{0: bits}])
+        array.record_served(t, {0: bits})
     for query in (75.0, 79.9, 81.0, 130.0):
         assert array.utilization(0, query) == pytest.approx(
             gateway.utilization(query), abs=0.0
@@ -89,7 +89,7 @@ def test_utilization_matches_gateway():
 
 def test_utilization_cache_consistent_after_expiry():
     _, array = make_pair(initially_sleeping=False, sleep_enabled=False)
-    array.record_step_totals([10.0], [{0: 3e6}])
+    array.record_served(10.0, {0: 3e6})
     first = array.utilization(0, 60.0)
     again = array.utilization(0, 60.0)  # cache hit path
     assert again == first

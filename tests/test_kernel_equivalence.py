@@ -73,6 +73,7 @@ SCHEMES = [
 def test_kernel_matches_seed_trajectory(scenario, scheme):
     reference = run_scheme_reference(scenario, scheme, seed=3, step_s=2.0)
     result = run_scheme(scenario, scheme, seed=3, step_s=2.0)
+    assert result.steps_taken == reference.steps_taken
 
     # Device-state samples must agree exactly: any diverging decision or
     # transition timing shows up here as an integer difference.
@@ -106,18 +107,20 @@ def test_kernel_matches_seed_trajectory(scenario, scheme):
 def test_kernel_matches_seed_with_until(scenario):
     reference = run_scheme_reference(scenario, soi(), seed=1, step_s=2.0, until=900.0)
     result = run_scheme(scenario, soi(), seed=1, step_s=2.0, until=900.0)
+    assert result.steps_taken == reference.steps_taken
     assert result.duration == reference.duration
     assert np.array_equal(reference.online_gateways, result.online_gateways)
     assert result.mean_savings() == pytest.approx(reference.mean_savings(), abs=1e-9)
 
 
 def test_kernel_matches_seed_at_finer_step(scenario):
-    """The stretched stepper must stay on the seed grid at step 1 s too."""
+    """The kernel must take the seed kernel's steps at step 1 s too."""
     for scheme in (soi(), bh2_kswitch()):
         reference = run_scheme_reference(
             scenario, scheme, seed=7, step_s=1.0, until=1800.0
         )
         result = run_scheme(scenario, scheme, seed=7, step_s=1.0, until=1800.0)
+        assert result.steps_taken == reference.steps_taken
         assert np.array_equal(reference.online_gateways, result.online_gateways)
         assert result.mean_savings() == pytest.approx(reference.mean_savings(), abs=1e-9)
 
@@ -135,6 +138,7 @@ def test_kernel_matches_seed_at_paper_scale(paper_scenario):
     for name, scheme in all_schemes().items():
         reference = run_scheme_reference(paper_scenario, scheme, seed=1, step_s=1.0)
         result = run_scheme(paper_scenario, scheme, seed=1, step_s=1.0)
+        assert result.steps_taken == reference.steps_taken, name
         savings_delta = abs(reference.mean_savings() - result.mean_savings())
         online_delta = abs(
             reference.mean_online_gateways() - result.mean_online_gateways()

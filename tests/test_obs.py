@@ -45,7 +45,7 @@ def tiny_scenario(seed=5):
 def test_tracer_records_events_and_spans():
     tracer = SimTracer()
     tracer.event("bh2.round", 30.0, cat="bh2", decisions=2)
-    tracer.span("kernel.stretch", 30.0, 90.0, cat="kernel", steps=12)
+    tracer.span("gw.sleeping", 30.0, 90.0, cat="gateway", gateway=3)
     with tracer.wall_span("store.put", digest="abc"):
         pass
     assert len(tracer.events) == 3
@@ -53,7 +53,7 @@ def test_tracer_records_events_and_spans():
     assert instant["ph"] == "i" and instant["args"]["decisions"] == 2
     assert span["ph"] == "X" and span["dur"] == pytest.approx(60.0)
     assert wall["clock"] == "wall" and wall["dur"] >= 0.0
-    assert tracer.counts() == {"bh2.round": 1, "kernel.stretch": 1, "store.put": 1}
+    assert tracer.counts() == {"bh2.round": 1, "gw.sleeping": 1, "store.put": 1}
 
 
 def test_tracer_buffer_is_bounded_and_counts_drops():
@@ -79,7 +79,7 @@ def test_tracer_jsonl_round_trip_tolerates_torn_lines(tmp_path):
 def test_chrome_export_is_perfetto_shaped(tmp_path):
     tracer = SimTracer()
     tracer.event("bh2.round", 30.0)
-    tracer.span("kernel.stretch", 30.0, 90.0)
+    tracer.span("gw.sleeping", 30.0, 90.0)
     with tracer.wall_span("task.run", tid=1):
         pass
     path = tmp_path / "trace.json"
@@ -89,13 +89,13 @@ def test_chrome_export_is_perfetto_shaped(tmp_path):
     # Two clock domains rendered as processes, named via metadata events.
     assert {e["name"] for e in events if e["ph"] == "M"} == {"process_name"}
     phases = {e["name"]: e["ph"] for e in events if e["ph"] != "M"}
-    assert phases == {"bh2.round": "i", "kernel.stretch": "X", "task.run": "X"}
+    assert phases == {"bh2.round": "i", "gw.sleeping": "X", "task.run": "X"}
     # Timestamps are microseconds; sim events keep absolute sim time.
-    stretch = next(e for e in events if e["name"] == "kernel.stretch")
-    assert stretch["ts"] == pytest.approx(30e6) and stretch["dur"] == pytest.approx(60e6)
+    sleeping = next(e for e in events if e["name"] == "gw.sleeping")
+    assert sleeping["ts"] == pytest.approx(30e6) and sleeping["dur"] == pytest.approx(60e6)
     # Wall events are rebased so the trace starts near zero.
     task = next(e for e in events if e["name"] == "task.run")
-    assert task["pid"] != stretch["pid"] and task["ts"] == pytest.approx(0.0)
+    assert task["pid"] != sleeping["pid"] and task["ts"] == pytest.approx(0.0)
 
 
 def test_gateway_segments_tile_the_horizon():

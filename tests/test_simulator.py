@@ -290,3 +290,32 @@ def test_runs_over_one_trace_share_its_arrival_stream_and_demand(busy_scenario):
     run_scheme(busy_scenario, bh2_kswitch(), seed=3, step_s=2.0)
     first.run()
     assert _stream_digest(second) == before
+
+
+def test_optimal_reroutes_from_a_sleeping_choice_to_the_least_loaded_gateway(
+    busy_scenario,
+):
+    # A client whose selected gateway is a sleeping non-home gateway is
+    # routed to the least-loaded online gateway in its range: the one
+    # reader of the load samples the Optimal scheme keeps.
+    simulator = AccessNetworkSimulator(busy_scenario, optimal(), step_s=2.0)
+    reachable = busy_scenario.topology.reachable
+    client = next(c for c in sorted(reachable) if len(reachable[c]) >= 3)
+    home = busy_scenario.trace.home_gateway[client]
+    asleep = next(g for g in reachable[client] if g != home)
+    first, second = [g for g in reachable[client] if g != asleep][:2]
+    array = simulator.gateway_array
+    now = 100.0
+    for gateway_id in (first, second):
+        array.request_wake(gateway_id, now)
+    array.step_to(now, {first, second})
+    assert array.state[first] == array.state[second] == STATE_ACTIVE
+    assert array.state[asleep] == STATE_SLEEPING
+
+    def route(at, served):
+        array.record_served(at, served)
+        simulator.selected_gateway[client] = asleep
+        return simulator._routing_gateway(client, at)
+
+    assert route(now, {first: 3e6, second: 1e6}) == second
+    assert route(now + 1.0, {second: 4e6}) == first
