@@ -9,8 +9,8 @@ exists at the HDF.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Dict, List
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Optional
 
 from repro.access.soi import SoIConfig
 from repro.core.bh2 import BH2Config
@@ -76,6 +76,28 @@ class SchemeConfig:
         True here.
         """
         return self.aggregation is AggregationKind.BH2
+
+    @property
+    def trajectory_key(self) -> Optional[tuple]:
+        """What fixes this scheme's gateway/flow trajectory, or ``None``.
+
+        The HDF switch only re-terminates lines onto line cards, which
+        the rest of the kernel never reads, so schemes that differ only
+        in name and switching follow one trajectory and differ only in
+        line cards and energy.  The key is every field but those two; a
+        scheme that reads the run seed has none, since its repetitions
+        and switch variants draw different seeds.  One kernel pass serves
+        every switch model of a key (:func:`~repro.simulation.runner.run_scheme`),
+        in a sweep and in a comparison alike.  A field that only the line
+        side reads must stay out of the key.
+        """
+        if self.uses_run_seed:
+            return None
+        return tuple(
+            getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.name not in ("name", "switching")
+        )
 
     def with_name(self, name: str) -> "SchemeConfig":
         """A renamed copy (useful for ablation variants)."""

@@ -76,7 +76,7 @@ def _state_seconds(simulator: AccessNetworkSimulator) -> Tuple[List[float], List
     n = len(simulator._generation_names)
     waking_s = [0.0] * n
     sleeping_s = [0.0] * n
-    for start, end, counts in simulator.energy_segments or ():
+    for start, end, counts in simulator.lines[0].energy_segments or ():
         duration = end - start
         for index, (_active, waking, sleeping) in enumerate(counts):
             if waking:

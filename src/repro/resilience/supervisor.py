@@ -9,12 +9,19 @@ deadlines, detects dead workers, respawns them, re-enqueues whatever
 they were running, and retries failed attempts with deterministic
 exponential backoff.
 
-Each worker has one private duplex pipe: ``(task, attempt)`` goes down,
-``("ok", output)`` or ``("error", reason)`` comes back.  ``send`` is
+The pool dispatches *units*: cells that one worker runs in order, such
+as the cells of a trajectory group, which share one kernel pass in the
+worker's memory.  Each worker has one private duplex pipe: a unit of
+``(task, attempt)`` pairs goes down, and one ``("ok", output)``
+or ``("error", reason)`` comes back per cell as it finishes.  ``send`` is
 synchronous, so no process runs a feeder thread and no two workers share
-a lock: a worker killed at any moment has delivered its last result whole
-or not at all, and costs only the cell it was running.  The parent sleeps
-in ``multiprocessing.connection.wait`` on every pipe and process sentinel
+a lock: a worker killed at any moment has delivered each result whole or
+not at all, and costs only the cell it was running.  Attempts, retries,
+deadlines and accounting stay per cell: a cell's deadline restarts when
+the cell before it reports, a failed cell is retried on its own, and the
+unfinished remainder of a dead worker's unit is requeued as one unit,
+each cell keeping its own attempt count.  The parent sleeps in
+``multiprocessing.connection.wait`` on every pipe and process sentinel
 until a worker reports or dies, a deadline passes, or a backoff ends.
 
 Determinism contract: a task is retried with the *same* :class:`SweepTask`
@@ -36,9 +43,10 @@ import heapq
 import itertools
 import multiprocessing
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.progress import notify
 from repro.resilience.faults import FaultPlan, InjectedFault, apply_worker_fault
@@ -192,31 +200,36 @@ def _retry_or_fail(
 
 
 def _worker_main(conn, execute, plan) -> None:
-    """Worker loop: receive ``(task, attempt)`` on the pipe, send the outcome back.
+    """Worker loop: receive a unit on the pipe, send back each cell's outcome.
 
     Top-level so it pickles under any start method.  ``None`` asks the
-    worker to exit.  Consults the fault plan *before* executing, so an
-    injected crash models dying mid-task.
+    worker to exit.  Consults the fault plan *before* executing each
+    cell, so an injected crash models dying mid-task.
     """
     while True:
-        message = conn.recv()
-        if message is None:
+        unit = conn.recv()
+        if unit is None:
             return
-        task, attempt = message
-        try:
-            if plan is not None:
-                kind = plan.worker_fault(task.digest, attempt)
-                if kind is not None:
-                    apply_worker_fault(kind, task.digest)
-            output = execute(task)
-        except BaseException as exc:  # noqa: BLE001 — report, don't die
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        else:
-            conn.send(("ok", output))
+        for task, attempt in unit:
+            try:
+                if plan is not None:
+                    kind = plan.worker_fault(task.digest, attempt)
+                    if kind is not None:
+                        apply_worker_fault(kind, task.digest)
+                output = execute(task)
+            except BaseException as exc:  # noqa: BLE001 — report, don't die
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            else:
+                conn.send(("ok", output))
 
 
 class _WorkerHandle:
-    """One worker process, the parent's end of its pipe, and its task."""
+    """One worker process, the parent's end of its pipe, and its unit.
+
+    ``cells`` holds the unit's ``(task, attempt)`` pairs that have not
+    reported yet; the first is running, and its clock started at
+    ``started_pc``.
+    """
 
     def __init__(self, ctx, worker_id: int, execute, plan) -> None:
         self.id = worker_id
@@ -227,26 +240,29 @@ class _WorkerHandle:
         self.process.start()
         # The worker now holds the only other end: its exit is our EOF.
         child_conn.close()
-        self.task = None
-        self.attempt = 0
+        self.cells: Deque[Tuple[object, int]] = deque()
         self.deadline: Optional[float] = None
-        self.assigned_pc = 0.0
+        self.started_pc = 0.0
 
     @property
     def busy(self) -> bool:
-        return self.task is not None
+        return bool(self.cells)
 
-    def assign(self, task, attempt: int, policy: RetryPolicy, now: float) -> None:
-        self.task = task
-        self.attempt = attempt
-        self.deadline = (
-            now + policy.task_timeout_s if policy.task_timeout_s is not None else None
-        )
-        self.assigned_pc = time.perf_counter()
+    def assign(self, unit, policy: RetryPolicy, now: float) -> None:
+        self.cells = deque(unit)
+        self.start_clock(policy, now)
         try:
-            self.conn.send((task, attempt))
+            self.conn.send(list(unit))
         except OSError:
             pass  # the worker is dead; its EOF wakes the loop, which requeues
+
+    def start_clock(self, policy: RetryPolicy, now: float) -> None:
+        """The first unreported cell starts now: time it and arm its deadline."""
+        self.deadline = (
+            now + policy.task_timeout_s
+            if self.cells and policy.task_timeout_s is not None else None
+        )
+        self.started_pc = time.perf_counter()
 
     def receive(self):
         """The worker's ``(status, payload)``, or ``None`` once it has died."""
@@ -254,10 +270,6 @@ class _WorkerHandle:
             return self.conn.recv() if self.conn.poll() else None
         except (EOFError, OSError):  # closed, or torn mid-message
             return None
-
-    def clear(self) -> None:
-        self.task = None
-        self.deadline = None
 
     def stop(self, kill: bool) -> None:
         """Shut the worker down; ``kill=True`` skips the polite goodbye."""
@@ -346,7 +358,7 @@ def run_serial_supervised(
 
 
 def run_supervised(
-    tasks: Sequence,
+    units: Sequence[Sequence],
     execute: Callable,
     persist: Callable[[object, int], None],
     policy: RetryPolicy,
@@ -355,26 +367,31 @@ def run_supervised(
     tracer=None,
     progress=None,
 ) -> SupervisedOutcome:
-    """Execute tasks on a supervised worker pool.
+    """Execute units of tasks on a supervised worker pool.
 
-    ``execute`` runs in the workers (top-level, picklable); ``persist``
-    runs in the parent as each result arrives and may raise to fail the
-    attempt (this is where torn-write injection lives).  Tasks keep their
-    submission order on first assignment, so a worker's per-process
-    scenario cache stays warm across a spec's contiguous cells (and its
-    trace across consecutive specs that share one).
-    ``tracer`` records parent-side wall-clock spans (assignment to
-    resolution, one Perfetto track per worker) and retry/respawn events;
-    ``progress`` is an optional :class:`~repro.obs.progress.ProgressSink`
-    fed the same events through the exception-swallowing ``notify``.
+    Each unit goes to one worker whole, which runs its tasks in order and
+    reports each one as it finishes.  ``execute`` runs in the workers
+    (top-level, picklable) once per task; ``persist`` runs in the parent
+    as each result arrives and may raise to fail the attempt (this is
+    where torn-write injection lives).  Units keep their submission order
+    on first assignment, so a worker's per-process scenario cache stays
+    warm across a spec's contiguous cells (and its trace across
+    consecutive specs that share one).  The pool forks at most one worker
+    per unit.
+    ``tracer`` records parent-side wall-clock spans (one per task attempt,
+    one Perfetto track per worker) and retry/respawn events; ``progress``
+    is an optional :class:`~repro.obs.progress.ProgressSink` fed the same
+    events through the exception-swallowing ``notify``.
     """
     if workers < 2:
         raise ValueError("run_supervised needs >= 2 workers; use run_serial_supervised")
     outcome = SupervisedOutcome()
-    # (ready_at, tiebreak, task, attempt): every first attempt, in grid
-    # order, then each retry once its backoff has passed.
-    pending: List[Tuple[float, int, object, int]] = [
-        (0.0, seq, task, 0) for seq, task in enumerate(tasks)
+    tasks = [task for unit in units for task in unit]
+    # (ready_at, tiebreak, [(task, attempt), ...]): every unit's first
+    # attempt, in submission order, then each requeued cell or remainder
+    # once its backoff has passed.
+    pending: List[Tuple[float, int, list]] = [
+        (0.0, seq, [(task, 0) for task in unit]) for seq, unit in enumerate(units)
     ]
     tiebreak = itertools.count(len(pending))
 
@@ -389,44 +406,55 @@ def run_supervised(
         handle = _WorkerHandle(ctx, next(worker_ids), execute, plan)
         pool[handle.id] = handle
 
-    def requeue(task, attempt: int, kind: str, reason: str) -> None:
-        """Failed attempt: schedule a retry or record the failure."""
+    def requeue(task, attempt: int, kind: str, reason: str, rest=()) -> None:
+        """Failed attempt: schedule a retry or record the failure.
+
+        ``rest``, the unstarted cells of a dead worker's unit, is requeued
+        with the retry as one unit.
+        """
         delay = _retry_or_fail(
             outcome, policy, task, attempt, kind, reason, tracer, progress
         )
+        cells = list(rest)
         if delay is not None:
+            cells.insert(0, (task, attempt + 1))
+        if cells:
             heapq.heappush(
-                pending, (time.monotonic() + delay, next(tiebreak), task, attempt + 1)
+                pending, (time.monotonic() + (delay or 0.0), next(tiebreak), cells)
             )
 
     def resolve(handle: _WorkerHandle, status: str, payload) -> None:
-        """Persist a worker's result, or requeue the attempt it reports failed."""
-        task, attempt = handle.task, handle.attempt
+        """Persist a cell's result, or requeue the attempt it reports failed."""
+        task, attempt = handle.cells.popleft()
         resolved_pc = time.perf_counter()
-        elapsed = resolved_pc - handle.assigned_pc
+        elapsed = resolved_pc - handle.started_pc
         outcome.note_attempt(task.digest, attempt, elapsed)
         if tracer is not None:
             tracer.span(
-                "task.run", handle.assigned_pc, resolved_pc,
+                "task.run", handle.started_pc, resolved_pc,
                 clock="wall", cat="supervisor", tid=handle.id,
                 cell=_cell(task), attempt=attempt, status=status,
             )
-        handle.clear()
+        # The worker has moved on to the unit's next cell.
+        handle.start_clock(policy, time.monotonic())
         if status != "ok":
             requeue(task, attempt, "error", str(payload))
-            return
-        try:
-            persist(payload, attempt)
-        except Exception as exc:  # noqa: BLE001 — torn write / store error
-            requeue(task, attempt, "persist", f"{type(exc).__name__}: {exc}")
         else:
-            notify(progress, "task_done", task, attempt, elapsed)
-            outcome.records[task.digest] = payload
+            try:
+                persist(payload, attempt)
+            except Exception as exc:  # noqa: BLE001 — torn write / store error
+                requeue(task, attempt, "persist", f"{type(exc).__name__}: {exc}")
+            else:
+                notify(progress, "task_done", task, attempt, elapsed)
+                outcome.records[task.digest] = payload
+        if handle.busy:
+            notify(progress, "task_started", *handle.cells[0])
 
     def replace(handle: _WorkerHandle, timed_out: bool) -> None:
-        """Kill a hung or dead worker, start its successor, requeue its task."""
-        task, attempt = handle.task, handle.attempt
-        elapsed = time.perf_counter() - handle.assigned_pc
+        """Kill a hung or dead worker, start its successor, requeue its cells."""
+        cells = list(handle.cells)
+        task, attempt = cells[0] if cells else (None, 0)
+        elapsed = time.perf_counter() - handle.started_pc
         del pool[handle.id]
         handle.stop(kill=True)
         outcome.respawns += 1
@@ -456,7 +484,7 @@ def run_supervised(
         spawn()
         if task is not None:
             outcome.note_attempt(task.digest, attempt, elapsed)
-            requeue(task, attempt, kind, reason)
+            requeue(task, attempt, kind, reason, cells[1:])
 
     def shutdown(kill: bool) -> None:
         for handle in list(pool.values()):
@@ -464,15 +492,15 @@ def run_supervised(
         pool.clear()
 
     try:
-        for _ in range(min(workers, max(1, len(tasks)))):
+        for _ in range(min(workers, max(1, len(units)))):
             spawn()
         while pending or any(handle.busy for handle in pool.values()):
             now = time.monotonic()
             for handle in list(pool.values()):
                 if not handle.busy and pending and pending[0][0] <= now:
-                    _ready_at, _seq, task, attempt = heapq.heappop(pending)
-                    handle.assign(task, attempt, policy, now)
-                    notify(progress, "task_started", task, attempt)
+                    _ready_at, _seq, unit = heapq.heappop(pending)
+                    handle.assign(unit, policy, now)
+                    notify(progress, "task_started", *unit[0])
 
             # Sleep until a worker reports or dies, a deadline passes or
             # a backoff ends.
@@ -512,14 +540,15 @@ def run_supervised(
                 )
             notify(progress, "degraded", outcome.respawns)
             # Collect everything still outstanding — queued, backing off,
-            # or in flight on a worker — in deterministic digest order,
-            # preserving per-task attempt counts.
-            leftovers: Dict[str, Tuple[object, int]] = {}
-            for _ready_at, _seq, task, attempt in pending:
-                leftovers[task.digest] = (task, attempt)
+            # or in flight on a worker — in submission order, preserving
+            # per-task attempt counts.
+            leftovers: Dict[str, int] = {}
+            for _ready_at, _seq, unit in pending:
+                for task, attempt in unit:
+                    leftovers[task.digest] = attempt
             for handle in pool.values():
-                if handle.busy:
-                    leftovers[handle.task.digest] = (handle.task, handle.attempt)
+                for task, attempt in handle.cells:
+                    leftovers[task.digest] = attempt
             shutdown(kill=True)
             order = [task for task in tasks if task.digest in leftovers]
             try:
@@ -529,7 +558,7 @@ def run_supervised(
                     persist,
                     policy,
                     plan=plan,
-                    start_attempts={d: a for d, (_t, a) in leftovers.items()},
+                    start_attempts=leftovers,
                     tracer=tracer,
                     progress=progress,
                 )

@@ -3,10 +3,11 @@
 The paper runs every scheme 10 times over the same trace and averages the
 results; the randomness lies in the BH2 decision offsets and random gateway
 selections.  :class:`ExperimentRunner` reproduces that protocol and runs
-each distinct trajectory once: a scheme that does not read its run seed
-(:attr:`~repro.core.schemes.SchemeConfig.uses_run_seed`) runs once, and
-that one result fills all of its repetitions, so every run-averaged
-aggregate is the one separate runs would give, bit for bit.  The
+each distinct trajectory once: the compared schemes of one
+:attr:`~repro.core.schemes.SchemeConfig.trajectory_key` (a seed-free
+scheme and its switch variants) share one kernel pass, and each one's
+result fills all of its repetitions, so every run-averaged aggregate is
+the one separate runs would give, bit for bit.  The
 comparison also carries the no-sleep flow durations Fig. 9a compares
 against.  Parallel comparisons run as ``sweep --workers N``
 (:mod:`repro.sweep.engine`), which is supervised, cached and resumable.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,8 +47,15 @@ def run_scheme(
     until: Optional[float] = None,
     power_model: AccessNetworkPowerModel = DEFAULT_POWER_MODEL,
     tracer=None,
-) -> SimulationResult:
-    """Run one scheme once over a scenario.
+    variants: Optional[Sequence[SchemeConfig]] = None,
+) -> Union[SimulationResult, List[SimulationResult]]:
+    """Run one scheme once over a scenario: one kernel pass.
+
+    ``variants`` are schemes with ``scheme``'s
+    :attr:`~repro.core.schemes.SchemeConfig.trajectory_key`, its switch
+    variants.  Given a list (even an empty one), the pass serves them all
+    and returns a list of results, ``scheme``'s first, each equal bit for
+    bit to a separate run of its scheme.
 
     ``tracer`` optionally attaches a :class:`~repro.obs.tracer.SimTracer`;
     traced runs produce bit-identical results (tracing only observes).
@@ -60,8 +68,11 @@ def run_scheme(
         sample_interval_s=sample_interval_s,
         seed=seed,
         tracer=tracer,
+        variants=variants or (),
     )
-    return simulator.run(until=until)
+    if variants is None:
+        return simulator.run(until=until)
+    return simulator.run_all(until=until)
 
 
 @dataclass
@@ -140,35 +151,50 @@ class ExperimentRunner:
         self.sample_interval_s = sample_interval_s
         self.base_seed = base_seed
 
-    def _run(self, scheme: SchemeConfig, run_index: int) -> SimulationResult:
+    def _run(
+        self, scheme: SchemeConfig, run_index: int, variants: Sequence[SchemeConfig] = ()
+    ) -> List[SimulationResult]:
+        """One kernel pass: ``scheme``'s result, then each variant's."""
         return run_scheme(
             self.scenario,
             scheme,
             seed=scheme_run_seed(self.base_seed, run_index, scheme.name),
             step_s=self.step_s,
             sample_interval_s=self.sample_interval_s,
+            variants=variants,
         )
 
     def run(self, schemes: Sequence[SchemeConfig]) -> SchemeComparison:
         """Run every scheme ``runs_per_scheme`` times, each distinct trajectory once.
 
-        A seed-free scheme's one result fills all of its repetitions.  The
-        Fig. 9a baseline comes from the compared no-sleep run, or from one
-        extra no-sleep run when no-sleep is not compared.
+        The compared schemes of one trajectory key share one kernel pass,
+        and each one's result fills all of its repetitions.  The Fig. 9a
+        baseline comes from the compared no-sleep run, or from one extra
+        no-sleep run when no-sleep is not compared.
         """
-        comparison = SchemeComparison(scenario=self.scenario, runs_per_scheme=self.runs_per_scheme)
-        baseline_scheme = no_sleep()
-        baseline: Optional[SimulationResult] = None
+        results: Dict[str, List[SimulationResult]] = {}
+        groups: Dict[tuple, List[SchemeConfig]] = {}
         for scheme in schemes:
-            if scheme.uses_run_seed:
-                runs = [self._run(scheme, index) for index in range(self.runs_per_scheme)]
+            key = scheme.trajectory_key
+            if key is None:
+                results[scheme.name] = [
+                    self._run(scheme, index)[0] for index in range(self.runs_per_scheme)
+                ]
             else:
-                runs = [self._run(scheme, 0)] * self.runs_per_scheme
-            if scheme == baseline_scheme:
-                baseline = runs[0]
-            comparison.results[scheme.name] = runs
+                groups.setdefault(key, []).append(scheme)
+        for first, *variants in groups.values():
+            for scheme, result in zip((first, *variants), self._run(first, 0, variants)):
+                results[scheme.name] = [result] * self.runs_per_scheme
+        comparison = SchemeComparison(
+            scenario=self.scenario,
+            runs_per_scheme=self.runs_per_scheme,
+            results={scheme.name: results[scheme.name] for scheme in schemes},
+        )
         if any(scheme.sleep_enabled for scheme in schemes):
-            if baseline is None:
-                baseline = self._run(baseline_scheme, 0)
+            baseline_scheme = no_sleep()
+            if baseline_scheme in schemes:
+                baseline = comparison.results[baseline_scheme.name][0]
+            else:
+                baseline = self._run(baseline_scheme, 0)[0]
             comparison.baseline_durations = baseline.flow_durations()
         return comparison

@@ -25,7 +25,11 @@ step:
   the online gateways in its range),
 * energy is charged per *constant-power segment* instead of per step,
   DSLAM re-wiring runs only when some gateway changed state and re-packs
-  only the k-switches holding such a gateway's line, and
+  only the k-switches holding such a gateway's line, and segments are cut
+  there, the one place where what they charge can change,
+* one pass serves every switch model of a trajectory: schemes that differ
+  only in name and switching share the gateway/flow loop, and each keeps
+  its own line side (DSLAM, line-card count, energy, samples), and
 * a trace's sorted arrivals and the *Optimal* scheme's per-period demand
   are built once per trace and shared by every run over it.
 
@@ -44,7 +48,7 @@ from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import inf, isfinite
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -252,8 +256,51 @@ class SimulationResult:
         return self.duration
 
 
+class _LineSide:
+    """One switch model of a kernel pass: what only the line side reads.
+
+    The HDF switch re-terminates lines onto line cards and nothing else
+    in the kernel reads the wiring, so every switch model of a trajectory
+    shares one gateway/flow pass.  Each keeps its own DSLAM, line-card
+    count, energy accumulator, open energy segment and line-card sample
+    column, touched only at the DSLAM sync and at samples.
+    """
+
+    __slots__ = (
+        "scheme", "dslam", "cards_on", "energy", "segment", "segment_counts",
+        "energy_segments", "card_samples",
+    )
+
+    def __init__(
+        self,
+        scheme: SchemeConfig,
+        dslam: Dslam,
+        energy: EnergyAccumulator,
+        not_sleeping: List[int],
+        tracing: bool,
+    ):
+        self.scheme = scheme
+        self.dslam = dslam
+        self.cards_on = len(dslam.online_cards(not_sleeping))
+        self.energy = energy
+        #: Open energy segment: ``[start, active, waking, cards_on]``, or
+        #: ``[start, power snapshot, powered, cards_on]`` on a
+        #: heterogeneous fleet.
+        self.segment: Optional[list] = None
+        self.segment_counts: Optional[tuple] = None
+        #: Tracer-gated ledger of charged segments (see the simulator).
+        self.energy_segments: Optional[List[tuple]] = [] if tracing else None
+        self.card_samples: List[int] = []
+
+
 class AccessNetworkSimulator:
-    """Simulates one scheme over one scenario."""
+    """Simulates one scheme, and its switch variants, over one scenario.
+
+    ``variants`` are schemes with ``scheme``'s
+    :attr:`~repro.core.schemes.SchemeConfig.trajectory_key`: the run
+    then yields one result per switch model (:meth:`run_all`), each equal
+    bit for bit to a separate run of that scheme.
+    """
 
     #: Largest time step taken while the network is completely idle.
     MAX_IDLE_SKIP_S = 30.0
@@ -267,9 +314,16 @@ class AccessNetworkSimulator:
         sample_interval_s: float = 60.0,
         seed: int = 0,
         tracer=None,
+        variants: Sequence[SchemeConfig] = (),
     ):
         if step_s <= 0 or sample_interval_s <= 0:
             raise ValueError("step_s and sample_interval_s must be positive")
+        key = scheme.trajectory_key
+        if variants and (key is None or any(v.trajectory_key != key for v in variants)):
+            raise ValueError(
+                "variants must share the scheme's trajectory key "
+                "(differ from it only in name and switching)"
+            )
         self.scenario = scenario
         self.scheme = scheme
         self.power_model = power_model
@@ -357,19 +411,31 @@ class AccessNetworkSimulator:
             # appends to this log only while it is a list — O(transitions)
             # with a tracer, a single None check per transition without.
             self.gateway_array.transition_log = []
-        #: Tracer-gated energy-segment ledger: one ``(start, end, counts)``
-        #: entry per charged constant-power segment, where ``counts`` holds
-        #: per-generation ``(active, waking, sleeping-in-service)`` device
-        #: counts of the exact state the segment was charged with.  None
-        #: (and zero cost) without a tracer; :mod:`repro.obs.explain`
+        #: One line side per switch model, ``scheme``'s first.  With a
+        #: tracer each keeps an energy-segment ledger: one
+        #: ``(start, end, counts)`` entry per charged constant-power
+        #: segment, where ``counts`` holds per-generation ``(active,
+        #: waking, sleeping-in-service)`` device counts of the exact state
+        #: the segment was charged with.  :mod:`repro.obs.explain`
         #: consumes it to attribute kWh deltas against the no-sleep twin.
-        self.energy_segments: Optional[List[tuple]] = (
-            [] if tracer is not None else None
-        )
-        self._energy_run_counts: Optional[tuple] = None
-        self.dslam = Dslam(
-            config=self._dslam_config(),
-            line_ports=dict(scenario.gateway_port),
+        not_sleeping = self.gateway_array.not_sleeping_ids()
+        self.lines: List[_LineSide] = [
+            _LineSide(
+                line_scheme,
+                Dslam(
+                    config=self._dslam_config(line_scheme),
+                    line_ports=dict(scenario.gateway_port),
+                ),
+                EnergyAccumulator(
+                    interval_seconds=sample_interval_s, horizon=scenario.trace.duration
+                ),
+                not_sleeping,
+                tracing=tracer is not None,
+            )
+            for line_scheme in (scheme, *variants)
+        ]
+        self._switched = any(
+            line.dslam.mode is not SwitchingMode.FIXED for line in self.lines
         )
         self.channel = WirelessChannel(
             home_capacity_bps=scenario.wireless.home_capacity_bps,
@@ -447,10 +513,9 @@ class AccessNetworkSimulator:
             self._upcoming_demand = scenario.trace.period_demand(scheme.optimal_period_s)
 
         # --- accounting ---------------------------------------------------
-        self.energy = EnergyAccumulator(
-            interval_seconds=sample_interval_s, horizon=scenario.trace.duration
-        )
-        self._samples: List[Tuple[float, int, int, int, int]] = []
+        #: Shared sample columns ``(time, powered, waking, powered)``; each
+        #: line side adds its line-card count.
+        self._samples: List[Tuple[float, int, int, int]] = []
         self.steps_taken = 0
         self._solver_invocations = 0
         self._bh2_rounds = 0
@@ -463,7 +528,6 @@ class AccessNetworkSimulator:
             client: self.channel.capacity(client, home, True)
             for client, home in self._home_gateway.items()
         }
-        self._cards_on = len(self.dslam.online_cards(self.gateway_array.not_sleeping_ids()))
         self._dslam_version = self.gateway_array.version
         # What the DSLAM sync passes to Dslam.rewire, kept up to date for
         # the gateways that change state: whether a line is powered, and
@@ -481,21 +545,23 @@ class AccessNetworkSimulator:
         self._online_version = self.gateway_array.version
         self._optimal_wireless_cache: Optional[Dict[Tuple[int, int], float]] = None
         self._optimal_capacities_cache: Optional[Dict[int, float]] = None
-        #: Pending energy segment: [start, end, active, waking, cards_on].
-        self._energy_run: Optional[list] = None
 
     # ------------------------------------------------------------------
-    def _dslam_config(self) -> DslamConfig:
+    def _dslam_config(self, scheme: SchemeConfig) -> DslamConfig:
         base = self.scenario.dslam
-        if self.scheme.switching is SwitchingKind.NONE:
+        if scheme.switching is SwitchingKind.NONE:
             return base.with_switch(None, full=False)
-        if self.scheme.switching is SwitchingKind.FULL:
+        if scheme.switching is SwitchingKind.FULL:
             return base.with_switch(None, full=True)
         return base.with_switch(base.switch_size or 4, full=False)
 
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> SimulationResult:
-        """Run the simulation and return the collected metrics."""
+        """Run the simulation and return the collected metrics of ``scheme``."""
+        return self.run_all(until)[0]
+
+    def run_all(self, until: Optional[float] = None) -> List[SimulationResult]:
+        """Run the pass: one result per switch model, ``scheme``'s first."""
         # The kernel allocates hundreds of thousands of small, cycle-free
         # objects (active flows, samples; flow records are built later, and
         # only if a caller reads them); generational GC scans are pure
@@ -510,7 +576,7 @@ class AccessNetworkSimulator:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run(self, until: Optional[float]) -> SimulationResult:
+    def _run(self, until: Optional[float]) -> List[SimulationResult]:
         horizon = self.scenario.trace.duration if until is None else min(
             until, self.scenario.trace.duration
         )
@@ -525,7 +591,9 @@ class AccessNetworkSimulator:
         record_served = gateway_array.record_served
         next_dt = self._next_dt
         admit_arrivals = self._admit_arrivals
-        hetero = self._fleet_hetero
+        # Open each line side's first energy segment; from here segments
+        # are cut only at DSLAM syncs.
+        self._cut_segments(0.0)
         steps = 0
         now = 0.0
         next_sample = 0.0
@@ -565,48 +633,27 @@ class AccessNetworkSimulator:
                 if totals:
                     record_served(end, totals)
 
-            # ---- advance gateway state machines, rewire, charge energy
+            # ---- advance gateway state machines; rewire and cut energy
+            # segments only after a state or in-service change
             gateway_array.step_to(
                 end,
                 scheduler._groups,
                 self._optimal_online if is_optimal else (),
             )
             if gateway_array.version != self._dslam_version:
-                self._sync_dslam()
-            active = gateway_array.active_count
-            waking = gateway_array.waking_count
-            if hetero:
-                # Per-gateway power: segments carry per-generation power
-                # sums instead of device counts.
-                self._accumulate_energy_het(
-                    now, end, gateway_array.power_snapshot(), active + waking,
-                    self._cards_on,
-                )
-            else:
-                # Inlined copy of _accumulate_energy's segment-extend check
-                # (hot path: most steps just extend the open segment); keep
-                # the two in sync if the segment fields ever change.
-                run_segment = self._energy_run
-                if (
-                    run_segment is not None
-                    and run_segment[1] == now
-                    and run_segment[2] == active
-                    and run_segment[3] == waking
-                    and run_segment[4] == self._cards_on
-                ):
-                    run_segment[1] = end
-                else:
-                    self._accumulate_energy(now, end, active, waking, self._cards_on)
+                self._sync_lines(now)
 
             now = end
             steps += 1
         self.steps_taken = steps
-        self._flush_energy()
+        for line in self.lines:
+            if line.segment[0] != now:
+                self._charge(line, now)
         # The seed accrues state time through the final (possibly
         # horizon-overshooting) step, so flush at the actual end instant.
         self.gateway_array.flush_statistics(now)
         self._record_sample(min(now, horizon))
-        return self._build_result(horizon)
+        return self._build_results(horizon)
 
     # ------------------------------------------------------------------
     # Flow admission and routing
@@ -1057,24 +1104,24 @@ class AccessNetworkSimulator:
             self._online_version = self.gateway_array.version
         return self._online_set
 
-    def _sync_dslam(self) -> None:
-        """Re-pack the HDF switches and refresh the line-card count.
+    def _sync_lines(self, now: float) -> None:
+        """Re-pack each switch model's HDF switches, refresh its line-card
+        count and cut its energy segment.
 
+        Runs after an iteration in which ``GatewayArray.version`` moved.
         The seed rewires every step; rewiring is deterministic and
         idempotent for unchanged gateway states, so it only needs to run
         when some state actually changed, and then only for the k-switches
         holding a line whose gateway changed state.
         """
         gateway_array = self.gateway_array
-        if gateway_array.version == self._dslam_version:
-            return
         changed = gateway_array.changed_ids
-        if self.dslam.mode is not SwitchingMode.FIXED:
+        line_active = self._line_active
+        movable = self._movable
+        if self._switched:
             # A line's activity and mobility depend on its own gateway's
             # state only, so both maps are updated for the changed lines.
             state = gateway_array.state
-            line_active = self._line_active
-            movable = self._movable
             idealized = self.scheme.idealized_transitions
             for g in changed:
                 code = state[g]
@@ -1083,29 +1130,50 @@ class AccessNetworkSimulator:
                     movable.add(g)
                 else:
                     movable.discard(g)
-            self.dslam.rewire(line_active, movable, changed)
+        not_sleeping = gateway_array.not_sleeping_ids()
+        for line in self.lines:
+            dslam = line.dslam
+            if dslam.mode is not SwitchingMode.FIXED:
+                dslam.rewire(line_active, movable, changed)
+            line.cards_on = len(dslam.online_cards(not_sleeping))
         changed.clear()
-        self._cards_on = len(self.dslam.online_cards(gateway_array.not_sleeping_ids()))
         self._dslam_version = gateway_array.version
+        self._cut_segments(now)
 
-    def _accumulate_energy(
-        self, start: float, end: float, active: int, waking: int, cards_on: int
-    ) -> None:
-        """Extend the pending constant-power segment or flush and restart it."""
-        run = self._energy_run
-        if (
-            run is not None
-            and run[1] == start
-            and run[2] == active
-            and run[3] == waking
-            and run[4] == cards_on
-        ):
-            run[1] = end
+    def _cut_segments(self, now: float) -> None:
+        """Start a new energy segment at ``now`` where the charged values changed.
+
+        A step is charged with the state at its end, as in the seed kernel,
+        and ``now`` is the start of the step just taken.  The charged
+        ``(active, waking, cards_on)`` counts, or a heterogeneous fleet's
+        per-generation power snapshot, change only where the gateway
+        version moves, so each switch model cuts its segments exactly
+        where a step-by-step comparison would.  A segment that starts at
+        ``now`` is re-opened with the new values instead, so no
+        zero-length segment is ever charged.
+        """
+        array = self.gateway_array
+        if self._fleet_hetero:
+            # Segments carry per-generation power sums instead of counts.
+            first, second = array.power_snapshot(), array.active_count + array.waking_count
         else:
-            self._flush_energy()
-            self._energy_run = [start, end, active, waking, cards_on]
-            if self.energy_segments is not None:
-                self._energy_run_counts = self._segment_counts(active, waking)
+            first, second = array.active_count, array.waking_count
+        for line in self.lines:
+            segment = line.segment
+            if segment is not None and segment[0] != now:
+                if (
+                    segment[1] == first
+                    and segment[2] == second
+                    and segment[3] == line.cards_on
+                ):
+                    continue
+                self._charge(line, now)
+            line.segment = [now, first, second, line.cards_on]
+            if line.energy_segments is not None:
+                line.segment_counts = (
+                    self._segment_counts_het() if self._fleet_hetero
+                    else self._segment_counts(first, second)
+                )
 
     def _segment_counts(self, active: int, waking: int) -> tuple:
         """Single-generation device counts of a homogeneous segment.
@@ -1133,45 +1201,14 @@ class AccessNetworkSimulator:
             counts[generation[gateway_id]][2 - device_state] += 1
         return tuple(tuple(per_gen) for per_gen in counts)
 
-    def _accumulate_energy_het(
-        self,
-        start: float,
-        end: float,
-        snapshot: Tuple[Tuple[float, ...], ...],
-        powered: int,
-        cards_on: int,
-    ) -> None:
-        """Heterogeneous-fleet twin of :meth:`_accumulate_energy`.
-
-        Segments carry the per-generation power snapshot (same object while
-        no gateway transitioned) plus the powered-gateway count for the
-        per-line ISP modems.
-        """
-        run = self._energy_run
-        if (
-            run is not None
-            and run[1] == start
-            and run[2] == snapshot
-            and run[3] == powered
-            and run[4] == cards_on
-        ):
-            run[1] = end
-        else:
-            self._flush_energy()
-            self._energy_run = [start, end, snapshot, powered, cards_on]
-            if self.energy_segments is not None:
-                self._energy_run_counts = self._segment_counts_het()
-
-    def _flush_energy(self) -> None:
-        run = self._energy_run
-        if run is None:
-            return
+    def _charge(self, line: _LineSide, end: float) -> None:
+        """Charge a line side's open segment, which ends at ``end``."""
+        start, first, second, cards_on = line.segment
+        duration = end - start
         model = self.power_model
-        energy = self.energy
+        energy = line.energy
         if self._fleet_hetero:
-            start, end, snapshot, powered, cards_on = run
-            duration = end - start
-            active_by_gen, waking_by_gen, sleeping_by_gen = snapshot
+            active_by_gen, waking_by_gen, sleeping_by_gen = first
             for index, name in enumerate(self._generation_names):
                 energy.charge_at(
                     f"gateway:{name}",
@@ -1179,25 +1216,23 @@ class AccessNetworkSimulator:
                     start,
                     duration,
                 )
+            powered = second
         else:
-            start, end, active, waking, cards_on = run
-            duration = end - start
-            powered = active + waking
-            energy.charge_at("gateway", model.user_side_power(active, waking), start, duration)
+            powered = first + second
+            energy.charge_at("gateway", model.user_side_power(first, second), start, duration)
         energy.charge_at("isp_modem", powered * model.isp_modem.active_w, start, duration)
         energy.charge_at("line_card", cards_on * model.line_card.active_w, start, duration)
         energy.charge_at("dslam_shelf", model.dslam_shelf.active_w, start, duration)
-        segments = self.energy_segments
-        if segments is not None:
-            segments.append((start, end, self._energy_run_counts))
-            self._energy_run_counts = None
-        self._energy_run = None
+        if line.energy_segments is not None:
+            line.energy_segments.append((start, end, line.segment_counts))
 
     def _record_sample(self, now: float) -> None:
         active = self.gateway_array.active_count
         waking = self.gateway_array.waking_count
         powered = active + waking
-        self._samples.append((now, powered, waking, powered, self._cards_on))
+        self._samples.append((now, powered, waking, powered))
+        for line in self.lines:
+            line.card_samples.append(line.cards_on)
 
     # ------------------------------------------------------------------
     def _next_dt(self, now: float, next_sample: float, horizon: float) -> float:
@@ -1223,7 +1258,7 @@ class AccessNetworkSimulator:
         return dt
 
     # ------------------------------------------------------------------
-    def _build_result(self, horizon: float) -> SimulationResult:
+    def _build_results(self, horizon: float) -> List[SimulationResult]:
         tracer = self.tracer
         if tracer is not None and self.gateway_array.transition_log:
             # Post-run: fold the raw transition log into per-gateway
@@ -1233,11 +1268,6 @@ class AccessNetworkSimulator:
             add_gateway_segments(
                 tracer, self.gateway_array.transition_log, horizon
             )
-        samples = np.array(self._samples, dtype=float)
-        energy_times, energy_total = self.energy.timeseries()
-        _times, energy_isp = self.energy.timeseries(
-            categories=("isp_modem", "line_card", "dslam_shelf")
-        )
         model = self.power_model
         baseline_isp = model.isp_side_power(
             modems_online=self.scenario.num_gateways,
@@ -1252,7 +1282,29 @@ class AccessNetworkSimulator:
                 num_gateways=self.scenario.num_gateways,
                 num_line_cards=self.scenario.dslam.num_line_cards,
             )
-        energy_breakdown = self.energy.breakdown()
+        # Bind only what records() needs — closing over `self` would pin
+        # the whole simulator in memory for every unmaterialised run.
+        flow_records = LazyFlowRecords(self.scheduler.records)
+        return [self._line_result(line, horizon, baseline_power, baseline_isp, flow_records)
+                for line in self.lines]
+
+    def _line_result(
+        self,
+        line: _LineSide,
+        horizon: float,
+        baseline_power: float,
+        baseline_isp: float,
+        flow_records: LazyFlowRecords,
+    ) -> SimulationResult:
+        samples = np.array(
+            [(*sample, cards) for sample, cards in zip(self._samples, line.card_samples)],
+            dtype=float,
+        )
+        energy_times, energy_total = line.energy.timeseries()
+        _times, energy_isp = line.energy.timeseries(
+            categories=("isp_modem", "line_card", "dslam_shelf")
+        )
+        energy_breakdown = line.energy.breakdown()
         per_category = energy_breakdown.per_category_j
         if self._fleet_hetero:
             generation_energy = {
@@ -1265,7 +1317,7 @@ class AccessNetworkSimulator:
             }
         gateway_array = self.gateway_array
         return SimulationResult(
-            scheme_name=self.scheme.name,
+            scheme_name=line.scheme.name,
             duration=horizon,
             num_gateways=self.scenario.num_gateways,
             num_line_cards=self.scenario.dslam.num_line_cards,
@@ -1278,9 +1330,7 @@ class AccessNetworkSimulator:
             energy_series_times=np.array(energy_times, dtype=float),
             energy_series_total_j=np.array(energy_total, dtype=float),
             energy_series_isp_j=np.array(energy_isp, dtype=float),
-            # Bind only what records() needs — closing over `self` would pin
-            # the whole simulator in memory for every unmaterialised run.
-            flow_records=LazyFlowRecords(self.scheduler.records),
+            flow_records=flow_records,
             gateway_online_seconds={
                 g: gateway_array.online_seconds[g] + gateway_array.waking_seconds[g]
                 for g in range(self.scenario.num_gateways)

@@ -9,24 +9,30 @@ serial execution, a parallel execution and a resumed execution of the
 same grid produce bit-identical per-run metrics and therefore
 bit-identical aggregates.
 
+The unit of work is a trajectory, not a cell.  Pending cells are
+grouped by spec, step, sample interval and
+:attr:`SchemeConfig.trajectory_key`: a seed-free scheme's repetitions
+and its switch variants follow one gateway/flow trajectory bit for bit,
+so a group's first cell runs one kernel pass for all of the group's
+switch models, and the process memo serves the group's other cells.
+Every cell still stores its own record (own digest, seed and run index).
+A scheme that reads its run seed is a group of its own.  Groups run in
+the order of their first grid cell, and a pooled sweep sends each group
+to one worker whole.
+
 Workers rebuild scenarios from their (small, picklable) specs and keep a
 one-entry per-process scenario cache: a spec's scenario is built once per
 worker regardless of how many scheme × repetition tasks land on it, and
 the next spec reuses the cached trace when their
-:meth:`~repro.sweep.catalog.ScenarioSpec.trace_key` values match.  Tasks
-arrive in grid order, so a family whose specs share one trace generates
-it once per worker.  Beside it, a worker keeps the last run of a scheme
-that does not read its run seed (:attr:`SchemeConfig.uses_run_seed`):
-that scheme's later repetitions on the same spec would recompute the
-same trajectory bit for bit, so they reuse it and still store their own
-records.
+:meth:`~repro.sweep.catalog.ScenarioSpec.trace_key` values match, so a
+family whose specs share one trace generates it once per worker.
 Completed runs stream back to the parent, which persists each one to the
 :class:`~repro.sweep.store.ResultStore` immediately — a sweep killed
 mid-run loses at most the runs that were in flight.
 
-Execution is supervised (:mod:`repro.resilience.supervisor`): per-task
+Execution is supervised (:mod:`repro.resilience.supervisor`): per-cell
 wall-clock timeouts, bounded retries with deterministic backoff, dead
-worker respawn with re-enqueue of in-flight tasks, and degradation to
+worker respawn with re-enqueue of in-flight cells, and degradation to
 serial execution when the pool keeps dying.  Because a retried task is
 the *same* :class:`SweepTask` — its seed was fixed at expansion time —
 the rescue path reproduces the exact bytes a clean run would have
@@ -96,6 +102,9 @@ class SweepTask:
     step_s: float
     sample_interval_s: float
     digest: str
+    #: The other switch models of this cell's trajectory group; a cell
+    #: that runs the kernel runs them in the same pass.
+    variants: Tuple[SchemeConfig, ...] = ()
 
 
 def run_metrics(result: SimulationResult, duration_s: float) -> Dict[str, float]:
@@ -142,6 +151,19 @@ def run_metrics(result: SimulationResult, duration_s: float) -> Dict[str, float]
             metrics[f"gen:{name}_kwh"] = joules / 3.6e6
             metrics[f"gen:{name}_count"] = float(result.generation_counts.get(name, 0))
     return metrics
+
+
+def left_to_right_mean(values: Sequence[float]) -> float:
+    """The mean of ``values``, added left to right in a plain loop.
+
+    From Python 3.12 the built-in ``sum()`` of floats is compensated and
+    can round differently; every reported mean is the left-to-right one,
+    on any interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def _dedupe_schemes(schemes: Sequence[SchemeConfig]) -> List[SchemeConfig]:
@@ -205,8 +227,9 @@ def expand_tasks(
 #: share one trace (generating it dominates the scenario build).
 _SCENARIO_CACHE: dict = {}
 
-#: The last run of a seed-free scheme, without its flow records, keyed by
-#: the cell's digest inputs minus the seed; emptied before every kernel run.
+#: The results of the last kernel pass over a seed-free trajectory, one per
+#: switch model and without flow records, keyed by the cell's digest
+#: inputs minus the seed; emptied before every kernel pass.
 _RUN_MEMO: dict = {}
 
 #: Tracer handed to in-process (serial) task execution.  Set only around
@@ -235,11 +258,12 @@ class TaskOutput:
 def _execute_task(task: SweepTask) -> TaskOutput:
     """Run one grid cell (top-level so multiprocessing can pickle it).
 
-    A repetition (``run_index > 0``) of a seed-free scheme reuses its twin's
-    result when this process still holds it, instead of running the kernel.
-    Metrics, counters and the record stay per cell; ``run_s`` times the
-    kernel run or reuse plus metric extraction.  The kernel wall-time
-    histograms observe kernel runs only, never a reuse.
+    A cell whose trajectory this process's last kernel pass covered reuses
+    that pass's result for its scheme; any other cell runs a pass for its
+    scheme and ``task.variants``.  Metrics, counters and the record stay
+    per cell; ``run_s`` times the kernel pass or reuse plus metric
+    extraction.  The kernel wall-time histograms observe kernel passes
+    only, never a reuse.
     """
     scenario = _SCENARIO_CACHE.get(task.spec)
     build_s = 0.0
@@ -263,25 +287,31 @@ def _execute_task(task: SweepTask) -> TaskOutput:
     gc.disable()
     try:
         run_start = time.perf_counter()
-        run_key = (task.spec, task.scheme, task.step_s, task.sample_interval_s)
-        result = _RUN_MEMO.get(run_key) if task.run_index else None
+        result = _RUN_MEMO.get(
+            (task.spec, task.scheme, task.step_s, task.sample_interval_s)
+        )
         kernel_s = None
         if result is None:
             _RUN_MEMO.clear()
             kernel_start = time.perf_counter()
-            result = run_scheme(
+            results = run_scheme(
                 scenario,
                 task.scheme,
                 seed=task.seed,
                 step_s=task.step_s,
                 sample_interval_s=task.sample_interval_s,
                 tracer=_TASK_TRACER,
+                variants=task.variants,
             )
             kernel_s = time.perf_counter() - kernel_start
+            result = results[0]
             if not task.scheme.uses_run_seed:
-                # Without its flow records the copy pins none of the run's
-                # per-flow objects once the collector resumes.
-                _RUN_MEMO[run_key] = replace(result, flow_records=[])
+                # Without their flow records the copies pin none of the
+                # pass's per-flow objects once the collector resumes.
+                for scheme, each in zip((task.scheme, *task.variants), results):
+                    key = (task.spec, scheme, task.step_s, task.sample_interval_s)
+                    _RUN_MEMO[key] = replace(each, flow_records=[])
+            del results
         metrics = run_metrics(result, task.spec.duration_s)
         run_s = time.perf_counter() - run_start
         snapshot = kernel_snapshot(result, kernel_s)
@@ -305,6 +335,32 @@ def _execute_task(task: SweepTask) -> TaskOutput:
     return TaskOutput(
         record=record, obs=registry.snapshot(), build_s=build_s, run_s=run_s
     )
+
+
+def _trajectory_groups(pending: Sequence[SweepTask]) -> List[List[SweepTask]]:
+    """Pending cells grouped by the kernel pass that serves them.
+
+    A group holds the cells of one spec, step and sample interval whose
+    schemes share a :attr:`SchemeConfig.trajectory_key`; a scheme that
+    reads its run seed makes a group of each cell.  Groups are ordered by
+    their first cell's grid position, and each cell carries the group's
+    other switch models as its ``variants``.
+    """
+    groups: Dict[object, List[SweepTask]] = {}
+    for task in pending:
+        key = task.scheme.trajectory_key
+        group = task.digest if key is None else (
+            task.spec, key, task.step_s, task.sample_interval_s
+        )
+        groups.setdefault(group, []).append(task)
+    units = []
+    for cells in groups.values():
+        schemes = _dedupe_schemes([task.scheme for task in cells])
+        units.append([
+            replace(task, variants=tuple(s for s in schemes if s.name != task.scheme.name))
+            for task in cells
+        ])
+    return units
 
 
 @dataclass
@@ -350,9 +406,9 @@ class SweepResult:
     def aggregates(self) -> List[Dict[str, object]]:
         """Per (family, scenario, scheme) means over repetitions.
 
-        Rows keep grid order; metric means are computed with a fixed
-        summation order over run-index-ordered records, so they are
-        bit-identical across serial, parallel and resumed executions.
+        Rows keep grid order; metric means are added left to right over
+        run-index-ordered records, so they are bit-identical across
+        serial, parallel and resumed executions and across interpreters.
         Cells lost to failures (``--keep-going``) are left out of their
         group's mean — and a group with no surviving repetition is left
         out of the table — rather than silently zero-filled.
@@ -380,7 +436,7 @@ class SweepResult:
                 if all(name in r.metrics for r in records)
             ]
             means = {
-                name: sum(r.metrics[name] for r in records) / len(records)
+                name: left_to_right_mean([r.metrics[name] for r in records])
                 for name in metric_names
             }
             rows.append({
@@ -524,22 +580,24 @@ def run_sweep(
     task_stats: Dict[str, Dict[str, float]] = {}
     registry = MetricsRegistry()
     if pending:
+        units = _trajectory_groups(pending)
         workers = workers or 1
-        workers = max(1, min(workers, len(pending)))
+        workers = max(1, min(workers, len(units)))
         global _TASK_TRACER
         try:
             if workers == 1:
                 _TASK_TRACER = tracer
                 outcome = run_serial_supervised(
-                    pending, _execute_task, persist, policy, plan=plan,
-                    tracer=tracer, progress=progress,
+                    [task for unit in units for task in unit], _execute_task,
+                    persist, policy, plan=plan, tracer=tracer, progress=progress,
                 )
             else:
-                # Tasks keep their grid order on first assignment, so each
-                # spec's cells land contiguously and a worker's per-process
-                # scenario cache stays warm.
+                # Each trajectory group goes to one worker whole, and groups
+                # keep their grid order on first assignment, so each spec's
+                # cells land contiguously and a worker's per-process scenario
+                # cache stays warm.
                 outcome = run_supervised(
-                    pending, _execute_task, persist, policy, plan=plan,
+                    units, _execute_task, persist, policy, plan=plan,
                     workers=workers, tracer=tracer, progress=progress,
                 )
         finally:

@@ -12,7 +12,7 @@ from typing import Dict, List
 
 from repro.analysis import report
 from repro.obs.metrics import MetricsRegistry
-from repro.sweep.engine import SweepResult
+from repro.sweep.engine import SweepResult, left_to_right_mean
 
 #: Aggregate columns shown in the per-family tables, in order.
 TABLE_METRICS = (
@@ -149,7 +149,7 @@ def overview_table(result: SweepResult) -> str:
         groups[key].append(float(row["mean_savings_percent"]))
     rows = [
         [family, scheme, len(groups[(family, scheme)]),
-         sum(groups[(family, scheme)]) / len(groups[(family, scheme)])]
+         left_to_right_mean(groups[(family, scheme)])]
         for family, scheme in order
     ]
     return report.format_table(["family", "scheme", "scenarios", "mean savings %"], rows)

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.core.schemes import no_sleep, soi
+from repro.core.schemes import no_sleep, soi, soi_kswitch
 from repro.resilience.faults import (
     ChaosConfig,
     FaultKind,
@@ -265,20 +265,22 @@ def test_pooled_sweep_starts_no_helper_threads():
     def persist(worker_threads, attempt):
         counts.append((worker_threads, threading.active_count()))
 
+    units = [tasks[index:index + 2] for index in range(0, len(tasks), 2)]
     outcome = run_supervised(
-        tasks, _active_threads, persist, RetryPolicy(task_timeout_s=10.0)
+        units, _active_threads, persist, RetryPolicy(task_timeout_s=10.0)
     )
     assert len(outcome.records) == len(tasks) == 8
     assert counts == [(1, 1)] * len(tasks)  # (in the worker, in the parent)
 
 
 def test_a_crash_right_after_a_result_loses_no_result():
-    """The crash victim is the third grid cell, so it lands on a worker
-    that has just sent a result; the crash must cost only that cell."""
-    chaos = ChaosConfig(crashes=1, seed=7)
+    """The crash victim is the second cell of the first trajectory group,
+    which its worker starts right after sending the group's first result;
+    the crash must cost only that cell."""
+    chaos = ChaosConfig(crashes=1, seed=3)
     tasks = expand_tasks([TINY], SCHEMES, CONFIG)
     victims = [fault.digest for fault in build_plan([t.digest for t in tasks], chaos).faults]
-    assert victims == [tasks[2].digest]
+    assert victims == [tasks[1].digest]
     policy = RetryPolicy(task_timeout_s=10.0, max_retries=3, keep_going=True)
     lost = []
     for drill in range(100):
@@ -327,6 +329,86 @@ def test_raise_only_chaos_accounts_retries_without_respawns(tmp_path):
     attempts = sorted(int(s["attempts"]) for s in result.task_stats.values())
     assert attempts.count(2) == raises
     assert attempts.count(1) == result.total_runs - raises
+
+
+# ----------------------------------------------------------------------
+# Grouped dispatch: one worker runs a trajectory group, faults stay per cell
+# ----------------------------------------------------------------------
+#: Every client online, so SoI and SoI+k-switch store different metrics
+#: and a cell served its group partner's result cannot hide.
+BUSY = ScenarioFamily(
+    name="busy",
+    description="test family with every client online",
+    base=ScenarioSpec(
+        label="busy", num_clients=24, num_gateways=8, duration_s=1800.0, seed=3,
+        trace_overrides=(("peak_online_probability", 1.0),),
+    ),
+)
+#: Two groups: no-sleep's two repetitions, and SoI's and SoI+k-switch's.
+GROUPED = [no_sleep(), soi(), soi_kswitch()]
+
+#: (planned faults by (scheme, run index), pool respawn budget, expected
+#: (retried cell, attempt, kind) events, respawns, degraded).
+GROUPED_DRILLS = {
+    "crash-and-raise-in-one-group": (
+        {("SoI", 0): FaultKind.CRASH, ("SoI+k-switch", 0): FaultKind.RAISE}, 3,
+        [(("SoI", 0), 0, "crash"), (("SoI+k-switch", 0), 0, "error")], 1, False,
+    ),
+    "torn-write-on-second-cell": (
+        {("SoI", 1): FaultKind.TORN_WRITE}, 3,
+        [(("SoI", 1), 0, "persist")], 0, False,
+    ),
+    "degraded": (
+        {("SoI", 0): FaultKind.CRASH, ("SoI+k-switch", 0): FaultKind.RAISE}, 0,
+        [(("SoI", 0), 0, "crash"), (("SoI+k-switch", 0), 0, "error")], 1, True,
+    ),
+}
+
+
+class _RetryLog:
+    """Progress sink that records every failed attempt that is retried."""
+
+    def __init__(self):
+        self.events = []
+
+    def task_retry(self, task, attempt, kind):
+        self.events.append(((task.scheme.name, task.run_index), attempt, kind))
+
+
+@pytest.mark.parametrize("drill", sorted(GROUPED_DRILLS))
+def test_grouped_dispatch_keeps_faults_and_attempts_per_cell(tmp_path, monkeypatch, drill):
+    planned, respawn_budget, expected_events, respawns, degraded = GROUPED_DRILLS[drill]
+    tasks = expand_tasks([BUSY], GROUPED, CONFIG)
+    digest = {(task.scheme.name, task.run_index): task.digest for task in tasks}
+    plan = FaultPlan(faults=tuple(
+        FaultSpec(digest=digest[cell], kind=kind) for cell, kind in planned.items()
+    ))
+    monkeypatch.setattr(engine, "build_plan", lambda digests, chaos: plan)
+    clean_dir = tmp_path / "clean"
+    chaos_dir = tmp_path / "chaos"
+    clean = run_sweep(families=[BUSY], schemes=GROUPED, config=CONFIG,
+                      store=ResultStore(clean_dir), workers=1)
+    metrics = {cell: clean.records[d].metrics for cell, d in digest.items()}
+    assert metrics[("SoI", 0)] != metrics[("SoI+k-switch", 0)]
+    log = _RetryLog()
+    battered = run_sweep(
+        families=[BUSY], schemes=GROUPED, config=CONFIG,
+        store=ResultStore(chaos_dir), workers=2,
+        retry=RetryPolicy(max_retries=3, max_pool_respawns=respawn_budget),
+        chaos=ChaosConfig(crashes=1), progress=log,
+    )
+    # Each planned fault fired exactly once, on its own cell's first attempt.
+    assert sorted(log.events) == sorted(expected_events)
+    assert (battered.retries, battered.respawns) == (len(expected_events), respawns)
+    assert (battered.timeouts, battered.degraded) == (0, degraded)
+    # A cell's attempts count only its own: its group partners' faults,
+    # and a dead worker's requeued remainder, cost it none.
+    retried = {cell for cell, _attempt, _kind in expected_events}
+    assert {
+        cell: int(battered.task_stats[d]["attempts"]) for cell, d in digest.items()
+    } == {cell: 2 if cell in retried else 1 for cell in digest}
+    assert store_bytes(clean_dir) == store_bytes(chaos_dir)
+    assert clean.aggregates() == battered.aggregates()
 
 
 def test_degrades_to_serial_when_the_pool_keeps_dying(tmp_path):

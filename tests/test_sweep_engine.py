@@ -70,6 +70,49 @@ def test_gateway_kwh_adds_generation_energy_left_to_right(monkeypatch):
     assert run_metrics(result, 900.0)["gateway_kwh"] == 1.2664127352514136
 
 
+def test_means_add_repetitions_and_scenarios_left_to_right(monkeypatch):
+    # Ten repetitions, the paper's protocol, over three scenarios.  Added
+    # left to right, 0.012 ten times gives 0.11999999999999998 and
+    # 1 + 2**-53 + 2**-53 gives 1.0; a compensated sum gives 0.12 and
+    # 1 + 2**-52.
+    from repro.analysis import report
+    from repro.sweep.engine import SweepResult
+    from repro.sweep.report import overview_table
+    from repro.sweep.store import RunRecord
+
+    def left_to_right(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total / len(values)
+
+    family = replace(TINY, grid=(("density", (1.5, 2.0, 2.5)),))
+    tasks = expand_tasks([family], [no_sleep()], SweepConfig(runs_per_scheme=10))
+    savings = dict(zip(family.expand(), (1.0, 2.0**-53, 2.0**-53)))
+    result = SweepResult(tasks=tasks, records={
+        task.digest: RunRecord(
+            digest=task.digest, family=task.family, label=task.spec.label,
+            scheme=task.scheme.name, run_index=task.run_index, seed=task.seed,
+            duration_s=task.spec.duration_s,
+            metrics={"gateway_kwh": 0.012, "mean_savings_percent": savings[task.spec]},
+        )
+        for task in tasks
+    })
+    kwh = left_to_right([0.012] * 10)
+    assert kwh != _compensated_sum([0.012] * 10) / 10
+    means = [left_to_right([value] * 10) for value in savings.values()]
+    overview = left_to_right(means)
+    assert overview != _compensated_sum(means) / 3
+    tables = []
+    monkeypatch.setattr(report, "format_table", lambda headers, rows: tables.append(rows))
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    rows = result.aggregates()
+    assert [row["gateway_kwh"] for row in rows] == [kwh] * 3
+    assert [row["mean_savings_percent"] for row in rows] == means
+    overview_table(result)
+    assert tables == [[["tiny", "no-sleep", 3, overview]]]
+
+
 def test_expand_tasks_grid_shape_and_seeding():
     tasks = expand_tasks([TINY], SCHEMES, CONFIG)
     assert len(tasks) == 2 * 2 * 2  # scenarios x schemes x repetitions
@@ -237,6 +280,8 @@ def test_execute_task_restores_gc_when_the_kernel_raises(monkeypatch, restore_gc
         raise RuntimeError("kernel failed")
 
     monkeypatch.setattr(engine, "run_scheme", broken_kernel)
+    # A memoised pass over this cell's trajectory would serve it unrun.
+    monkeypatch.setattr(engine, "_RUN_MEMO", {})
     _set_gc(enabled)
     with pytest.raises(RuntimeError, match="kernel failed"):
         engine._execute_task(task)
@@ -322,13 +367,12 @@ def _stored_bytes(store):
 def test_serial_sweep_runs_each_seed_free_scheme_once(monkeypatch, tmp_path, family):
     """Repetitions of a scheme that ignores its run seed reuse its first run.
 
-    Of the five standard schemes only BH2+k-switch reads the run seed, so
-    three repetitions cost 4 + 3 kernel runs instead of 15.  No kernel
-    starts while an earlier run's result is alive, and every record still
-    holds the metrics of a kernel run of its own scheme at its own seed.
-    A pooled sweep (where a second repetition lands on the worker without
-    the twin and runs its kernel) and a resumed one (whose repeats have no
-    twin) store the same bytes.
+    Of the five standard schemes only BH2+k-switch reads the run seed, and
+    SoI+k-switch shares SoI's trajectory, so three repetitions cost 3 + 3
+    kernel passes instead of 15.  No kernel starts while an earlier pass's
+    result is alive, and every record still holds the metrics of a kernel
+    run of its own scheme at its own seed.  A pooled sweep and a resumed
+    one (whose repeats have no twin) store the same bytes.
     """
     families = [family]
     config = SweepConfig(runs_per_scheme=3)
@@ -339,10 +383,10 @@ def test_serial_sweep_runs_each_seed_free_scheme_once(monkeypatch, tmp_path, fam
     def spy(scenario, scheme, **kwargs):
         assert all(ref() is None for ref in returned), "an earlier run is alive"
         assert not engine._RUN_MEMO, "a kernel started beside a memoised run"
-        result = run_scheme(scenario, scheme, **kwargs)
+        results = run_scheme(scenario, scheme, **kwargs)
         runs[scheme.name] += 1
-        returned.append(weakref.ref(result))
-        return result
+        returned.extend(weakref.ref(result) for result in results)
+        return results
 
     def metrics_spy(result, duration_s):
         # The held copy must not keep the run's flows alive through its
@@ -356,9 +400,7 @@ def test_serial_sweep_runs_each_seed_free_scheme_once(monkeypatch, tmp_path, fam
     result = run_sweep(families=families, schemes=schemes, config=config, store=serial)
     monkeypatch.undo()
     assert result.executed == len(result.tasks) == 15
-    assert runs == {
-        "no-sleep": 1, "SoI": 1, "SoI+k-switch": 1, "BH2+k-switch": 3, "Optimal": 1,
-    }
+    assert runs == {"no-sleep": 1, "SoI": 1, "BH2+k-switch": 3, "Optimal": 1}
     for task in result.tasks:
         alone = run_scheme(
             task.spec.build(), task.scheme, seed=task.seed, step_s=task.step_s,
