@@ -3,11 +3,15 @@
 Both classes are lean value types rather than dataclasses: the simulator
 creates one :class:`ActiveFlow` per admitted trace flow (hundreds of
 thousands per run), so construction cost is a measurable slice of a run.
-A :class:`FlowRecord` per completion is built only when a caller reads a
-result's ``flow_records`` (figures, CDFs); a sweep reads the scheduler's
-served-flow and served-byte counters instead.  ``ActiveFlow`` is a mutable
-``__slots__`` class; ``FlowRecord`` is a ``NamedTuple`` (tuple construction
-is C-speed).
+An ``ActiveFlow`` lives only while its flow is in flight: the scheduler
+keeps a finished flow as completion columns (the trace flow, its gateway
+and its completion instant) and drops the ``ActiveFlow``.  A
+:class:`FlowRecord` per completion is built from those columns only when
+a caller reads a result's ``flow_records`` (figures, CDFs); a sweep reads
+the scheduler's served-flow and served-byte counters instead.
+``ActiveFlow`` is a mutable ``__slots__`` class; ``FlowRecord``, like the
+trace's :class:`~repro.traces.models.Flow`, is a ``NamedTuple`` (tuple
+construction is C-speed).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ class ActiveFlow:
         "gateway_id",
         "wireless_capacity_bps",
         "remaining_bytes",
-        "first_service_time",
         "completion_time",
         "rate_bps",
         "admission_index",
@@ -44,7 +47,6 @@ class ActiveFlow:
         flow: Flow,
         gateway_id: int,
         wireless_capacity_bps: float,
-        first_service_time: Optional[float] = None,
         completion_time: Optional[float] = None,
     ):
         if wireless_capacity_bps <= 0:
@@ -53,7 +55,6 @@ class ActiveFlow:
         self.gateway_id = gateway_id
         self.wireless_capacity_bps = wireless_capacity_bps
         self.remaining_bytes = float(flow.size_bytes)
-        self.first_service_time = first_service_time
         self.completion_time = completion_time
         #: Current max-min share (maintained by the scheduler; 0 while the
         #: flow's gateway is offline).
@@ -78,8 +79,6 @@ class ActiveFlow:
             raise ValueError("rate and dt must be non-negative")
         if self.done:
             return 0.0
-        if self.first_service_time is None and rate_bps > 0:
-            self.first_service_time = now
         bits = min(rate_bps * dt, self.remaining_bytes * 8.0)
         self.remaining_bytes -= bits / 8.0
         if self.done:

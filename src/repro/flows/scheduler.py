@@ -11,6 +11,9 @@ step), each flow's max-min share is cached on the flow and only recomputed
 for gateways whose flow set or online status changed, and the earliest
 possible completion instant per gateway is tracked so the ordinary serving
 step is a tight multiply-subtract loop with no completion bookkeeping.
+A finished flow leaves three completion columns behind (its trace flow,
+its gateway and its completion instant) instead of its ActiveFlow, from
+which :meth:`FlowScheduler.records` builds the result records on demand.
 The per-flow arithmetic (including the iterative water-filling used for
 in-simulator rate computation) reproduces the seed bit for bit.
 
@@ -21,10 +24,12 @@ that the scheduler also runs, so both produce the seed's rates bit for bit.
 
 from __future__ import annotations
 
+from array import array
 from math import inf
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.flows.flow import ActiveFlow, FlowRecord
+from repro.traces.models import Flow
 
 #: A flow with fewer remaining bytes is considered complete (seed semantics).
 _DONE_BYTES = 1e-9
@@ -112,7 +117,12 @@ class FlowScheduler:
         self.backhaul_bps = backhaul_bps
         #: gateway id -> flows routed through it, in admission order.
         self._groups: Dict[int, List[ActiveFlow]] = {}
-        self._completed: List[ActiveFlow] = []
+        #: Completion columns, one entry per finished flow in completion
+        #: order: the trace flow, the gateway that served it and the instant
+        #: its last byte arrived.  Each ActiveFlow is freed as it completes.
+        self._done_flows: List[Flow] = []
+        self._done_gateways: List[int] = []
+        self._done_times = array("d")
         #: Served demand, counted as flows complete: what a sweep stores,
         #: without building a :class:`FlowRecord` per flow.  Exact integers
         #: (``Flow.size_bytes`` is an ``int``), so any summation order agrees.
@@ -272,8 +282,6 @@ class FlowScheduler:
                     rate = capacity
                 flow.rate_bps = rate
                 if rate > 0:
-                    if flow.first_service_time is None:
-                        flow.first_service_time = now
                     gw_completion[gateway_id] = now + flow.remaining_bytes * 8.0 / rate
                 else:
                     gw_completion.pop(gateway_id, None)
@@ -302,8 +310,6 @@ class FlowScheduler:
                 rate = capacity
             flow.rate_bps = rate
             if rate > 0:
-                if flow.first_service_time is None:
-                    flow.first_service_time = now
                 earliest = now + flow.remaining_bytes * 8.0 / rate
         else:
             caps = [flow.wireless_capacity_bps for flow in group]
@@ -316,8 +322,6 @@ class FlowScheduler:
                 min_remaining = inf
                 for flow in group:
                     flow.rate_bps = share
-                    if flow.first_service_time is None:
-                        flow.first_service_time = now
                     if flow.remaining_bytes < min_remaining:
                         min_remaining = flow.remaining_bytes
                 self._gw_completion[gateway_id] = now + min_remaining * 8.0 / share
@@ -335,8 +339,6 @@ class FlowScheduler:
             for flow, rate in zip(group, rates):
                 flow.rate_bps = rate
                 if rate > 0:
-                    if flow.first_service_time is None:
-                        flow.first_service_time = now
                     instant = now + flow.remaining_bytes * 8.0 / rate
                     if instant < earliest:
                         earliest = instant
@@ -456,34 +458,27 @@ class FlowScheduler:
     serve_single = serve
 
     def _record_completions(self, completed: List[ActiveFlow]) -> None:
-        """Keep finished flows for :meth:`records` and count what they served."""
-        self._completed.extend(completed)
-        self.served_flows += len(completed)
-        # A plain loop: about half the cost of sum() over a generator here.
+        """Append finished flows to the completion columns and count what
+        they served."""
+        flows = self._done_flows
+        gateways = self._done_gateways
+        times = self._done_times
         served_bytes = self.served_bytes
         for active in completed:
-            served_bytes += active.flow.size_bytes
+            flow = active.flow
+            flows.append(flow)
+            gateways.append(active.gateway_id)
+            times.append(active.completion_time)
+            served_bytes += flow.size_bytes
+        self.served_flows += len(completed)
         self.served_bytes = served_bytes
 
     # ------------------------------------------------------------------
     def records(self) -> List[FlowRecord]:
-        """Completion records of all finished flows."""
+        """Completion records of all finished flows, in completion order."""
         make = FlowRecord._make  # tuple construction without __new__ overhead
-        records: List[FlowRecord] = []
-        append = records.append
-        for active in self._completed:
-            flow = active.flow
-            append(
-                make(
-                    (
-                        flow.flow_id,
-                        flow.client_id,
-                        active.gateway_id,
-                        flow.size_bytes,
-                        flow.start_time,
-                        active.completion_time,
-                        None,
-                    )
-                )
-            )
-        return records
+        return [
+            make((flow_id, client_id, gateway_id, size_bytes, start_time, instant, None))
+            for (flow_id, client_id, start_time, size_bytes, _kind), gateway_id, instant
+            in zip(self._done_flows, self._done_gateways, self._done_times)
+        ]

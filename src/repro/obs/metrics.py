@@ -112,28 +112,38 @@ def _format(value: float) -> str:
     return f"{value:.4g}"
 
 
-def kernel_snapshot(result, wall_s: Optional[float] = None) -> Dict[str, dict]:
+#: Counters of the work one kernel pass does, with the result field each
+#: reads.  A pass serves every cell of its trajectory, so a sweep counts
+#: them once per pass, not once per cell.
+PASS_COUNTERS = (
+    ("kernel.steps", "steps_taken"),
+    ("kernel.solver_invocations", "solver_invocations"),
+    ("kernel.bh2_rounds", "bh2_rounds"),
+    ("kernel.bh2_decisions", "bh2_decisions"),
+    ("kernel.rate_recomputes", "rate_recomputes"),
+    ("kernel.rate_cache_hits", "rate_cache_hits"),
+)
+
+
+def kernel_snapshot(
+    result, wall_s: Optional[float] = None, ran_pass: bool = True
+) -> Dict[str, dict]:
     """One run's kernel counters as a mergeable metrics snapshot.
 
     Reads a :class:`~repro.simulation.simulator.SimulationResult` after
     the run — every field here is a plain integer the kernel maintained
     at O(changes) cost whether or not anyone asked.  ``getattr`` guards
     keep this tolerant of results recorded before a counter existed.
+
+    ``ran_pass=False`` marks a cell served from another cell's kernel
+    pass: its :data:`PASS_COUNTERS` read 0, since the cell that ran the
+    pass counted them.  ``kernel.runs`` and the drop counters stay per
+    cell.
     """
     registry = MetricsRegistry()
     registry.counter("kernel.runs", 1)
-    registry.counter("kernel.steps", getattr(result, "steps_taken", 0))
-    registry.counter(
-        "kernel.solver_invocations", getattr(result, "solver_invocations", 0)
-    )
-    registry.counter("kernel.bh2_rounds", getattr(result, "bh2_rounds", 0))
-    registry.counter("kernel.bh2_decisions", getattr(result, "bh2_decisions", 0))
-    registry.counter(
-        "kernel.rate_recomputes", getattr(result, "rate_recomputes", 0)
-    )
-    registry.counter(
-        "kernel.rate_cache_hits", getattr(result, "rate_cache_hits", 0)
-    )
+    for name, attribute in PASS_COUNTERS:
+        registry.counter(name, getattr(result, attribute, 0) if ran_pass else 0)
     registry.counter("kernel.dropped_flows", getattr(result, "dropped_flows", 0))
     registry.counter(
         "kernel.suppressed_arrivals", getattr(result, "suppressed_arrivals", 0)

@@ -84,6 +84,8 @@ class LazyFlowRecords(_SequenceABC):
     CDFs), and a sweep never does; it stores the result's ``served_flows``
     and ``served_bytes`` counters.  Building hundreds of thousands of
     :class:`FlowRecord` tuples eagerly per run would be wasted work.
+    Until then the view pins only the scheduler's completion columns
+    (about 24 bytes per finished flow), not the finished flows' state.
     """
 
     __slots__ = ("_factory", "_records")

@@ -25,7 +25,11 @@ one-entry per-process scenario cache: a spec's scenario is built once per
 worker regardless of how many scheme × repetition tasks land on it, and
 the next spec reuses the cached trace when their
 :meth:`~repro.sweep.catalog.ScenarioSpec.trace_key` values match, so a
-family whose specs share one trace generates it once per worker.
+family whose specs share one trace generates it once per worker.  A
+build runs with the garbage collector paused and ends in
+:func:`gc.freeze`: the cached scenario's hundreds of thousands of
+cycle-free trace objects then sit out every collection until the engine
+drops the scenario or the sweep ends, where it calls :func:`gc.unfreeze`.
 Completed runs stream back to the parent, which persists each one to the
 :class:`~repro.sweep.store.ResultStore` immediately — a sweep killed
 mid-run loses at most the runs that were in flight.
@@ -255,37 +259,47 @@ class TaskOutput:
     run_s: float
 
 
+def _drop_scenarios() -> None:
+    """Empty the per-process caches and unfreeze what the last build froze."""
+    _SCENARIO_CACHE.clear()
+    _RUN_MEMO.clear()
+    gc.unfreeze()
+
+
 def _execute_task(task: SweepTask) -> TaskOutput:
     """Run one grid cell (top-level so multiprocessing can pickle it).
 
     A cell whose trajectory this process's last kernel pass covered reuses
     that pass's result for its scheme; any other cell runs a pass for its
-    scheme and ``task.variants``.  Metrics, counters and the record stay
-    per cell; ``run_s`` times the kernel pass or reuse plus metric
-    extraction.  The kernel wall-time histograms observe kernel passes
-    only, never a reuse.
+    scheme and ``task.variants``.  Metrics, ``kernel.runs`` and the record
+    stay per cell; the pass's work counters (steps, rate recomputes, BH2
+    rounds, solver invocations) count once, for the cell that ran it.
+    ``run_s`` times the kernel pass or reuse plus metric extraction.  The
+    kernel wall-time histograms observe kernel passes only, never a reuse.
     """
-    scenario = _SCENARIO_CACHE.get(task.spec)
-    build_s = 0.0
-    if scenario is None:
-        build_start = time.perf_counter()
-        key = task.spec.trace_key()
-        trace = next(
-            (cached.trace for spec, cached in _SCENARIO_CACHE.items()
-             if spec.trace_key() == key),
-            None,
-        )
-        _SCENARIO_CACHE.clear()
-        _RUN_MEMO.clear()
-        scenario = task.spec.build(trace=trace)
-        build_s = time.perf_counter() - build_start
-        _SCENARIO_CACHE[task.spec] = scenario
-    # The kernel pauses the collector only while it runs; keep it paused
-    # until the result is dropped, so the run's objects die by refcount
-    # instead of being scanned by the first collection after run().
+    # The collector stays paused through the build and until the run's
+    # result is dropped, so the run's objects die by refcount instead of
+    # being scanned by the first collection after it.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        scenario = _SCENARIO_CACHE.get(task.spec)
+        build_s = 0.0
+        if scenario is None:
+            build_start = time.perf_counter()
+            key = task.spec.trace_key()
+            trace = next(
+                (cached.trace for spec, cached in _SCENARIO_CACHE.items()
+                 if spec.trace_key() == key),
+                None,
+            )
+            _drop_scenarios()
+            scenario = task.spec.build(trace=trace)
+            _SCENARIO_CACHE[task.spec] = scenario
+            # The trace's hundreds of thousands of cycle-free objects sit
+            # out every later collection until _drop_scenarios().
+            gc.freeze()
+            build_s = time.perf_counter() - build_start
         run_start = time.perf_counter()
         result = _RUN_MEMO.get(
             (task.spec, task.scheme, task.step_s, task.sample_interval_s)
@@ -314,7 +328,7 @@ def _execute_task(task: SweepTask) -> TaskOutput:
             del results
         metrics = run_metrics(result, task.spec.duration_s)
         run_s = time.perf_counter() - run_start
-        snapshot = kernel_snapshot(result, kernel_s)
+        snapshot = kernel_snapshot(result, kernel_s, ran_pass=kernel_s is not None)
         del result
     finally:
         if gc_was_enabled:
@@ -604,9 +618,8 @@ def run_sweep(
             _TASK_TRACER = None
             # Cells run in this process serially, or after a pooled sweep
             # degrades to serial: don't pin the last scenario (and its
-            # trace) for the process lifetime.
-            _SCENARIO_CACHE.clear()
-            _RUN_MEMO.clear()
+            # trace) for the process lifetime, nor leave it frozen.
+            _drop_scenarios()
         # Unwrap: SweepResult.records holds bare RunRecords (exactly what
         # the cache-served path yields), the snapshots merge sweep-wide.
         for digest, payload in outcome.records.items():

@@ -249,9 +249,9 @@ class SyntheticTraceGenerator:
 
         # A stable sort by start time; ids stay unique and ordered after it.
         emitted.sort(key=itemgetter(0))
+        # Positional arguments: the cheapest way to build the records.
         return [
-            Flow(flow_id=next_flow_id + offset, client_id=client_id, start_time=t,
-                 size_bytes=size, kind=kind)
+            Flow(next_flow_id + offset, client_id, t, size, kind)
             for offset, (t, size, kind) in enumerate(emitted)
         ]
 

@@ -1,6 +1,8 @@
 """Integration tests for the access-network simulator and metrics."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from repro.access.dslam import Dslam
 from repro.access.gateway_array import GatewayArray, STATE_ACTIVE, STATE_SLEEPING
 from repro.core.bh2 import BH2Terminal
 from repro.core.schemes import bh2_kswitch, no_sleep, optimal, soi, soi_kswitch
+from repro.flows.flow import ActiveFlow
+from repro.flows.scheduler import FlowScheduler
 from repro.simulation.metrics import (
     average_timeseries,
     cdf,
@@ -19,6 +23,7 @@ from repro.simulation.metrics import (
     online_time_variation_cdf,
     summarize_savings,
 )
+from repro.simulation.reference_kernel import run_scheme_reference
 from repro.simulation.runner import ExperimentRunner, run_scheme
 from repro.simulation.simulator import AccessNetworkSimulator
 from repro.topology.scenario import build_default_scenario
@@ -320,3 +325,57 @@ def test_optimal_reroutes_from_a_sleeping_choice_to_the_least_loaded_gateway(
 
     assert route(now, {first: 3e6, second: 1e6}) == second
     assert route(now + 1.0, {second: 4e6}) == first
+
+
+def _live_active_flows() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is ActiveFlow)
+
+
+def test_a_pass_keeps_only_its_in_flight_active_flows(busy_scenario, monkeypatch):
+    """Finished flows live on as completion columns, not as ActiveFlows.
+
+    With the result alive, the only ActiveFlows left are the flows still
+    in flight at the horizon.  The records built from the columns come
+    in completion order and equal the seed kernel's, record for record.
+    """
+    completions = []
+    real_serve = FlowScheduler.serve
+
+    def spy(self, now, end, dt):
+        totals, completed = real_serve(self, now, end, dt)
+        completions.extend(active.flow.flow_id for active in completed)
+        return totals, completed
+
+    monkeypatch.setattr(FlowScheduler, "serve", spy)
+    before = _live_active_flows()
+    simulator = AccessNetworkSimulator(busy_scenario, soi(), step_s=2.0, seed=1)
+    result = simulator.run()
+    in_flight = len(simulator.scheduler.active_flows)
+    assert result.served_flows > 1000 and in_flight > 0
+    assert _live_active_flows() - before == in_flight
+    monkeypatch.undo()
+
+    records = list(result.flow_records)
+    assert [record.flow_id for record in records] == completions
+    reference = run_scheme_reference(busy_scenario, soi(), seed=1, step_s=2.0)
+    by_id = sorted(reference.flow_records, key=lambda record: record.flow_id)
+    assert sorted(records, key=lambda record: record.flow_id) == by_id
+
+
+def test_a_pass_keeps_little_memory_per_served_flow(busy_scenario):
+    """What a pass keeps alive with its result, per served flow.
+
+    A ``paper-default`` SoI pass kept ~210 B per served flow while every
+    finished ActiveFlow stayed alive, and ~43 B with completion columns.
+    """
+    run_scheme(busy_scenario, soi(), seed=1, step_s=2.0)  # the trace's lazy caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_scheme(busy_scenario, soi(), seed=1, step_s=2.0)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.served_flows > 1000
+    assert kept / result.served_flows < 120, kept / result.served_flows

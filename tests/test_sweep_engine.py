@@ -11,6 +11,8 @@ import pytest
 
 from repro.core.schemes import no_sleep, soi, standard_schemes
 from repro.flows.scheduler import FlowScheduler
+from repro.obs.metrics import PASS_COUNTERS
+from repro.resilience.supervisor import RetryPolicy
 from repro.sweep import engine
 from repro.sweep.catalog import ScenarioFamily, ScenarioSpec, resolve_families
 from repro.sweep.engine import SweepConfig, expand_tasks, run_metrics, run_sweep
@@ -249,8 +251,10 @@ def _set_gc(enabled):
 
 @pytest.fixture
 def restore_gc():
+    """Restore the collector's state, and unfreeze what a direct call froze."""
     was_enabled = gc.isenabled()
     yield
+    engine._drop_scenarios()
     _set_gc(was_enabled)
 
 
@@ -326,7 +330,7 @@ def test_a_cache_miss_reuses_the_trace_only_when_the_trace_key_matches():
         assert built is not trace
         assert built.home_gateway == new_trace.spec.build().trace.home_gateway
     finally:
-        engine._SCENARIO_CACHE.clear()
+        engine._drop_scenarios()
 
 
 def test_serial_sweep_generates_a_shared_trace_once(generations):
@@ -422,3 +426,84 @@ def test_serial_sweep_runs_each_seed_free_scheme_once(monkeypatch, tmp_path, fam
     resumed = run_sweep(families=families, schemes=schemes, config=config, store=serial)
     assert resumed.executed == 5
     assert _stored_bytes(serial) == stored
+
+
+def test_work_counters_count_each_kernel_pass_once(monkeypatch):
+    """A cell served from another cell's pass adds none of its work.
+
+    ``kernel.runs`` still counts executed cells.
+    """
+    passes = []
+
+    def spy(scenario, scheme, **kwargs):
+        results = run_scheme(scenario, scheme, **kwargs)
+        passes.append(results[0])
+        return results
+
+    monkeypatch.setattr(engine, "run_scheme", spy)
+    result = run_sweep(
+        families=[BUSY_SMOKE], schemes=standard_schemes(),
+        config=SweepConfig(runs_per_scheme=2),
+    )
+    counters = result.obs["counters"]
+    assert result.executed == 10 and len(passes) == 5
+    assert counters["kernel.runs"] == result.executed
+    for name, attribute in PASS_COUNTERS:
+        assert counters[name] == sum(getattr(each, attribute) for each in passes), name
+    assert counters["kernel.solver_invocations"] > 0 and counters["kernel.bh2_rounds"] > 0
+
+
+@pytest.fixture
+def unfrozen():
+    """Start from no frozen objects."""
+    gc.unfreeze()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+def test_run_sweep_leaves_nothing_frozen(monkeypatch, restore_gc, unfrozen, workers, enabled):
+    frozen_during_cells = []
+    real_run_metrics = engine.run_metrics
+
+    def spy(result, duration_s):
+        frozen_during_cells.append(gc.get_freeze_count())
+        return real_run_metrics(result, duration_s)
+
+    monkeypatch.setattr(engine, "run_metrics", spy)
+    _set_gc(enabled)
+    result = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG, workers=workers)
+    assert result.executed == len(result.tasks) and not result.degraded
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled() is enabled
+    if workers == 1:
+        # Each built scenario stays frozen while its cells run.
+        assert len(frozen_during_cells) == len(result.tasks)
+        assert all(count > 0 for count in frozen_during_cells)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_a_build_that_raises_leaves_nothing_frozen(monkeypatch, restore_gc, unfrozen, enabled):
+    real_build = ScenarioSpec.build
+
+    def build(self, trace=None):
+        if self.density == 2.5:
+            raise RuntimeError("build failed")
+        return real_build(self, trace=trace)
+
+    monkeypatch.setattr(ScenarioSpec, "build", build)
+    _set_gc(enabled)
+    first, *_, last = expand_tasks([TINY], SCHEMES, CONFIG)
+    assert last.spec.density == 2.5
+    engine._execute_task(first)
+    assert gc.get_freeze_count() > 0
+    with pytest.raises(RuntimeError, match="build failed"):
+        engine._execute_task(last)
+    assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == 0  # the failed build dropped the frozen one
+    result = run_sweep(
+        families=[TINY], schemes=SCHEMES, config=CONFIG,
+        retry=RetryPolicy(max_retries=0, keep_going=True),
+    )
+    assert len(result.failures) == 4 and len(result.records) == 4
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled() is enabled

@@ -1,5 +1,7 @@
 """Tests for the trace data model."""
 
+import pickle
+
 import pytest
 
 from repro.traces.models import ClientTrace, Flow, Packet, TraceStats, WirelessTrace, merge_traces
@@ -28,10 +30,31 @@ def test_packet_validation():
 
 
 def test_flow_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="start_time must be non-negative, got -1.0"):
         Flow(flow_id=0, client_id=0, start_time=-1.0, size_bytes=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="size must be positive, got 0"):
         Flow(flow_id=0, client_id=0, start_time=0.0, size_bytes=0)
+    with pytest.raises(ValueError, match="size must be positive, got -5"):
+        Flow(0, 0, 0.0, -5, "bulk")
+
+
+def test_flow_is_an_immutable_value_record():
+    flow = Flow(flow_id=3, client_id=1, start_time=2.5, size_bytes=1200, kind="bulk")
+    assert flow == Flow(3, 1, 2.5, 1200, "bulk")
+    assert flow != Flow(3, 1, 2.5, 1200, "web")
+    assert hash(flow) == hash(Flow(3, 1, 2.5, 1200, "bulk"))
+    assert len({flow, Flow(3, 1, 2.5, 1200, "bulk"), Flow(4, 1, 2.5, 1200, "bulk")}) == 2
+    assert Flow(0, 0, 0.0, 1).kind == "web"
+    with pytest.raises(AttributeError):
+        flow.size_bytes = 1
+    with pytest.raises(AttributeError):
+        flow.note = "extra"
+    assert flow.size_bytes == 1200
+    assert repr(flow) == (
+        "Flow(flow_id=3, client_id=1, start_time=2.5, size_bytes=1200, kind='bulk')"
+    )
+    copy = pickle.loads(pickle.dumps(flow))
+    assert copy == flow and type(copy) is Flow
 
 
 def test_flow_duration_at_rate():
