@@ -26,6 +26,7 @@ its own home gateway), so only *online* remote gateways are candidates.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -71,28 +72,6 @@ class BH2Config:
             raise ValueError("backup must be non-negative")
         if self.decision_period_s <= 0 or self.load_window_s <= 0:
             raise ValueError("periods must be positive")
-
-    def with_backup(self, backup: int) -> "BH2Config":
-        """A copy with a different number of backup gateways."""
-        return BH2Config(
-            low_threshold=self.low_threshold,
-            high_threshold=self.high_threshold,
-            backup=backup,
-            decision_period_s=self.decision_period_s,
-            load_window_s=self.load_window_s,
-            candidate_min_load=self.candidate_min_load,
-        )
-
-    def with_thresholds(self, low: float, high: float) -> "BH2Config":
-        """A copy with different load thresholds (for sensitivity sweeps)."""
-        return BH2Config(
-            low_threshold=low,
-            high_threshold=high,
-            backup=self.backup,
-            decision_period_s=self.decision_period_s,
-            load_window_s=self.load_window_s,
-            candidate_min_load=min(self.candidate_min_load, low) if low > 0 else 0.0,
-        )
 
     def strict_paper_variant(self) -> "BH2Config":
         """The literal Eq.-free reading of Sec. 3.1: candidates need load > low."""
@@ -169,9 +148,18 @@ class BH2Terminal:
         self.client_id = client_id
         self.home_gateway = home_gateway
         self.reachable_gateways = frozenset(reachable_gateways)
-        #: Tuple snapshot (same iteration order) for the hot decision path.
-        self._reachable_seq = tuple(self.reachable_gateways)
-        self.config = config or BH2Config()
+        #: The remote gateways in range, in the frozenset's iteration order
+        #: (the order :meth:`_candidate_gateways` visits them in).
+        self._neighbours = tuple(
+            gateway_id for gateway_id in self.reachable_gateways if gateway_id != home_gateway
+        )
+        self.config = cfg = config or BH2Config()
+        # Plain copies of the (frozen) config for the hot decision path.
+        self._low = cfg.low_threshold
+        self._high = cfg.high_threshold
+        self._min_load = cfg.candidate_min_load
+        self._backup = cfg.backup
+        self._period = cfg.decision_period_s
         self.watt_bias = list(watt_bias) if watt_bias is not None else None
         self._rng = rng if rng is not None else np.random.default_rng(client_id)
         #: The gateway the terminal currently directs new traffic to.
@@ -205,7 +193,10 @@ class BH2Terminal:
         """Run one BH2 decision given the current gateway observations.
 
         ``observations`` must contain an entry for every reachable gateway;
-        missing gateways are treated as offline.
+        missing gateways are treated as offline.  This is the plain reading
+        of Sec. 3.1 and the oracle of :meth:`decide_fast`: the seed kernel
+        runs it, and the equivalence tests require the same decisions, RNG
+        draws and statistics from both.
         """
         self.schedule_next_decision(now)
         current_obs = observations.get(self.current_gateway)
@@ -339,39 +330,73 @@ class BH2Terminal:
         ``STATE_ACTIVE``) and asks ``utilization(gateway, now)`` for the
         load of only the gateways it examines: its current gateway, then,
         when it looks for a hitch-hiking target, the online gateways in its
-        range.  Returns just ``(selected_gateway, wake_home)``.  The
-        simulator passes :attr:`GatewayArray.state` and
-        :meth:`GatewayArray.utilization`; :meth:`decide` remains for
-        dict-based callers.
+        range.  Each decision builds only what its outcome needs: the
+        preferred and fallback tiers are created when a gateway first
+        qualifies for one, so a terminal that finds no candidate stays or
+        returns home without building any list.  Returns just
+        ``(selected_gateway, wake_home)``.  The simulator passes
+        :attr:`GatewayArray.state` and :meth:`GatewayArray.utilization`.
         """
-        self.schedule_next_decision(now)
-        cfg = self.config
-        home = self.home_gateway
+        next_at = self._next_decision_at
+        period = self._period
+        while next_at <= now:
+            next_at += period
+        self._next_decision_at = next_at
         current = self.current_gateway
-        current_online = state[current] == STATE_ACTIVE
-        current_load = utilization(current, now) if current_online else 0.0
-
-        if current == home:
-            if current_online and current_load >= cfg.low_threshold:
+        at_home = current == self.home_gateway
+        low = self._low
+        if state[current] == STATE_ACTIVE:
+            load = utilization(current, now)
+            if at_home:
+                if load >= low:
+                    return current, False
+            elif load >= self._high:
+                return self._return_home_fast(state)
+            elif load >= low:
                 return current, False
-            ids, cand_loads = self._candidates_fast(now, state, utilization, home, -1)
-            if len(ids) > cfg.backup:
-                selected = self._pick_fast(ids, cand_loads)
-                self.moves_to_remote += 1
-                self.current_gateway = selected
-                return selected, False
-            return home, False
-
-        if not current_online or current_load >= cfg.high_threshold:
+        elif not at_home:
             return self._return_home_fast(state)
-        if current_load >= cfg.low_threshold:
-            return current, False
-        ids, cand_loads = self._candidates_fast(now, state, utilization, current, home)
-        if len(ids) > cfg.backup:
-            selected = self._pick_fast(ids, cand_loads)
+
+        # The current gateway is lightly loaded or asleep: search the other
+        # gateways in range, in the tiers and order of _candidate_gateways.
+        high = self._high
+        min_load = self._min_load
+        preferred: Optional[List[int]] = None
+        fallback: Optional[List[int]] = None
+        for gateway_id in self._neighbours:
+            if gateway_id == current or state[gateway_id] != STATE_ACTIVE:
+                continue
+            load = utilization(gateway_id, now)
+            if load >= high:
+                continue
+            if load > low:
+                if preferred is None:
+                    preferred, preferred_loads = [gateway_id], [load]
+                else:
+                    preferred.append(gateway_id)
+                    preferred_loads.append(load)
+            elif load > min_load:
+                if fallback is None:
+                    fallback, fallback_loads = [gateway_id], [load]
+                else:
+                    fallback.append(gateway_id)
+                    fallback_loads.append(load)
+        backup = self._backup
+        if preferred is not None and len(preferred) > backup:
+            ids, loads = preferred, preferred_loads
+        elif fallback is None:
+            ids = None
+        elif preferred is None:
+            ids, loads = fallback, fallback_loads
+        else:
+            ids, loads = preferred + fallback, preferred_loads + fallback_loads
+        if ids is not None and len(ids) > backup:
+            selected = self._pick_fast(ids, loads)
             self.moves_to_remote += 1
             self.current_gateway = selected
             return selected, False
+        if at_home:
+            return current, False
         return self._return_home_fast(state)
 
     def _return_home_fast(self, state: Sequence[int]) -> "Tuple[int, bool]":
@@ -382,66 +407,48 @@ class BH2Terminal:
         self.current_gateway = self.home_gateway
         return self.home_gateway, wake_home
 
-    def _candidates_fast(
-        self,
-        now: float,
-        state: Sequence[int],
-        utilization: Callable[[int, float], float],
-        exclude_a: int,
-        exclude_b: int,
-    ) -> "Tuple[List[int], List[float]]":
-        """Fast twin of :meth:`_candidate_gateways` (same order, same tiers)."""
-        cfg = self.config
-        low = cfg.low_threshold
-        high = cfg.high_threshold
-        min_load = cfg.candidate_min_load
-        preferred_ids: List[int] = []
-        preferred_loads: List[float] = []
-        fallback_ids: List[int] = []
-        fallback_loads: List[float] = []
-        for gateway_id in self._reachable_seq:
-            if gateway_id == exclude_a or gateway_id == exclude_b:
-                continue
-            if state[gateway_id] != STATE_ACTIVE:
-                continue
-            load = utilization(gateway_id, now)
-            if load >= high:
-                continue
-            if load > low:
-                preferred_ids.append(gateway_id)
-                preferred_loads.append(load)
-            elif load > min_load:
-                fallback_ids.append(gateway_id)
-                fallback_loads.append(load)
-        if len(preferred_ids) > cfg.backup:
-            return preferred_ids, preferred_loads
-        return preferred_ids + fallback_ids, preferred_loads + fallback_loads
-
     def _pick_fast(self, ids: List[int], loads: List[float]) -> int:
-        """Array twin of :meth:`_pick_proportional_to_load` (same RNG draws).
+        """Twin of :meth:`_pick_proportional_to_load` (same RNG draws).
 
-        Inlines ``Generator.choice(n, p=...)``'s sampling (normalised-cdf
-        ``searchsorted`` against one uniform draw), which consumes exactly
-        one ``random()`` from the stream — bit-identical to the real call
-        but without its validation overhead; pinned by a regression test.
+        Inlines ``Generator.choice(n, p=loads / total)``'s sampling: the
+        cumulative sum of ``p``, divided by its last entry, is searched
+        (right side) with one ``random()`` draw, so it consumes exactly
+        what the real call does, without its validation overhead; pinned
+        by a regression test.  Below 8 candidates the total and the
+        cumulative sum are plain left-to-right ``+=`` loops and the search
+        is :func:`bisect.bisect_right`: numpy's float64 ``sum()`` and
+        ``cumsum()`` add in that order there, but from 8 elements ``sum()``
+        adds in unrolled blocks of 8, so larger draws keep the arrays.
+        (The built-in ``sum()`` is compensated from Python 3.12.)
 
         With a ``watt_bias`` the weights become ``load * bias`` (same
         single draw from the RNG stream either way).
         """
         bias = self.watt_bias
-        if bias is None:
-            load_array = np.array(loads, dtype=float)
-        else:
-            load_array = np.array(
-                [load * bias[g] for g, load in zip(ids, loads)], dtype=float
-            )
+        if bias is not None:
+            loads = [load * bias[g] for g, load in zip(ids, loads)]
+        count = len(ids)
+        if count < 8:
+            total = 0.0
+            for load in loads:
+                total += load
+            if total <= 0:
+                return ids[int(self._rng.integers(count))]
+            cdf = []
+            running = 0.0
+            for load in loads:
+                running += load / total
+                cdf.append(running)
+            cdf = [value / running for value in cdf]
+            return ids[bisect_right(cdf, self._rng.random())]
+        load_array = np.array(loads, dtype=float)
         total = load_array.sum()
         if total <= 0:
-            index = int(self._rng.integers(len(ids)))
+            index = int(self._rng.integers(count))
         else:
-            cdf = (load_array / total).cumsum()
-            cdf /= cdf[-1]
-            index = int(cdf.searchsorted(self._rng.random(), "right"))
+            cdf_array = (load_array / total).cumsum()
+            cdf_array /= cdf_array[-1]
+            index = int(cdf_array.searchsorted(self._rng.random(), "right"))
         return ids[index]
 
     def _home_online(self, observations: Dict[int, GatewayObservation]) -> bool:

@@ -377,13 +377,20 @@ class FlowScheduler:
         Rates must already be ensured.  Returns the bits served per gateway
         and the flows that completed; the per-flow arithmetic is
         bit-identical to the seed kernel's ``ActiveFlow.serve`` call
-        sequence.
+        sequence.  Each completion is recorded in the completion columns
+        where it is found.  A gateway that drained is not marked dirty: it
+        leaves no group and no completion entry, so recomputing its rates
+        would find nothing to do.
         """
         groups = self._groups
         gw_completion = self._gw_completion
         totals: Dict[int, float] = {}
         completed: List[ActiveFlow] = []
         drained: List[int] = []
+        done_flows = self._done_flows
+        done_gateways = self._done_gateways
+        done_times = self._done_times
+        served_bytes = self.served_bytes
         for gateway_id, earliest in gw_completion.items():
             group = groups[gateway_id]
             if end < earliest - _COMPLETION_MARGIN_S:
@@ -411,11 +418,15 @@ class FlowScheduler:
                 totals[gateway_id] = bits
                 if flow.remaining_bytes <= _DONE_BYTES:
                     served_for = bits / rate if rate > 0 else dt
-                    flow.completion_time = now + (dt if dt < served_for else served_for)
+                    instant = now + (dt if dt < served_for else served_for)
+                    flow.completion_time = instant
                     completed.append(flow)
-                    self._n_active -= 1
+                    trace_flow = flow.flow
+                    done_flows.append(trace_flow)
+                    done_gateways.append(gateway_id)
+                    done_times.append(instant)
+                    served_bytes += trace_flow.size_bytes
                     drained.append(gateway_id)
-                    self._dirty.add(gateway_id)
             else:
                 total = 0.0
                 finished: Optional[List[ActiveFlow]] = None
@@ -429,9 +440,13 @@ class FlowScheduler:
                     total += bits
                     if flow.remaining_bytes <= _DONE_BYTES:
                         served_for = bits / rate if rate > 0 else dt
-                        flow.completion_time = now + (
-                            dt if dt < served_for else served_for
-                        )
+                        instant = now + (dt if dt < served_for else served_for)
+                        flow.completion_time = instant
+                        trace_flow = flow.flow
+                        done_flows.append(trace_flow)
+                        done_gateways.append(gateway_id)
+                        done_times.append(instant)
+                        served_bytes += trace_flow.size_bytes
                         if finished is None:
                             finished = [flow]
                         else:
@@ -439,39 +454,24 @@ class FlowScheduler:
                 totals[gateway_id] = total
                 if finished:
                     completed.extend(finished)
-                    self._n_active -= len(finished)
                     if len(finished) == len(group):
                         drained.append(gateway_id)
                     else:
                         for flow in finished:
                             group.remove(flow)
-                    self._dirty.add(gateway_id)
+                        self._dirty.add(gateway_id)
         for gateway_id in drained:
             del groups[gateway_id]
             del gw_completion[gateway_id]
         if completed:
-            self._record_completions(completed)
+            self._n_active -= len(completed)
+            self.served_flows += len(completed)
+            self.served_bytes = served_bytes
         return totals, completed
 
     #: The sweep benchmark's layer table wraps ``serve_single`` by name;
     #: this alias keeps that target until the benchmark drops it.
     serve_single = serve
-
-    def _record_completions(self, completed: List[ActiveFlow]) -> None:
-        """Append finished flows to the completion columns and count what
-        they served."""
-        flows = self._done_flows
-        gateways = self._done_gateways
-        times = self._done_times
-        served_bytes = self.served_bytes
-        for active in completed:
-            flow = active.flow
-            flows.append(flow)
-            gateways.append(active.gateway_id)
-            times.append(active.completion_time)
-            served_bytes += flow.size_bytes
-        self.served_flows += len(completed)
-        self.served_bytes = served_bytes
 
     # ------------------------------------------------------------------
     def records(self) -> List[FlowRecord]:

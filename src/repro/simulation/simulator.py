@@ -20,9 +20,10 @@ step:
 * flow service uses the incremental cached rates of
   :class:`~repro.flows.scheduler.FlowScheduler` — rates are recomputed only
   for gateways whose flow set or power state changed,
-* a BH2 round computes the load of only the gateways its due terminals
-  examine (each one's current gateway and, when it looks for a target,
-  the online gateways in its range),
+* a BH2 round pops its due terminals off a heap that holds one entry per
+  terminal, and computes the load of only the gateways they examine
+  (each one's current gateway and, when it looks for a target, the
+  online gateways in its range),
 * energy is charged per *constant-power segment* instead of per step,
   DSLAM re-wiring runs only when some gateway changed state and re-packs
   only the k-switches holding such a gateway's line, and segments are cut
@@ -478,12 +479,10 @@ class AccessNetworkSimulator:
                     watt_bias=watt_bias,
                 )
         self._terminal_list: List[BH2Terminal] = list(self.terminals.values())
-        self._decision_at = np.array(
-            [t._next_decision_at for t in self._terminal_list], dtype=float
-        )
-        #: Lazy-deletion heap over (next decision instant, terminal index);
-        #: stale entries are skipped when their time no longer matches
-        #: ``_decision_at`` (the source of truth).
+        #: The decision schedule: one (next decision instant, terminal
+        #: index) entry per terminal.  Only a round moves a terminal's
+        #: instant, and it pushes the entry back as it does, so the heap
+        #: never holds a stale one.
         self._decision_heap: List[Tuple[float, int]] = [
             (t._next_decision_at, i) for i, t in enumerate(self._terminal_list)
         ]
@@ -933,17 +932,12 @@ class AccessNetworkSimulator:
     # Aggregation logic
     # ------------------------------------------------------------------
     def _run_bh2_decisions(self, now: float) -> None:
+        # Called only when the earliest entry is due, so a round is never
+        # empty; due terminals decide in index order, as the seed kernel's.
         heap = self._decision_heap
-        decision_times = self._decision_at
         due: List[int] = []
         while heap and heap[0][0] <= now:
-            instant, index = heappop(heap)
-            if decision_times[index] == instant:
-                due.append(index)
-            # Entries whose time moved on are stale duplicates: drop them.
-        if not due:
-            self._min_decision_at = heap[0][0] if heap else inf
-            return
+            due.append(heappop(heap)[1])
         due.sort()
         # Only decisions that send a terminal home with a wake request need
         # the set of clients with traffic — compute it lazily (rare).
@@ -956,7 +950,6 @@ class AccessNetworkSimulator:
         # taken at the start of the round would hold.
         state = gateway_array.state
         utilization = gateway_array.utilization
-        decision_at = self._decision_at
         terminals = self._terminal_list
         selected_map = self.selected_gateway
         fallback_map = self.fallback_gateway
@@ -984,10 +977,9 @@ class AccessNetworkSimulator:
             # Unconditional: _routing_gateway may have rerouted this client
             # behind the terminal's back; every decision re-asserts it.
             selected_map[client] = selected
-            next_at = terminal._next_decision_at
-            decision_at[index] = next_at
-            heappush(heap, (next_at, index))
-        self._min_decision_at = heap[0][0] if heap else inf
+            # decide_fast moved the terminal's instant past now.
+            heappush(heap, (terminal._next_decision_at, index))
+        self._min_decision_at = heap[0][0]
         self._bh2_rounds += 1
         self._bh2_decisions += len(due)
         if self.tracer is not None:

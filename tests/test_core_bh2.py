@@ -29,8 +29,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BH2Config(candidate_min_load=0.9)
     config = BH2Config()
-    assert config.with_backup(2).backup == 2
-    assert config.with_thresholds(0.2, 0.6).low_threshold == 0.2
     assert config.strict_paper_variant().candidate_min_load == config.low_threshold
 
 

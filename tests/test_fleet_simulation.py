@@ -286,8 +286,8 @@ def test_churn_event_on_a_bh2_decision_epoch():
     must stay consistent."""
     scenario = build_default_scenario(**SCENARIO_ARGS)
     probe = AccessNetworkSimulator(scenario, bh2_kswitch(), step_s=2.0, seed=3)
-    epoch = float(probe._decision_at.min())
-    victim = probe._terminal_list[int(probe._decision_at.argmin())].home_gateway
+    epoch, first = probe._decision_heap[0]
+    victim = probe._terminal_list[first].home_gateway
     churn = ChurnTimeline((
         ChurnEvent(
             at_s=epoch, kind=ChurnKind.GATEWAY_FAIL, gateway_id=victim, duration_s=600.0
@@ -296,7 +296,7 @@ def test_churn_event_on_a_bh2_decision_epoch():
     churned_scenario = build_default_scenario(**SCENARIO_ARGS, churn=churn)
     simulator = AccessNetworkSimulator(churned_scenario, bh2_kswitch(), step_s=2.0, seed=3)
     # Same seed, same construction order: the decision epochs are identical.
-    assert float(simulator._decision_at.min()) == epoch
+    assert simulator._decision_heap[0][0] == epoch
     result = simulator.run()
     assert simulator._churn_index == 2  # outage + recovery both executed
     assert simulator.gateway_array.in_service[victim]  # recovered

@@ -141,3 +141,30 @@ def test_zero_dt_step_is_a_noop():
     served, completed = scheduler.step(now=0.0, dt=0.0, online_gateways={0})
     assert served == {}
     assert completed == []
+
+
+def test_a_drained_gateway_is_not_rated_again():
+    # A gateway left without flows has nothing to rate, so only a gateway
+    # with flows left after a completion is recomputed at the next step;
+    # every completion lands in the completion columns as it is found.
+    scheduler = FlowScheduler(backhaul_bps=6e6)
+    online = {0, 1}
+    scheduler.admit(make_active(flow_id=0, gateway=0, size=750_000))
+    scheduler.admit(make_active(flow_id=1, gateway=1, size=375_000))
+    scheduler.admit(make_active(flow_id=2, gateway=1, size=750_000))
+    _, completed = scheduler.step(now=0.0, dt=1.0, online_gateways=online)
+    assert sorted(flow.flow.flow_id for flow in completed) == [0, 1]
+    assert scheduler._dirty == {1}
+    recomputes = scheduler.rate_recomputes
+    _, completed = scheduler.step(now=1.0, dt=1.0, online_gateways=online)
+    assert [flow.flow.flow_id for flow in completed] == [2]
+    assert scheduler.rate_recomputes == recomputes + 1
+    assert scheduler._dirty == set()
+    hits = scheduler.rate_cache_hits
+    scheduler.ensure_rates(2.0, scheduler._online_ref)
+    assert scheduler.rate_cache_hits == hits + 1
+    assert scheduler.served_flows == 3
+    assert scheduler.served_bytes == 1_875_000
+    records = scheduler.records()
+    assert sorted((r.flow_id, r.gateway_id) for r in records) == [(0, 0), (1, 1), (2, 1)]
+    assert sorted(r.completion_time for r in records) == [1.0, 1.0, 1.5]

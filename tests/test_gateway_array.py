@@ -7,6 +7,9 @@ scripts and require identical observable behaviour, plus cover the fast
 paths (pick replication, utilisation caching) the array adds.
 """
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -119,58 +122,110 @@ def test_zero_timeout_pinned_gateways_never_sleep():
 
 
 def test_fast_pick_matches_generator_choice():
-    """decide_fast's inlined choice must replay rng.choice bit for bit."""
+    """decide_fast's inlined choice must replay rng.choice bit for bit.
+
+    Sizes 1-12 pin both sides of the 7/8 boundary between the plain
+    left-to-right sums and the numpy arrays: a random draw rarely tells
+    one rounding of the cdf from another, so each case also draws exactly
+    on one of its entries.  Every third case is watt-biased (both sides
+    weigh ``load * bias``) and every third has all-zero loads (both sides
+    draw ``integers`` instead).
+    """
     master = np.random.default_rng(123)
-    for _ in range(500):
-        n = int(master.integers(1, 8))
-        loads = (master.random(n) + 0.01).tolist()
+    for trial in range(900):
+        n = int(master.integers(1, 13))
+        loads = (master.random(n) + 0.01).tolist() if trial % 3 != 2 else [0.0] * n
+        bias = (master.random(n + 1) * 2.0 + 0.1).tolist() if trial % 3 == 1 else None
         seed = int(master.integers(2**31))
 
-        terminal_a = BH2Terminal(
-            client_id=0,
-            home_gateway=0,
-            reachable_gateways=frozenset(range(n + 1)),
-            rng=np.random.default_rng(seed),
-        )
-        terminal_b = BH2Terminal(
-            client_id=0,
-            home_gateway=0,
-            reachable_gateways=frozenset(range(n + 1)),
-            rng=np.random.default_rng(seed),
-        )
+        def build():
+            return BH2Terminal(
+                client_id=0,
+                home_gateway=0,
+                reachable_gateways=frozenset(range(n + 1)),
+                rng=np.random.default_rng(seed),
+                watt_bias=bias,
+            )
+
+        terminal_a = build()
+        terminal_b = build()
         # Align both generators (constructors consume one uniform draw).
         observations = [
             GatewayObservation(gateway_id=g, online=True, load=min(1.0, loads[g - 1]))
             for g in range(1, n + 1)
         ]
+        ids = [o.gateway_id for o in observations]
+        fast_loads = [o.load for o in observations]
         picked_reference = terminal_a._pick_proportional_to_load(observations)
-        picked_fast = terminal_b._pick_fast(
-            [o.gateway_id for o in observations], [o.load for o in observations]
-        )
-        assert picked_fast == picked_reference
+        picked_fast = terminal_b._pick_fast(ids, fast_loads)
+        assert picked_fast == picked_reference, (n, loads, bias)
         # The streams stay aligned after the draw as well.
         assert terminal_a._rng.random() == terminal_b._rng.random()
 
+        if n > 1 and trial % 3 != 2:
+            # A draw that lands exactly on an entry of choice()'s cdf picks
+            # the next candidate only if the fast cdf holds the same bits.
+            weights = np.array(
+                fast_loads if bias is None else [w * bias[g] for g, w in zip(ids, fast_loads)]
+            )
+            cdf = (weights / weights.sum()).cumsum()
+            cdf /= cdf[-1]
+            edge = float(cdf[int(master.integers(n - 1))])
+            terminal_b._rng = SimpleNamespace(random=lambda: edge)
+            assert terminal_b._pick_fast(ids, fast_loads) == ids[int(cdf.searchsorted(edge, "right"))]
+
 
 def test_decide_fast_matches_decide():
-    """The array decision path reproduces the dict path exactly."""
-    config = BH2Config()
+    """The array decision path reproduces the dict path exactly.
+
+    Ranges are strict subsets of the gateways (so the order in which a
+    terminal visits its neighbours matters), backup runs 0-3, the
+    candidate floor is the default, the literal paper reading or zero,
+    loads sit on the thresholds as often as between them, some draws are
+    watt-biased, and short periods make the timer catch up several
+    periods in one decision.
+    """
     master = np.random.default_rng(99)
-    for trial in range(200):
-        num_gateways = 6
-        online = [bool(master.integers(0, 2)) for _ in range(num_gateways)]
-        loads = [float(master.random() * 0.6) for _ in range(num_gateways)]
-        home = int(master.integers(0, num_gateways))
-        current = int(master.integers(0, num_gateways))
+    num_gateways = 12
+    for trial in range(3000):
+        config = BH2Config(
+            backup=int(master.integers(0, 4)),
+            decision_period_s=float(master.choice([150.0, 10.0, 3.0])),
+        )
+        variant = int(master.integers(0, 3))
+        if variant == 1:
+            config = config.strict_paper_variant()
+        elif variant == 2:
+            config = replace(config, candidate_min_load=0.0)
+        on_a_threshold = (
+            config.low_threshold, config.high_threshold, config.candidate_min_load, 0.0
+        )
+        online = [bool(master.integers(0, 4)) for _ in range(num_gateways)]
+        loads = [
+            float(master.choice(on_a_threshold))
+            if master.integers(0, 2)
+            else float(master.random() * 0.6)
+            for _ in range(num_gateways)
+        ]
+        in_range = int(master.integers(1, 11))
+        reachable = [int(g) for g in master.choice(num_gateways, size=in_range, replace=False)]
+        home = reachable[0]
+        current = reachable[int(master.integers(0, in_range))]
+        bias = (
+            (master.random(num_gateways) * 2.0 + 0.1).tolist() if master.integers(0, 4) == 0
+            else None
+        )
         seed = int(master.integers(2**31))
+        now = 100.0 + trial
 
         def build():
             terminal = BH2Terminal(
                 client_id=1,
                 home_gateway=home,
-                reachable_gateways=frozenset(range(num_gateways)),
+                reachable_gateways=frozenset(reachable),
                 config=config,
                 rng=np.random.default_rng(seed),
+                watt_bias=bias,
             )
             terminal.current_gateway = current
             return terminal
@@ -193,13 +248,16 @@ def test_decide_fast_matches_decide():
             reads.append((gateway_id, now))
             return obs_loads[gateway_id]
 
-        decision = terminal_dict.decide(100.0 + trial, observations)
-        selected, wake_home = terminal_fast.decide_fast(100.0 + trial, state, utilization)
-        # Loads are read only for online gateways, at the decision instant.
-        assert all(online[g] and now == 100.0 + trial for g, now in reads)
+        decision = terminal_dict.decide(now, observations)
+        selected, wake_home = terminal_fast.decide_fast(now, state, utilization)
+        # Loads are read only for online gateways in range, at the decision instant.
+        assert all(online[g] and g in reachable and at == now for g, at in reads)
         assert selected == decision.selected_gateway
         assert wake_home == decision.wake_home
         assert terminal_fast.current_gateway == terminal_dict.current_gateway
         assert terminal_fast.moves_to_remote == terminal_dict.moves_to_remote
         assert terminal_fast.returns_home == terminal_dict.returns_home
+        assert terminal_fast.home_wakeups_requested == terminal_dict.home_wakeups_requested
         assert terminal_fast._next_decision_at == terminal_dict._next_decision_at
+        # Both consumed the same draws from their streams.
+        assert terminal_fast._rng.random() == terminal_dict._rng.random()

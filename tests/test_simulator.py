@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,6 +236,35 @@ def test_bh2_rounds_read_only_the_loads_their_terminals_use(busy_scenario, monke
     result = run_scheme(busy_scenario, bh2_kswitch(), seed=3, step_s=2.0)
     assert result.bh2_decisions > 0 and reads
     assert strays == []
+
+
+@pytest.mark.parametrize("period_s", [150.0, 10.0, 3.0])
+def test_bh2_rounds_decide_when_the_seed_kernel_does(busy_scenario, period_s, monkeypatch):
+    # One decide_fast call per counted decision, at the seed kernel's
+    # (instant, client) sequence of decide calls.  Periods of 10 s and 3 s
+    # are shorter than an idle skip, so a terminal catches up several
+    # periods in one decision and due terminals can change their order.
+    scheme = bh2_kswitch()
+    scheme = replace(scheme, bh2=replace(scheme.bh2, decision_period_s=period_s))
+    fast_calls = []
+    seed_calls = []
+    real_decide_fast = BH2Terminal.decide_fast
+    real_decide = BH2Terminal.decide
+
+    def decide_fast(self, now, *args):
+        fast_calls.append((now, self.client_id))
+        return real_decide_fast(self, now, *args)
+
+    def decide(self, now, observations):
+        seed_calls.append((now, self.client_id))
+        return real_decide(self, now, observations)
+
+    monkeypatch.setattr(BH2Terminal, "decide_fast", decide_fast)
+    monkeypatch.setattr(BH2Terminal, "decide", decide)
+    result = run_scheme(busy_scenario, scheme, seed=3, step_s=2.0)
+    run_scheme_reference(busy_scenario, scheme, seed=3, step_s=2.0)
+    assert len(fast_calls) == result.bh2_decisions > 0
+    assert fast_calls == seed_calls
 
 
 @pytest.mark.parametrize(
