@@ -1,17 +1,32 @@
 """In-flight flow state and completion records.
 
-Both classes are lean value types rather than dataclasses: the simulator
-creates one :class:`ActiveFlow` per admitted trace flow (hundreds of
-thousands per run), so construction cost is a measurable slice of a run.
-An ``ActiveFlow`` lives only while its flow is in flight: the scheduler
-keeps a finished flow as completion columns (the trace flow, its gateway
-and its completion instant) and drops the ``ActiveFlow``.  A
-:class:`FlowRecord` per completion is built from those columns only when
-a caller reads a result's ``flow_records`` (figures, CDFs); a sweep reads
-the scheduler's served-flow and served-byte counters instead.
-``ActiveFlow`` is a mutable ``__slots__`` class; ``FlowRecord``, like the
-trace's :class:`~repro.traces.models.Flow`, is a ``NamedTuple`` (tuple
-construction is C-speed).
+The live kernel (:class:`~repro.flows.scheduler.FlowScheduler` and the
+admission loop of :mod:`repro.simulation.simulator`) keeps each in-flight
+flow as a plain six-slot list, indexed by the slot constants below::
+
+    [remaining_bytes, rate_bps, wireless_capacity_bps, gateway_id, flow,
+     admission_index]
+
+``flow`` is the trace :class:`~repro.traces.models.Flow`, ``rate_bps`` the
+flow's cached max-min share (0 while its gateway is offline) and
+``admission_index`` the global admission sequence number, so
+order-sensitive aggregations can replay the seed's flow order.  A list
+display builds about five times faster than a slotted object, and the
+kernel admits hundreds of thousands of flows per run.  Lists compare by
+value, so code that looks for one record in a group compares by identity
+(``is``), never with ``in``, ``list.remove`` or ``list.index``.
+
+A record lives only while its flow is in flight: the scheduler keeps a
+finished flow as completion columns (the trace flow, its gateway and its
+completion instant) and drops the record.  A :class:`FlowRecord` per
+completion is built from those columns only when a caller reads a
+result's ``flow_records`` (figures, CDFs); a sweep reads the scheduler's
+served-flow and served-byte counters instead.  ``FlowRecord``, like the
+trace's ``Flow``, is a ``NamedTuple`` (tuple construction is C-speed).
+
+:class:`ActiveFlow` is the seed kernel's in-flight type, kept as the
+oracle's (:mod:`repro.simulation.reference_kernel`); the live kernel does
+not build one.
 """
 
 from __future__ import annotations
@@ -20,16 +35,22 @@ from typing import NamedTuple, Optional
 
 from repro.traces.models import Flow
 
+#: Slots of an in-flight flow record (see the module docstring).
+REMAINING_BYTES = 0
+RATE_BPS = 1
+WIRELESS_CAPACITY_BPS = 2
+GATEWAY_ID = 3
+TRACE_FLOW = 4
+ADMISSION_INDEX = 5
+
 
 class ActiveFlow:
-    """A flow currently being transferred (or waiting for its gateway).
+    """The seed kernel's in-flight flow, kept as the oracle's type.
 
-    The gateway a flow is routed through is chosen when the flow is
-    admitted, and BH2 routes only *new* flows through a newly selected
-    gateway.  In-flight flows do move, with
-    :meth:`~repro.flows.scheduler.FlowScheduler.migrate`: the Optimal
-    scheme's re-assignment moves them to the gateways it keeps online,
-    and the churn rescue moves a departing gateway's flows to a neighbour.
+    Only :mod:`repro.simulation.reference_kernel`, the preserved seed
+    kernel that the equivalence tests compare the live kernel with,
+    builds one; the live kernel keeps a six-slot list record per flow
+    instead (see the module docstring).
     """
 
     __slots__ = (
@@ -38,8 +59,6 @@ class ActiveFlow:
         "wireless_capacity_bps",
         "remaining_bytes",
         "completion_time",
-        "rate_bps",
-        "admission_index",
     )
 
     def __init__(
@@ -56,12 +75,6 @@ class ActiveFlow:
         self.wireless_capacity_bps = wireless_capacity_bps
         self.remaining_bytes = float(flow.size_bytes)
         self.completion_time = completion_time
-        #: Current max-min share (maintained by the scheduler; 0 while the
-        #: flow's gateway is offline).
-        self.rate_bps = 0.0
-        #: Global admission sequence number (stamped by the scheduler) so
-        #: order-sensitive aggregations can replay the seed's flow order.
-        self.admission_index = 0
 
     @property
     def client_id(self) -> int:

@@ -5,16 +5,17 @@ using max-min fairness, with every flow additionally capped by the wireless
 hop between its client and the gateway.  The scheduler advances flow state
 in discrete steps driven by the network simulator.
 
-The implementation is incremental rather than per-step: flows are kept
-grouped by gateway (the seed rebuilt that grouping from scratch every
-step), each flow's max-min share is cached on the flow and only recomputed
-for gateways whose flow set or online status changed, and the earliest
-possible completion instant per gateway is tracked so the ordinary serving
-step is a tight multiply-subtract loop with no completion bookkeeping.
-A finished flow leaves three completion columns behind (its trace flow,
-its gateway and its completion instant) instead of its ActiveFlow, from
-which :meth:`FlowScheduler.records` builds the result records on demand.
-The per-flow arithmetic (including the iterative water-filling used for
+The implementation is incremental rather than per-step: in-flight flows
+are six-slot list records (:mod:`repro.flows.flow`) kept grouped by
+gateway (the seed rebuilt that grouping from scratch every step), and each
+flow's max-min share is cached in its record and only recomputed for
+gateways whose flow set or online status changed.  Serving has one exact
+path: every serving gateway's flows are capped at their remaining bytes
+and tested for completion at every step, as the seed does.  A finished
+flow leaves three completion columns behind (its trace flow, its gateway
+and its completion instant) instead of its record, from which
+:meth:`FlowScheduler.records` builds the result records on demand.  The
+per-flow arithmetic (including the iterative water-filling used for
 in-simulator rate computation) reproduces the seed bit for bit.
 
 :func:`max_min_allocation` is the public allocator: the seed's argument
@@ -25,18 +26,22 @@ that the scheduler also runs, so both produce the seed's rates bit for bit.
 from __future__ import annotations
 
 from array import array
-from math import inf
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.flows.flow import ActiveFlow, FlowRecord
+from repro.flows.flow import (
+    ADMISSION_INDEX,
+    GATEWAY_ID,
+    RATE_BPS,
+    REMAINING_BYTES,
+    TRACE_FLOW,
+    WIRELESS_CAPACITY_BPS,
+    FlowRecord,
+)
 from repro.traces.models import Flow
 
 #: A flow with fewer remaining bytes is considered complete (seed semantics).
 _DONE_BYTES = 1e-9
-
-#: Safety margin (seconds) between the analytically predicted earliest
-#: completion and the instant the exact step-wise arithmetic can reach it.
-_COMPLETION_MARGIN_S = 1e-6
 
 
 def _water_fill(capacity_bps: float, caps_bps: Sequence[float]) -> List[float]:
@@ -115,11 +120,12 @@ class FlowScheduler:
         if backhaul_bps <= 0:
             raise ValueError("backhaul_bps must be positive")
         self.backhaul_bps = backhaul_bps
-        #: gateway id -> flows routed through it, in admission order.
-        self._groups: Dict[int, List[ActiveFlow]] = {}
+        #: gateway id -> in-flight flow records routed through it, in
+        #: admission order.
+        self._groups: Dict[int, List[list]] = {}
         #: Completion columns, one entry per finished flow in completion
         #: order: the trace flow, the gateway that served it and the instant
-        #: its last byte arrived.  Each ActiveFlow is freed as it completes.
+        #: its last byte arrived.  Each record is freed as it completes.
         self._done_flows: List[Flow] = []
         self._done_gateways: List[int] = []
         self._done_times = array("d")
@@ -134,9 +140,10 @@ class FlowScheduler:
         #: Identity of the online set the cached rates were computed for.
         self._online_ref: Optional[Set[int]] = None
         self._online_members: Set[int] = set()
-        #: Earliest (analytic) completion instant per serving gateway.
-        self._gw_completion: Dict[int, float] = {}
-        #: Global admission counter (stamps ActiveFlow.admission_index).
+        #: Gateways whose flows are served, in serving order: those with a
+        #: flow at a positive rate.  The values carry nothing.
+        self._serving: Dict[int, None] = {}
+        #: Global admission counter (stamps each record's admission index).
         self._admit_counter = 0
         #: Rate-cache accounting: how many per-gateway recomputations ran
         #: (O(changes) sites only) vs. ``ensure_rates`` calls fully served
@@ -146,34 +153,40 @@ class FlowScheduler:
 
     # ------------------------------------------------------------------
     @property
-    def active_flows(self) -> List[ActiveFlow]:
-        """Flows that still have bytes to transfer."""
+    def active_flows(self) -> List[list]:
+        """Records of the flows that still have bytes to transfer."""
         return [flow for group in self._groups.values() for flow in group]
 
-    def admit(self, flow: ActiveFlow) -> None:
-        """Add a new flow to the system."""
-        if flow.remaining_bytes <= _DONE_BYTES:
-            raise ValueError("cannot admit an already-completed flow")
-        gateway_id = flow.gateway_id
+    def admit(self, flow: Flow, gateway_id: int, wireless_capacity_bps: float) -> list:
+        """Route a trace flow through ``gateway_id``; returns its record.
+
+        The kernel's admission loop builds the same record inline.
+        """
+        if wireless_capacity_bps <= 0:
+            raise ValueError("wireless_capacity_bps must be positive")
+        record = [
+            float(flow.size_bytes), 0.0, wireless_capacity_bps, gateway_id, flow,
+            self._admit_counter,
+        ]
         group = self._groups.get(gateway_id)
         if group is None:
-            self._groups[gateway_id] = [flow]
+            self._groups[gateway_id] = [record]
         else:
-            group.append(flow)
-        flow.admission_index = self._admit_counter
+            group.append(record)
         self._admit_counter += 1
         self._dirty.add(gateway_id)
         self._n_active += 1
+        return record
 
-    def migrate(self, flow: ActiveFlow, gateway_id: int, wireless_capacity_bps: float) -> None:
+    def migrate(self, flow: list, gateway_id: int, wireless_capacity_bps: float) -> None:
         """Move an in-flight flow to another gateway (Optimal scheme and
         churn rescue)."""
         if wireless_capacity_bps <= 0:
             raise ValueError("wireless_capacity_bps must be positive")
         self._remove_from_group(flow)
-        flow.gateway_id = gateway_id
-        flow.wireless_capacity_bps = wireless_capacity_bps
-        flow.rate_bps = 0.0
+        flow[GATEWAY_ID] = gateway_id
+        flow[WIRELESS_CAPACITY_BPS] = wireless_capacity_bps
+        flow[RATE_BPS] = 0.0
         new_group = self._groups.get(gateway_id)
         if new_group is None:
             self._groups[gateway_id] = [flow]
@@ -181,25 +194,27 @@ class FlowScheduler:
             new_group.append(flow)
         self._dirty.add(gateway_id)
 
-    def _remove_from_group(self, flow: ActiveFlow) -> None:
+    def _remove_from_group(self, flow: list) -> None:
         """Detach a flow from its gateway group and mark the rates stale.
 
-        When the group empties, the gateway's completion entry goes with
-        it; either way the gateway is dirty, so the next ``ensure_rates``
-        re-derives rates and the completion horizon before any consumer
-        reads them.
+        When the group empties, the gateway stops serving; either way the
+        gateway is dirty, so the next ``ensure_rates`` re-derives its
+        rates before any consumer reads them.
         """
-        gateway_id = flow.gateway_id
-        group = self._groups.get(gateway_id)
-        if group is None or flow not in group:
+        gateway_id = flow[GATEWAY_ID]
+        group = self._groups.get(gateway_id, ())
+        for index, member in enumerate(group):
+            if member is flow:
+                break
+        else:
             raise ValueError("flow is not active in this scheduler")
-        group.remove(flow)
+        del group[index]
         if not group:
             del self._groups[gateway_id]
-            self._gw_completion.pop(gateway_id, None)
+            self._serving.pop(gateway_id, None)
         self._dirty.add(gateway_id)
 
-    def cancel(self, flow: ActiveFlow) -> None:
+    def cancel(self, flow: list) -> None:
         """Drop an in-flight flow without recording a completion.
 
         Used by churn events (a subscriber cancels, a gateway disappears
@@ -215,7 +230,7 @@ class FlowScheduler:
             flow
             for group in self._groups.values()
             for flow in group
-            if flow.flow.client_id == client_id
+            if flow[TRACE_FLOW].client_id == client_id
         ]
         for flow in doomed:
             self.cancel(flow)
@@ -224,7 +239,9 @@ class FlowScheduler:
     def clients_with_traffic(self) -> Set[int]:
         """Clients that have at least one active flow."""
         return {
-            flow.flow.client_id for group in self._groups.values() for flow in group
+            flow[TRACE_FLOW].client_id
+            for group in self._groups.values()
+            for flow in group
         }
 
     def client_demand_bps(self, horizon_s: float = 60.0) -> Dict[int, float]:
@@ -234,18 +251,18 @@ class FlowScheduler:
         # Accumulate in global admission order (the seed iterated its flat
         # flow list), so repeated-addition rounding matches it bit for bit.
         flows = [flow for group in self._groups.values() for flow in group]
-        flows.sort(key=lambda flow: flow.admission_index)
+        flows.sort(key=itemgetter(ADMISSION_INDEX))
         demand: Dict[int, float] = {}
         get = demand.get
         for flow in flows:
-            client = flow.flow.client_id
-            demand[client] = get(client, 0.0) + flow.remaining_bytes * 8.0 / horizon_s
+            client = flow[TRACE_FLOW].client_id
+            demand[client] = get(client, 0.0) + flow[REMAINING_BYTES] * 8.0 / horizon_s
         return demand
 
     # ------------------------------------------------------------------
     # Rate maintenance
     # ------------------------------------------------------------------
-    def ensure_rates(self, now: float, online_gateways: Set[int]) -> None:
+    def ensure_rates(self, online_gateways: Set[int]) -> None:
         """Recompute the cached per-flow rates where anything changed.
 
         Passing the *same set object* for ``online_gateways`` as the last
@@ -267,207 +284,165 @@ class FlowScheduler:
             return
         self.rate_recomputes += len(self._dirty)
         groups = self._groups
-        gw_completion = self._gw_completion
+        serving = self._serving
         online = self._online_members
         capacity = self.backhaul_bps
         for gateway_id in self._dirty:
             group = groups.get(gateway_id)
             if group is not None and len(group) == 1 and gateway_id in online:
-                # Inlined single-flow case (the vast majority of recomputes):
-                # water-filling degenerates to min(cap, capacity) with no
-                # arithmetic, exactly as the reference computes it.
+                # Single flow (the vast majority of recomputes): water-filling
+                # degenerates to min(cap, capacity) with no arithmetic, exactly
+                # as the reference computes it.  Both are positive (admission
+                # and migration check the cap), so the gateway serves.
                 flow = group[0]
-                rate = flow.wireless_capacity_bps
+                rate = flow[WIRELESS_CAPACITY_BPS]
                 if rate > capacity:
                     rate = capacity
-                flow.rate_bps = rate
-                if rate > 0:
-                    gw_completion[gateway_id] = now + flow.remaining_bytes * 8.0 / rate
-                else:
-                    gw_completion.pop(gateway_id, None)
+                flow[RATE_BPS] = rate
+                serving[gateway_id] = None
             else:
-                self._recompute_gateway(gateway_id, now)
+                self._recompute_gateway(gateway_id)
         self._dirty.clear()
 
-    def _recompute_gateway(self, gateway_id: int, now: float) -> None:
+    def _recompute_gateway(self, gateway_id: int) -> None:
         group = self._groups.get(gateway_id)
         if not group:
-            self._gw_completion.pop(gateway_id, None)
+            self._serving.pop(gateway_id, None)
             return
         if gateway_id not in self._online_members:
             for flow in group:
-                flow.rate_bps = 0.0
-            self._gw_completion.pop(gateway_id, None)
+                flow[RATE_BPS] = 0.0
+            self._serving.pop(gateway_id, None)
             return
+        # An online gateway with one flow is rated inline by ensure_rates,
+        # so this one carries two or more.
         capacity = self.backhaul_bps
-        earliest = inf
-        if len(group) == 1:
-            flow = group[0]
-            # Single flow: water-filling degenerates to min(cap, capacity)
-            # with no arithmetic, exactly as the reference computes it.
-            rate = flow.wireless_capacity_bps
-            if rate > capacity:
-                rate = capacity
-            flow.rate_bps = rate
-            if rate > 0:
-                earliest = now + flow.remaining_bytes * 8.0 / rate
+        caps = [flow[WIRELESS_CAPACITY_BPS] for flow in group]
+        count = len(caps)
+        share = capacity / count
+        if capacity > 1e-12 and min(caps) > share:
+            # No flow is bottlenecked by its wireless hop: the reference
+            # loop hands out one equal share in a single round (the common
+            # case on a saturated aggregation gateway).
+            for flow in group:
+                flow[RATE_BPS] = share
+            self._serving[gateway_id] = None
+            return
+        first_cap = caps[0]
+        if first_cap > 0 and all(cap == first_cap for cap in caps):
+            # Equal caps degenerate to everyone's cap (or one share),
+            # replaying the reference loop's exact arithmetic.
+            uniform = first_cap if first_cap <= share else share
+            if capacity <= 1e-12:
+                uniform = 0.0
+            rates: Sequence[float] = (uniform,) * count
         else:
-            caps = [flow.wireless_capacity_bps for flow in group]
-            count = len(caps)
-            share = capacity / count
-            if capacity > 1e-12 and min(caps) > share:
-                # No flow is bottlenecked by its wireless hop: the reference
-                # loop hands out one equal share in a single round (the
-                # common case on a saturated aggregation gateway).
-                min_remaining = inf
-                for flow in group:
-                    flow.rate_bps = share
-                    if flow.remaining_bytes < min_remaining:
-                        min_remaining = flow.remaining_bytes
-                self._gw_completion[gateway_id] = now + min_remaining * 8.0 / share
-                return
-            first_cap = caps[0]
-            if first_cap > 0 and all(cap == first_cap for cap in caps):
-                # Equal caps degenerate to everyone's cap (or one share),
-                # replaying the reference loop's exact arithmetic.
-                uniform = first_cap if first_cap <= share else share
-                if capacity <= 1e-12:
-                    uniform = 0.0
-                rates: Sequence[float] = (uniform,) * count
-            else:
-                rates = _water_fill(capacity, caps)
-            for flow, rate in zip(group, rates):
-                flow.rate_bps = rate
-                if rate > 0:
-                    instant = now + flow.remaining_bytes * 8.0 / rate
-                    if instant < earliest:
-                        earliest = instant
-        if earliest is not inf:
-            self._gw_completion[gateway_id] = earliest
+            rates = _water_fill(capacity, caps)
+        for flow, rate in zip(group, rates):
+            flow[RATE_BPS] = rate
+        if max(rates) > 0:
+            self._serving[gateway_id] = None
         else:
-            self._gw_completion.pop(gateway_id, None)
+            self._serving.pop(gateway_id, None)
 
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
-    def step(
-        self, now: float, dt: float, online_gateways: Set[int]
-    ) -> Tuple[Dict[int, float], List[ActiveFlow]]:
-        """Advance all flows by ``dt`` seconds ending at ``now + dt``.
+    def step(self, now: float, dt: float, online_gateways: Set[int]) -> Dict[int, float]:
+        """Advance all flows by ``dt`` seconds starting at ``now``.
 
         Flows whose gateway is not online make no progress (they are waiting
-        for the gateway to wake up).  Returns the bits served per gateway and
-        the list of flows that completed during this step.
+        for the gateway to wake up).  Returns the bits served per gateway;
+        completions land in :meth:`records`.
         """
         if dt < 0:
             raise ValueError("dt must be non-negative")
         if dt == 0 or self._n_active == 0:
-            return {}, []
+            return {}
         # Defensive copy: ensure_rates detects online-set changes by object
         # identity (callers like the simulator pass a stable cached set);
         # step() callers may mutate one set in place between calls.
-        self.ensure_rates(now, set(online_gateways))
-        return self.serve(now, now + dt, dt)
+        self.ensure_rates(set(online_gateways))
+        return self.serve(now, dt)
 
-    def serve(
-        self, now: float, end: float, dt: float
-    ) -> Tuple[Dict[int, float], List[ActiveFlow]]:
-        """Serve flows over the step of length ``dt`` ending at ``end``.
+    def serve(self, now: float, dt: float) -> Dict[int, float]:
+        """Serve flows over the step of length ``dt`` starting at ``now``.
 
-        Rates must already be ensured.  Returns the bits served per gateway
-        and the flows that completed; the per-flow arithmetic is
-        bit-identical to the seed kernel's ``ActiveFlow.serve`` call
-        sequence.  Each completion is recorded in the completion columns
-        where it is found.  A gateway that drained is not marked dirty: it
-        leaves no group and no completion entry, so recomputing its rates
-        would find nothing to do.
+        Rates must already be ensured.  Returns the bits served per serving
+        gateway; the per-flow arithmetic is bit-identical to the seed
+        kernel's ``ActiveFlow.serve`` call sequence.  Each completion is
+        recorded in the completion columns where it is found.  A gateway
+        that drained is not marked dirty: it leaves no group and stops
+        serving, so recomputing its rates would find nothing to do.
         """
         groups = self._groups
-        gw_completion = self._gw_completion
         totals: Dict[int, float] = {}
-        completed: List[ActiveFlow] = []
         drained: List[int] = []
         done_flows = self._done_flows
         done_gateways = self._done_gateways
         done_times = self._done_times
+        done_before = len(done_flows)
         served_bytes = self.served_bytes
-        for gateway_id, earliest in gw_completion.items():
+        remaining_slot = REMAINING_BYTES
+        rate_slot = RATE_BPS
+        for gateway_id in self._serving:
             group = groups[gateway_id]
-            if end < earliest - _COMPLETION_MARGIN_S:
-                if len(group) == 1:
-                    flow = group[0]
-                    bits = flow.rate_bps * dt
-                    flow.remaining_bytes -= bits / 8.0
-                    totals[gateway_id] = bits
-                else:
-                    total = 0.0
-                    for flow in group:
-                        bits = flow.rate_bps * dt
-                        flow.remaining_bytes -= bits / 8.0
-                        total += bits
-                    totals[gateway_id] = total
-            elif len(group) == 1:
-                # Careful path, solo flow (the most common completion shape).
+            if len(group) == 1:
+                # Solo flow: the most common shape, also of completions.
                 flow = group[0]
-                remaining_bits = flow.remaining_bytes * 8.0
-                rate = flow.rate_bps
+                remaining = flow[remaining_slot]
+                rate = flow[rate_slot]
                 bits = rate * dt
-                if bits > remaining_bits:
-                    bits = remaining_bits
-                flow.remaining_bytes -= bits / 8.0
+                if bits > remaining * 8.0:
+                    bits = remaining * 8.0
+                remaining -= bits / 8.0
+                flow[remaining_slot] = remaining
                 totals[gateway_id] = bits
-                if flow.remaining_bytes <= _DONE_BYTES:
+                if remaining <= _DONE_BYTES:
                     served_for = bits / rate if rate > 0 else dt
-                    instant = now + (dt if dt < served_for else served_for)
-                    flow.completion_time = instant
-                    completed.append(flow)
-                    trace_flow = flow.flow
+                    trace_flow = flow[TRACE_FLOW]
                     done_flows.append(trace_flow)
                     done_gateways.append(gateway_id)
-                    done_times.append(instant)
+                    done_times.append(now + (dt if dt < served_for else served_for))
                     served_bytes += trace_flow.size_bytes
                     drained.append(gateway_id)
-            else:
-                total = 0.0
-                finished: Optional[List[ActiveFlow]] = None
-                for flow in group:
-                    remaining_bits = flow.remaining_bytes * 8.0
-                    rate = flow.rate_bps
-                    bits = rate * dt
-                    if bits > remaining_bits:
-                        bits = remaining_bits
-                    flow.remaining_bytes -= bits / 8.0
-                    total += bits
-                    if flow.remaining_bytes <= _DONE_BYTES:
-                        served_for = bits / rate if rate > 0 else dt
-                        instant = now + (dt if dt < served_for else served_for)
-                        flow.completion_time = instant
-                        trace_flow = flow.flow
-                        done_flows.append(trace_flow)
-                        done_gateways.append(gateway_id)
-                        done_times.append(instant)
-                        served_bytes += trace_flow.size_bytes
-                        if finished is None:
-                            finished = [flow]
-                        else:
-                            finished.append(flow)
-                totals[gateway_id] = total
-                if finished:
-                    completed.extend(finished)
-                    if len(finished) == len(group):
-                        drained.append(gateway_id)
-                    else:
-                        for flow in finished:
-                            group.remove(flow)
-                        self._dirty.add(gateway_id)
+                continue
+            total = 0.0
+            finished = 0
+            for flow in group:
+                remaining = flow[remaining_slot]
+                rate = flow[rate_slot]
+                bits = rate * dt
+                if bits > remaining * 8.0:
+                    bits = remaining * 8.0
+                remaining -= bits / 8.0
+                flow[remaining_slot] = remaining
+                total += bits
+                if remaining <= _DONE_BYTES:
+                    served_for = bits / rate if rate > 0 else dt
+                    trace_flow = flow[TRACE_FLOW]
+                    done_flows.append(trace_flow)
+                    done_gateways.append(gateway_id)
+                    done_times.append(now + (dt if dt < served_for else served_for))
+                    served_bytes += trace_flow.size_bytes
+                    finished += 1
+            totals[gateway_id] = total
+            if finished:
+                if finished == len(group):
+                    drained.append(gateway_id)
+                else:
+                    group[:] = [flow for flow in group if flow[remaining_slot] > _DONE_BYTES]
+                    self._dirty.add(gateway_id)
+        serving = self._serving
         for gateway_id in drained:
             del groups[gateway_id]
-            del gw_completion[gateway_id]
+            del serving[gateway_id]
+        completed = len(done_flows) - done_before
         if completed:
-            self._n_active -= len(completed)
-            self.served_flows += len(completed)
+            self._n_active -= completed
+            self.served_flows += completed
             self.served_bytes = served_bytes
-        return totals, completed
+        return totals
 
     #: The sweep benchmark's layer table wraps ``serve_single`` by name;
     #: this alias keeps that target until the benchmark drops it.

@@ -17,7 +17,8 @@ step:
   :class:`~repro.access.gateway_array.GatewayArray` (state codes, wake
   deadlines, sliding-window traffic counters in parallel arrays) whose
   per-step work is a couple of scalar deadline comparisons,
-* flow service uses the incremental cached rates of
+* an in-flight flow is a six-slot list record (:mod:`repro.flows.flow`),
+  and flow service uses the incremental cached rates of
   :class:`~repro.flows.scheduler.FlowScheduler` — rates are recomputed only
   for gateways whose flow set or power state changed,
 * a BH2 round pops its due terminals off a heap that holds one entry per
@@ -66,7 +67,7 @@ from repro.core.optimal import AggregationProblem, GreedyAggregationSolver
 from repro.core.schemes import AggregationKind, SchemeConfig, SwitchingKind
 from repro.fleet.churn import EMPTY_TIMELINE
 from repro.fleet.profile import HOMOGENEOUS
-from repro.flows.flow import ActiveFlow, FlowRecord
+from repro.flows.flow import GATEWAY_ID, TRACE_FLOW, FlowRecord
 from repro.flows.scheduler import FlowScheduler
 from repro.power.energy import EnergyAccumulator, EnergyBreakdown
 from repro.power.models import AccessNetworkPowerModel, DEFAULT_POWER_MODEL
@@ -564,10 +565,10 @@ class AccessNetworkSimulator:
     def run_all(self, until: Optional[float] = None) -> List[SimulationResult]:
         """Run the pass: one result per switch model, ``scheme``'s first."""
         # The kernel allocates hundreds of thousands of small, cycle-free
-        # objects (active flows, samples; flow records are built later, and
-        # only if a caller reads them); generational GC scans are pure
-        # overhead here (~15-40% of the run), so pause collection.  A sweep
-        # cell extends the pause past run() (repro.sweep.engine).
+        # objects (in-flight flow records, samples; result records are built
+        # later, and only if a caller reads them); generational GC scans are
+        # pure overhead here (~15-40% of the run), so pause collection.  A
+        # sweep cell extends the pause past run() (repro.sweep.engine).
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -629,8 +630,8 @@ class AccessNetworkSimulator:
 
             # ---- serve flows at the cached constant rates
             if scheduler._n_active > 0:
-                scheduler.ensure_rates(now, self._current_online_set())
-                totals, _completed = scheduler.serve(now, end, dt)
+                scheduler.ensure_rates(self._current_online_set())
+                totals = scheduler.serve(now, dt)
                 if totals:
                     record_served(end, totals)
 
@@ -668,8 +669,8 @@ class AccessNetworkSimulator:
         arrivals = self._arrivals
         scheduler = self.scheduler
         # Admission bookkeeping is inlined (the scheduler's admit() contract,
-        # minus the per-call overhead): append to the gateway group, mark the
-        # gateway's rates dirty, count the flow.
+        # minus the per-call overhead): build the flow's record, append it to
+        # the gateway group, mark the gateway's rates dirty, count the flow.
         groups = scheduler._groups
         dirty = scheduler._dirty
         admit_counter = scheduler._admit_counter
@@ -734,13 +735,17 @@ class AccessNetworkSimulator:
                     )
                 gateway_id = rescued
                 capacity = self._capacity_for(client, gateway_id)
-            active = ActiveFlow(flow, gateway_id, capacity)
-            active.admission_index = admit_counter + admitted
+            if capacity <= 0:
+                raise ValueError("wireless_capacity_bps must be positive")
+            record = [
+                float(flow.size_bytes), 0.0, capacity, gateway_id, flow,
+                admit_counter + admitted,
+            ]
             group = groups.get(gateway_id)
             if group is None:
-                groups[gateway_id] = [active]
+                groups[gateway_id] = [record]
             else:
-                group.append(active)
+                group.append(record)
             dirty.add(gateway_id)
             admitted += 1
             if state[gateway_id] == STATE_SLEEPING:
@@ -843,7 +848,7 @@ class AccessNetworkSimulator:
             state = gateway_array.state
             tracer = self.tracer
             for flow in list(group):
-                client = flow.flow.client_id
+                client = flow[TRACE_FLOW].client_id
                 target = self._rescue_gateway(client)
                 if target is None:
                     scheduler.cancel(flow)
@@ -877,6 +882,7 @@ class AccessNetworkSimulator:
             if fallback == gateway_id:
                 self.fallback_gateway[client] = None
         self._optimal_online.discard(gateway_id)
+        self._optimal_capacities_cache = None
 
     def _gateway_in(self, gateway_id: int, now: float) -> None:
         """Put a gateway (back) into service.
@@ -887,6 +893,7 @@ class AccessNetworkSimulator:
         self.gateway_array.set_in_service(
             gateway_id, True, now, activate=not self.scheme.sleep_enabled
         )
+        self._optimal_capacities_cache = None
 
     def _apply_churn(self, now: float) -> None:
         """Execute every compiled churn action due at or before ``now``."""
@@ -1007,12 +1014,21 @@ class AccessNetworkSimulator:
         return cached
 
     def _optimal_capacities(self) -> Dict[int, float]:
-        """Per-gateway backhaul capacities (constant; built once)."""
+        """Backhaul capacities of the in-service gateways.
+
+        Out-of-service gateways cannot be selected by the solver.  The map
+        is built again only after a gateway enters or leaves service
+        (:meth:`_gateway_in`, :meth:`_gateway_out`): the solver keys its
+        reachability memo on the map's identity.
+        """
         cached = self._optimal_capacities_cache
         if cached is None:
+            in_service = self.gateway_array.in_service
+            backhaul_bps = self.scenario.wireless.backhaul_bps
             cached = {
-                g: self.scenario.wireless.backhaul_bps
+                g: backhaul_bps
                 for g in range(self.scenario.num_gateways)
+                if in_service[g]
             }
             self._optimal_capacities_cache = cached
         return cached
@@ -1037,14 +1053,9 @@ class AccessNetworkSimulator:
         cap = self.scenario.wireless.backhaul_bps
         demands = {c: min(d, cap) for c, d in demands.items()}
         topology = self.scenario.topology
-        capacities = self._optimal_capacities()
-        if self._has_gateway_churn:
-            # Out-of-service gateways cannot be selected by the solver.
-            in_service = self.gateway_array.in_service
-            capacities = {g: c for g, c in capacities.items() if in_service[g]}
         problem = AggregationProblem(
             demands_bps=demands,
-            capacities_bps=capacities,
+            capacities_bps=self._optimal_capacities(),
             wireless_bps=self._optimal_wireless(),
             backup=self.scheme.bh2.backup,
             max_utilization=self.scheme.optimal_max_utilization,
@@ -1068,11 +1079,11 @@ class AccessNetworkSimulator:
         assignment = solution.assignment
         home_gateway = topology.home_gateway
         for flow in self.scheduler.active_flows:
-            client = flow.client_id
+            client = flow[TRACE_FLOW].client_id
             assigned = assignment.get(client)
             if assigned:
                 primary = assigned[0]
-                if primary != flow.gateway_id:
+                if primary != flow[GATEWAY_ID]:
                     self.scheduler.migrate(
                         flow,
                         primary,

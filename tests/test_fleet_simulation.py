@@ -324,6 +324,40 @@ def test_optimal_scheme_avoids_out_of_service_gateways():
     assert simulator.gateway_array.in_service[2]
 
 
+def test_optimal_builds_its_capacity_map_again_only_when_service_changes():
+    """The solver keys its reachability memo on the identity of the
+    capacity map, so the kernel hands it a new map only after a gateway
+    enters or leaves service; every map lists the in-service gateways."""
+    churn = ChurnTimeline((
+        ChurnEvent(
+            at_s=600.0, kind=ChurnKind.GATEWAY_FAIL, gateway_id=2, duration_s=1200.0
+        ),
+        ChurnEvent(at_s=1500.0, kind=ChurnKind.GATEWAY_LEAVE, gateway_id=5),
+    ))
+    scenario = build_default_scenario(**SCENARIO_ARGS, churn=churn)
+    simulator = AccessNetworkSimulator(scenario, optimal(), step_s=2.0, seed=3)
+    solver = simulator._optimal_solver
+    real_solve = solver.solve
+    maps = []  # kept alive, so no two maps share an id()
+
+    def spy(problem):
+        in_service = simulator.gateway_array.in_service
+        assert problem.capacities_bps == {
+            g: scenario.wireless.backhaul_bps
+            for g in range(scenario.num_gateways)
+            if in_service[g]
+        }
+        maps.append(problem.capacities_bps)
+        return real_solve(problem)
+
+    solver.solve = spy
+    simulator.run()
+    gateway_actions = sum(1 for action in simulator._churn_actions if action.kind.is_gateway)
+    assert gateway_actions == 3
+    assert len(maps) > 10 * (1 + gateway_actions)
+    assert len({id(capacities) for capacities in maps}) <= 1 + gateway_actions
+
+
 # ----------------------------------------------------------------------
 # Flow conservation on the churn sweep cells
 # ----------------------------------------------------------------------

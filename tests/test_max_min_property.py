@@ -62,20 +62,19 @@ def test_validation_preserved():
 
 def test_scheduler_rates_match_reference_water_filling():
     """Rates cached by the scheduler equal a fresh reference allocation."""
-    from repro.flows.flow import ActiveFlow
+    from repro.flows.flow import RATE_BPS
     from repro.traces.models import Flow
 
     scheduler = FlowScheduler(backhaul_bps=6e6)
     caps = [1e6, 12e6, 6e6, 6e6]
-    flows = []
-    for i, cap in enumerate(caps):
-        flow = ActiveFlow(
-            flow=Flow(flow_id=i, client_id=i, start_time=0.0, size_bytes=10_000_000),
+    flows = [
+        scheduler.admit(
+            Flow(flow_id=i, client_id=i, start_time=0.0, size_bytes=10_000_000),
             gateway_id=4,
             wireless_capacity_bps=cap,
         )
-        flows.append(flow)
-        scheduler.admit(flow)
-    scheduler.ensure_rates(0.0, {4})
+        for i, cap in enumerate(caps)
+    ]
+    scheduler.ensure_rates({4})
     expected = reference_max_min_allocation(6e6, caps)
-    assert [f.rate_bps for f in flows] == expected
+    assert [f[RATE_BPS] for f in flows] == expected

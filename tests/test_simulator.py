@@ -12,7 +12,7 @@ from repro.access.dslam import Dslam
 from repro.access.gateway_array import GatewayArray, STATE_ACTIVE, STATE_SLEEPING
 from repro.core.bh2 import BH2Terminal
 from repro.core.schemes import bh2_kswitch, no_sleep, optimal, soi, soi_kswitch
-from repro.flows.flow import ActiveFlow
+from repro.flows.flow import REMAINING_BYTES, TRACE_FLOW
 from repro.flows.scheduler import FlowScheduler
 from repro.simulation.metrics import (
     average_timeseries,
@@ -28,6 +28,7 @@ from repro.simulation.reference_kernel import run_scheme_reference
 from repro.simulation.runner import ExperimentRunner, run_scheme
 from repro.simulation.simulator import AccessNetworkSimulator
 from repro.topology.scenario import build_default_scenario
+from repro.traces.models import Flow
 
 #: A small, busy scenario (flat diurnal profile) so that aggregation effects
 #: show up within a 2-hour simulation.
@@ -357,32 +358,44 @@ def test_optimal_reroutes_from_a_sleeping_choice_to_the_least_loaded_gateway(
     assert route(now + 1.0, {second: 4e6}) == first
 
 
-def _live_active_flows() -> int:
-    return sum(1 for obj in gc.get_objects() if type(obj) is ActiveFlow)
+def _live_in_flight_records() -> int:
+    # Only an in-flight record is a six-slot list holding a float in its
+    # first slot and a trace Flow in its flow slot.
+    return sum(
+        1 for obj in gc.get_objects()
+        if type(obj) is list and len(obj) == 6
+        and type(obj[REMAINING_BYTES]) is float and type(obj[TRACE_FLOW]) is Flow
+    )
 
 
 def test_a_pass_keeps_only_its_in_flight_active_flows(busy_scenario, monkeypatch):
-    """Finished flows live on as completion columns, not as ActiveFlows.
+    """Finished flows live on as completion columns, not as in-flight records.
 
-    With the result alive, the only ActiveFlows left are the flows still
-    in flight at the horizon.  The records built from the columns come
-    in completion order and equal the seed kernel's, record for record.
+    With the result alive, the only in-flight records left are the flows
+    still in flight at the horizon.  The records built from the columns
+    come in completion order (the order serve() finds completions in: its
+    serving gateways in turn, each group in order) and equal the seed
+    kernel's, record for record.
     """
     completions = []
     real_serve = FlowScheduler.serve
 
-    def spy(self, now, end, dt):
-        totals, completed = real_serve(self, now, end, dt)
-        completions.extend(active.flow.flow_id for active in completed)
-        return totals, completed
+    def spy(self, now, dt):
+        in_order = [flow for g in self._serving for flow in self._groups[g]]
+        totals = real_serve(self, now, dt)
+        still = {id(flow) for group in self._groups.values() for flow in group}
+        completions.extend(
+            flow[TRACE_FLOW].flow_id for flow in in_order if id(flow) not in still
+        )
+        return totals
 
     monkeypatch.setattr(FlowScheduler, "serve", spy)
-    before = _live_active_flows()
+    before = _live_in_flight_records()
     simulator = AccessNetworkSimulator(busy_scenario, soi(), step_s=2.0, seed=1)
     result = simulator.run()
     in_flight = len(simulator.scheduler.active_flows)
     assert result.served_flows > 1000 and in_flight > 0
-    assert _live_active_flows() - before == in_flight
+    assert _live_in_flight_records() - before == in_flight
     monkeypatch.undo()
 
     records = list(result.flow_records)
