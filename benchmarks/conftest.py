@@ -2,10 +2,14 @@
 
 Every benchmark regenerates the data behind one of the paper's tables or
 figures and prints the same rows/series the paper reports.  The simulation
-benchmarks share a single scheme comparison run over a scaled-down (but
-structurally identical) scenario so the whole suite finishes in a few
-minutes; pass ``--paper-scale`` to run the full 272-client / 40-gateway /
-10-repetition setup of the paper.
+benchmarks share a single scheme comparison run over a scaled-down scenario
+(half the clients and gateways, one run per scheme) so the whole suite
+finishes in a few minutes; pass ``--paper-scale`` to run the full
+272-client / 40-gateway / 10-repetition setup of the paper.  The half scale
+is not structurally the same as the paper's: both keep the DSLAM of
+4 line cards x 12 ports with k = 4, so its 20 lines fill 20 of the 48 ports
+where the paper's 40 fill 40, and its line-card and ISP-share numbers do
+not carry over to paper scale.
 """
 
 import pytest

@@ -1,4 +1,6 @@
-"""Ablation benches for the design choices called out in DESIGN.md."""
+"""Ablation benches for two design choices: the k-switch size and BH2's
+candidate filter (the reason for the filter is in the docstrings of
+``BH2Config.strict_paper_variant`` and ``BH2Terminal._candidate_gateways``)."""
 
 from repro.access.kswitch import expected_sleeping_cards
 from repro.core.bh2 import BH2Config
@@ -39,5 +41,6 @@ def test_bench_ablation_bh2_candidate_filter(benchmark, scenario, evaluation_sca
     print(f"default (candidates carry some traffic) : {100 * data['default']:.1f}% savings")
     print(f"strict  (candidates above low threshold): {100 * data['strict']:.1f}% savings")
     # The strict literal reading cannot bootstrap aggregation at these loads,
-    # which is exactly why the default interpretation is used (see DESIGN.md).
+    # which is exactly why the default interpretation is used (see
+    # BH2Terminal._candidate_gateways).
     assert data["default"] >= data["strict"] - 0.02

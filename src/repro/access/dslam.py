@@ -46,12 +46,10 @@ class SwitchingMode(enum.Enum):
 
 @dataclass
 class LineCard:
-    """One DSL line card: a range of port indices and its online statistics."""
+    """One DSL line card: a range of port indices."""
 
     card_id: int
     ports: List[int]
-    online_seconds: float = 0.0
-    sleep_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.ports:
@@ -114,10 +112,6 @@ class Dslam:
         """Card indices that must stay powered given the active lines."""
         return {self.card_of_line(line) for line in active_lines if line in self.line_port}
 
-    def online_card_count(self, active_lines: Iterable[int]) -> int:
-        """Number of cards that must stay powered."""
-        return len(self.online_cards(active_lines))
-
     # ------------------------------------------------------------------
     def rewire(
         self,
@@ -150,18 +144,6 @@ class Dslam:
             self._rewire_full(line_active, movable)
         else:
             self._rewire_kswitch(line_active, movable, changed)
-
-    # ------------------------------------------------------------------
-    def accumulate_card_time(self, active_lines: Iterable[int], dt: float) -> None:
-        """Charge ``dt`` seconds of online/sleep time to each card."""
-        if dt < 0:
-            raise ValueError("dt must be non-negative")
-        online = self.online_cards(active_lines)
-        for card in self.cards:
-            if card.card_id in online:
-                card.online_seconds += dt
-            else:
-                card.sleep_seconds += dt
 
     # ------------------------------------------------------------------
     def _build_kswitch_banks(self) -> None:

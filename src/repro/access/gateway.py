@@ -76,12 +76,6 @@ class Gateway:
         """Whether the gateway is booting / re-synchronising."""
         return self.state is PowerState.WAKING
 
-    def wake_remaining(self, now: float) -> float:
-        """Seconds left before a waking gateway becomes operational."""
-        if self.state is not PowerState.WAKING or self._wake_complete_at is None:
-            return 0.0
-        return max(0.0, self._wake_complete_at - now)
-
     # ------------------------------------------------------------------
     def request_wake(self, now: float) -> None:
         """Ask a sleeping gateway to power on (WoWLAN / Remote Wake)."""

@@ -13,7 +13,8 @@ This module provides:
   paper;
 * :func:`card_sleep_probability_exact` — the same probability computed with
   the full binomial expression;
-* :func:`simulate_card_sleep_probability` — a Monte-Carlo check;
+* :func:`simulate_card_sleep_probability` — a Monte-Carlo estimate of the
+  same probability from inactive-line counts;
 * :class:`KSwitchBank` — the packing machinery used by the DSLAM model.
 """
 
@@ -69,8 +70,12 @@ def simulate_card_sleep_probability(
     """Monte-Carlo estimate of the sleep probability of each of the k cards.
 
     Each trial draws the active/inactive state of the ``m * k`` lines and
-    runs the packing policy of :class:`KSwitchBank`; the return value is the
-    empirical sleep frequency of cards ``1..k``.
+    counts the inactive lines of each switch: card ``c`` sleeps when every
+    switch has at least ``c`` inactive lines, which is what packing would
+    give.  It exercises neither :class:`KSwitchBank` nor the DSLAM model,
+    so it checks Eq. (2)'s arithmetic, not the packing code the simulator
+    runs.  The return value is the empirical sleep frequency of cards
+    ``1..k``.
     """
     _validate_lkmp(1, k, m, p)
     if trials <= 0:
@@ -102,7 +107,8 @@ def full_switch_sleeping_cards(num_ports: int, ports_per_card: int, active_lines
     With full switching capability the active lines are packed onto
     ``ceil(active/ports_per_card)`` cards, so
     ``floor((num_ports - active) / ports_per_card)`` cards sleep — the
-    paper's ``⌊n·(1-p)/m⌋`` expression.
+    paper's ``⌊n·(1-p)/m⌋`` expression.  The simulator does not call it:
+    it stays as the paper's closed form, which the tests pin.
     """
     if num_ports <= 0 or ports_per_card <= 0:
         raise ValueError("num_ports and ports_per_card must be positive")
@@ -181,8 +187,3 @@ class KSwitchBank:
         return KSwitchAssignment(
             line_to_card=line_to_card, cards_with_active_lines=frozenset(cards_active)
         )
-
-    def sleeping_cards(self, active: Dict[int, bool]) -> int:
-        """Number of cards in the batch with no active line after packing."""
-        assignment = self.pack(active)
-        return self.k - len(assignment.cards_with_active_lines)

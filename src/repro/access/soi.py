@@ -29,11 +29,3 @@ class SoIConfig:
             raise ValueError("idle_timeout_s must be non-negative")
         if self.wake_up_time_s < 0:
             raise ValueError("wake_up_time_s must be non-negative")
-
-    def with_idle_timeout(self, idle_timeout_s: float) -> "SoIConfig":
-        """A copy with a different idle timeout (for sensitivity sweeps)."""
-        return SoIConfig(idle_timeout_s=idle_timeout_s, wake_up_time_s=self.wake_up_time_s)
-
-    def with_wake_up_time(self, wake_up_time_s: float) -> "SoIConfig":
-        """A copy with a different wake-up time (for sensitivity sweeps)."""
-        return SoIConfig(idle_timeout_s=self.idle_timeout_s, wake_up_time_s=wake_up_time_s)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], precision: int = 2) -> str:
@@ -46,20 +46,6 @@ def format_markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object
     for row in rows:
         lines.append("| " + " | ".join(fmt(cell) for cell in row) + " |")
     return "\n".join(lines)
-
-
-def render_series(series: Mapping[str, Mapping[str, Sequence[float]]], x_key: str, y_key: str,
-                  max_points: int = 26) -> str:
-    """Render one series-per-scheme dictionary (as produced by figures.figureN)."""
-    blocks: List[str] = []
-    for name, data in series.items():
-        xs = list(data[x_key])
-        ys = list(data[y_key])
-        stride = max(1, len(xs) // max_points)
-        rows = [(f"{x:.2f}", f"{y:.2f}") for x, y in zip(xs[::stride], ys[::stride])]
-        blocks.append(f"== {name} ==")
-        blocks.append(format_table([x_key, y_key], rows))
-    return "\n".join(blocks)
 
 
 def render_summary(summary: Mapping[str, Mapping[str, float]]) -> str:

@@ -118,7 +118,6 @@ class BH2Decision:
     action: BH2Action
     selected_gateway: int
     wake_home: bool = False
-    candidates: Sequence[int] = ()
 
 
 class BH2Terminal:
@@ -167,10 +166,6 @@ class BH2Terminal:
         #: Random offset so terminals do not all decide at the same instant.
         self.decision_offset_s: float = float(self._rng.uniform(0, self.config.decision_period_s))
         self._next_decision_at: float = self.decision_offset_s
-        #: Lifetime statistics.
-        self.moves_to_remote: int = 0
-        self.returns_home: int = 0
-        self.home_wakeups_requested: int = 0
 
     # ------------------------------------------------------------------
     @property
@@ -195,8 +190,8 @@ class BH2Terminal:
         ``observations`` must contain an entry for every reachable gateway;
         missing gateways are treated as offline.  This is the plain reading
         of Sec. 3.1 and the oracle of :meth:`decide_fast`: the seed kernel
-        runs it, and the equivalence tests require the same decisions, RNG
-        draws and statistics from both.
+        runs it, and the equivalence tests require the same decisions and
+        RNG draws from both.
         """
         self.schedule_next_decision(now)
         current_obs = observations.get(self.current_gateway)
@@ -207,7 +202,7 @@ class BH2Terminal:
             decision = self._decide_at_home(current_load, current_online, observations)
         else:
             decision = self._decide_at_remote(current_load, current_online, observations)
-        self._apply(decision)
+        self.current_gateway = decision.selected_gateway
         return decision
 
     # ------------------------------------------------------------------
@@ -273,11 +268,7 @@ class BH2Terminal:
         candidates = self._candidate_gateways(observations, exclude=frozenset({self.home_gateway}))
         if len(candidates) > cfg.backup:
             selected = self._pick_proportional_to_load(candidates)
-            return BH2Decision(
-                action=BH2Action.MOVE_TO_REMOTE,
-                selected_gateway=selected,
-                candidates=tuple(c.gateway_id for c in candidates),
-            )
+            return BH2Decision(action=BH2Action.MOVE_TO_REMOTE, selected_gateway=selected)
         return BH2Decision(action=BH2Action.STAY, selected_gateway=self.home_gateway)
 
     def _decide_at_remote(
@@ -302,11 +293,7 @@ class BH2Terminal:
         )
         if len(candidates) > cfg.backup:
             selected = self._pick_proportional_to_load(candidates)
-            return BH2Decision(
-                action=BH2Action.MOVE_TO_REMOTE,
-                selected_gateway=selected,
-                candidates=tuple(c.gateway_id for c in candidates),
-            )
+            return BH2Decision(action=BH2Action.MOVE_TO_REMOTE, selected_gateway=selected)
         return BH2Decision(
             action=BH2Action.RETURN_HOME,
             selected_gateway=self.home_gateway,
@@ -325,7 +312,7 @@ class BH2Terminal:
         """Run one BH2 decision against the live gateway state.
 
         Behaviourally identical to :meth:`decide` (same decisions, same RNG
-        consumption, same statistics) but reads power-state codes straight
+        consumption) but reads power-state codes straight
         out of ``state`` (a gateway is online when its code is
         ``STATE_ACTIVE``) and asks ``utilization(gateway, now)`` for the
         load of only the gateways it examines: its current gateway, then,
@@ -392,7 +379,6 @@ class BH2Terminal:
             ids, loads = preferred + fallback, preferred_loads + fallback_loads
         if ids is not None and len(ids) > backup:
             selected = self._pick_fast(ids, loads)
-            self.moves_to_remote += 1
             self.current_gateway = selected
             return selected, False
         if at_home:
@@ -401,9 +387,6 @@ class BH2Terminal:
 
     def _return_home_fast(self, state: Sequence[int]) -> "Tuple[int, bool]":
         wake_home = state[self.home_gateway] != STATE_ACTIVE
-        self.returns_home += 1
-        if wake_home:
-            self.home_wakeups_requested += 1
         self.current_gateway = self.home_gateway
         return self.home_gateway, wake_home
 
@@ -454,15 +437,6 @@ class BH2Terminal:
     def _home_online(self, observations: Dict[int, GatewayObservation]) -> bool:
         obs = observations.get(self.home_gateway)
         return bool(obs and obs.online)
-
-    def _apply(self, decision: BH2Decision) -> None:
-        if decision.action is BH2Action.MOVE_TO_REMOTE:
-            self.moves_to_remote += 1
-        elif decision.action is BH2Action.RETURN_HOME and not self.at_home:
-            self.returns_home += 1
-        if decision.wake_home:
-            self.home_wakeups_requested += 1
-        self.current_gateway = decision.selected_gateway
 
     def __repr__(self) -> str:
         where = "home" if self.at_home else f"remote {self.current_gateway}"

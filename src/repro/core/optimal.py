@@ -110,7 +110,11 @@ class AggregationSolution:
 
 
 def verify_solution(problem: AggregationProblem, solution: AggregationSolution) -> bool:
-    """Check every constraint of Eq. (1) for ``solution``; returns True iff feasible."""
+    """Check every constraint of Eq. (1) for ``solution``; returns True iff feasible.
+
+    The program never calls it: it is the independent feasibility oracle
+    that the tests hold every solver's output to.
+    """
     load: Dict[int, float] = {g: 0.0 for g in problem.capacities_bps}
     for user in problem.active_users():
         gateways = solution.assignment.get(user, ())
@@ -338,7 +342,11 @@ class GreedyAggregationSolver:
 
 
 class ExactAggregationSolver:
-    """Exhaustive solver for small instances (validation and tests only)."""
+    """Exhaustive solver for small instances: the optimum oracle.
+
+    The simulator runs :class:`GreedyAggregationSolver`; the tests compare
+    its online sets with this minimum-cardinality enumeration.
+    """
 
     def __init__(self, max_gateways: int = 16):
         self.max_gateways = max_gateways

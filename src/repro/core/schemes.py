@@ -68,7 +68,7 @@ class SchemeConfig:
 
         The kernel's only seeded draw is each BH2 terminal's generator,
         seeded from the run seed (its decision offsets and random gateway
-        picks); the channel's shadowing draw is off.  Every other scheme
+        picks).  Every other scheme
         repeats bit for bit under any run seed, so a sweep runs it once
         per spec, and :class:`~repro.simulation.runner.ExperimentRunner`
         once per comparison, and both reuse that trajectory for its later

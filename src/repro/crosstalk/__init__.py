@@ -12,7 +12,7 @@ line, ~14 % with half the lines off and ~25 % with 75 % off.
 from repro.crosstalk.fext import ChannelModel, FextModel, NoiseModel
 from repro.crosstalk.bitloading import LineProfile, VdslBundle
 from repro.crosstalk.experiments import CrosstalkExperiment, SpeedupCurve, run_figure14_experiment
-from repro.crosstalk.attenuation import AttenuationSynthesizer, attenuation_to_length_m
+from repro.crosstalk.attenuation import AttenuationSynthesizer
 
 __all__ = [
     "ChannelModel",
@@ -24,5 +24,4 @@ __all__ = [
     "SpeedupCurve",
     "run_figure14_experiment",
     "AttenuationSynthesizer",
-    "attenuation_to_length_m",
 ]

@@ -5,9 +5,9 @@ production ADSL2+ DSLAMs (14 active line cards of 72 ports each) and finds
 that every card sees essentially the same Gaussian distribution of
 attenuations — i.e. geographically close customers are *not* clustered on
 the same card — which justifies the random gateway↔port assignment used in
-the evaluation.  This module synthesises equivalent data (Fig. 15) and
-provides the dB↔distance conversion quoted in the paper (1 dB ≈ 70 m for
-ADSL2+).
+the evaluation.  This module synthesises equivalent data (Fig. 15); its
+default spread is the appendix's ~1 mile, converted at the paper's
+1 dB ≈ 70 m for ADSL2+.
 """
 
 from __future__ import annotations
@@ -23,20 +23,6 @@ METERS_PER_DB = 70.0
 
 #: One mile in metres; the appendix reports a standard deviation of ~1 mile.
 MILE_M = 1609.34
-
-
-def attenuation_to_length_m(attenuation_db: float) -> float:
-    """Convert a measured attenuation to an approximate loop length."""
-    if attenuation_db < 0:
-        raise ValueError("attenuation must be non-negative")
-    return attenuation_db * METERS_PER_DB
-
-
-def length_to_attenuation_db(length_m: float) -> float:
-    """Convert a loop length to the approximate ADSL2+ attenuation."""
-    if length_m < 0:
-        raise ValueError("length must be non-negative")
-    return length_m / METERS_PER_DB
 
 
 @dataclass

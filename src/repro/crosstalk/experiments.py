@@ -62,17 +62,6 @@ class SpeedupCurve:
             raise ValueError(f"{inactive} inactive lines was not measured")
         return self.mean_speedup_percent[self.inactive_counts.index(inactive)]
 
-    def per_line_speedup_percent(self) -> float:
-        """Average extra percent of rate gained per deactivated line."""
-        pairs = [
-            (count, speedup)
-            for count, speedup in zip(self.inactive_counts, self.mean_speedup_percent)
-            if count > 0
-        ]
-        if not pairs:
-            return 0.0
-        return float(np.mean([speedup / count for count, speedup in pairs]))
-
 
 class CrosstalkExperiment:
     """Runs the Fig. 14 methodology over one bundle configuration."""

@@ -32,7 +32,6 @@ from repro.fleet.profile import (
     GatewayGeneration,
     HOMOGENEOUS,
     fleet,
-    fleet_names,
     register_fleet,
     register_generation,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "GatewayGeneration",
     "HOMOGENEOUS",
     "fleet",
-    "fleet_names",
     "register_fleet",
     "register_generation",
 ]

@@ -255,8 +255,3 @@ def fleet(name: str) -> FleetProfile:
         raise KeyError(
             f"unknown fleet profile {name!r}; known: {', '.join(FLEETS)}"
         ) from None
-
-
-def fleet_names() -> List[str]:
-    """Registered fleet-profile names, in registration order."""
-    return list(FLEETS)

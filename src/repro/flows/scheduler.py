@@ -104,7 +104,8 @@ def max_min_allocation(capacity_bps: float, caps_bps: Sequence[float]) -> List[f
 
     Repeatedly gives every unsatisfied flow an equal share of the remaining
     capacity; flows whose cap is below the share get exactly their cap and
-    drop out.
+    drop out.  The scheduler calls :func:`_water_fill` directly; the tests
+    hold this checked entry point to the seed's allocator.
     """
     if capacity_bps < 0:
         raise ValueError("capacity must be non-negative")

@@ -27,7 +27,11 @@ class EnergyBreakdown:
     @property
     def user_side_j(self) -> float:
         """Energy charged to user-side devices (including the per-generation
-        ``gateway:<generation>`` categories of heterogeneous fleets)."""
+        ``gateway:<generation>`` categories of heterogeneous fleets).
+
+        The program reports categories and totals; the tests read the two
+        sides to check how a run's energy splits.
+        """
         return sum(
             joules
             for category, joules in self.per_category_j.items()
@@ -36,27 +40,14 @@ class EnergyBreakdown:
 
     @property
     def isp_side_j(self) -> float:
-        """Energy charged to ISP-side devices."""
+        """Energy charged to ISP-side devices (read by the tests, like the
+        user side)."""
         return sum(self.per_category_j.get(c, 0.0) for c in ISP_SIDE_CATEGORIES)
 
     @property
     def total_kwh(self) -> float:
         """Total energy in kWh."""
         return self.total_j / 3.6e6
-
-    def savings_vs(self, baseline: "EnergyBreakdown") -> float:
-        """Fractional savings relative to a baseline run."""
-        if baseline.total_j <= 0:
-            raise ValueError("baseline energy must be positive")
-        return 1.0 - self.total_j / baseline.total_j
-
-    def isp_share_of_savings(self, baseline: "EnergyBreakdown") -> float:
-        """Fraction of the total savings that comes from the ISP side (Fig. 8)."""
-        saved_total = baseline.total_j - self.total_j
-        if saved_total <= 0:
-            return 0.0
-        saved_isp = baseline.isp_side_j - self.isp_side_j
-        return max(0.0, saved_isp / saved_total)
 
     def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
         merged = dict(self.per_category_j)

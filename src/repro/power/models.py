@@ -75,7 +75,6 @@ class AccessNetworkPowerModel:
     """
 
     gateway: DevicePower = field(default_factory=lambda: DevicePower(active_w=9.0, sleep_w=0.0))
-    wireless_router: DevicePower = field(default_factory=lambda: DevicePower(active_w=5.0, sleep_w=0.0))
     isp_modem: DevicePower = field(default_factory=lambda: DevicePower(active_w=1.0, sleep_w=0.0))
     line_card: DevicePower = field(default_factory=lambda: DevicePower(active_w=98.0, sleep_w=0.0))
     dslam_shelf: DevicePower = field(default_factory=lambda: DevicePower(active_w=21.0, sleep_w=21.0))
@@ -96,43 +95,23 @@ class AccessNetworkPowerModel:
         line_cards_online: int,
         modems_waking: int = 0,
         line_cards_waking: int = 0,
-        shelf_online: bool = True,
     ) -> float:
-        """Instantaneous power of the ISP side (watts)."""
+        """Instantaneous power of the ISP side (watts), shelf included."""
         counts = (modems_online, line_cards_online, modems_waking, line_cards_waking)
         if min(counts) < 0:
             raise ValueError("device counts must be non-negative")
-        power = (
+        return (
             modems_online * self.isp_modem.power_in(PowerState.ACTIVE)
             + modems_waking * self.isp_modem.power_in(PowerState.WAKING)
             + line_cards_online * self.line_card.power_in(PowerState.ACTIVE)
             + line_cards_waking * self.line_card.power_in(PowerState.WAKING)
+            + self.dslam_shelf.active_w
         )
-        if shelf_online:
-            power += self.dslam_shelf.active_w
-        return power
 
     def no_sleep_power(self, num_gateways: int, num_line_cards: int) -> float:
         """Power of today's always-on operation (the paper's baseline)."""
         return self.user_side_power(num_gateways) + self.isp_side_power(
             modems_online=num_gateways, line_cards_online=num_line_cards
-        )
-
-    def total_power(
-        self,
-        gateways_online: int,
-        modems_online: int,
-        line_cards_online: int,
-        gateways_waking: int = 0,
-        modems_waking: int = 0,
-        line_cards_waking: int = 0,
-    ) -> float:
-        """Instantaneous total power of the access chain (watts)."""
-        return self.user_side_power(gateways_online, gateways_waking) + self.isp_side_power(
-            modems_online=modems_online,
-            line_cards_online=line_cards_online,
-            modems_waking=modems_waking,
-            line_cards_waking=line_cards_waking,
         )
 
 

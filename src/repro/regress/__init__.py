@@ -37,7 +37,6 @@ from repro.regress.baseline import (
     baseline_path,
     cells_from_aggregates,
     load_baseline,
-    metric_policy,
     save_baseline,
 )
 from repro.regress.compare import (
@@ -67,7 +66,6 @@ __all__ = [
     "baseline_path",
     "cells_from_aggregates",
     "load_baseline",
-    "metric_policy",
     "save_baseline",
     "GATING_STATUSES",
     "Diff",

@@ -66,16 +66,6 @@ def metric_direction(name: str) -> str:
     return "none"
 
 
-def metric_policy(name: str) -> "MetricEntry":
-    """The default (valueless) entry policy for a sweep metric.
-
-    Every sweep aggregate is deterministic (bit-identical serial /
-    parallel / resumed executions), so every entry is exact.  The
-    returned entry carries ``value=0.0``; callers fill the value in.
-    """
-    return MetricEntry(value=0.0, direction=metric_direction(name))
-
-
 #: The on-disk ``kind`` of every metric entry: an exact-equality claim.
 _ENTRY_KIND = "exact"
 

@@ -82,19 +82,6 @@ def online_time_variation_cdf(
     return cdf(variations)
 
 
-def fraction_fully_sleeping(result: SimulationResult, reference: SimulationResult) -> float:
-    """Fraction of gateways whose online time dropped to zero vs. the reference."""
-    count = 0
-    total = 0
-    for gateway_id, reference_online in reference.gateway_online_seconds.items():
-        if reference_online <= 0:
-            continue
-        total += 1
-        if result.gateway_online_seconds.get(gateway_id, 0.0) <= 0:
-            count += 1
-    return count / total if total else 0.0
-
-
 def average_timeseries(
     series: Iterable[Tuple[np.ndarray, np.ndarray]]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -112,16 +99,6 @@ def average_timeseries(
     times = series[0][0][:min_len]
     stacked = np.vstack([values[:min_len] for _times, values in series])
     return times, stacked.mean(axis=0)
-
-
-def hourly_average(times_s: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Aggregate a per-interval series into hourly averages."""
-    if len(times_s) == 0:
-        return np.array([]), np.array([])
-    hours = (np.asarray(times_s) // 3600).astype(int)
-    unique_hours = np.unique(hours)
-    averaged = np.array([np.mean(np.asarray(values)[hours == h]) for h in unique_hours])
-    return unique_hours, averaged
 
 
 def summarize_savings(results: Dict[str, SimulationResult]) -> Dict[str, Dict[str, float]]:

@@ -33,7 +33,6 @@ from repro.power.energy import EnergyAccumulator
 from repro.power.models import AccessNetworkPowerModel, DEFAULT_POWER_MODEL, PowerState
 from repro.topology.scenario import DslamConfig, Scenario
 from repro.traces.models import Flow
-from repro.wireless.channel import WirelessChannel
 
 
 def reference_max_min_allocation(capacity_bps: float, caps_bps: Sequence[float]) -> List[float]:
@@ -64,7 +63,11 @@ def reference_max_min_allocation(capacity_bps: float, caps_bps: Sequence[float])
 
 
 class ReferenceFlowScheduler:
-    """The seed's per-step, dict-rebuilding flow scheduler."""
+    """The seed's per-step, dict-rebuilding flow scheduler.
+
+    The flow-service oracle: the tests drive it side by side with
+    :class:`repro.flows.scheduler.FlowScheduler`.
+    """
 
     def __init__(self, backhaul_bps: float):
         if backhaul_bps <= 0:
@@ -87,17 +90,8 @@ class ReferenceFlowScheduler:
             raise ValueError("cannot admit an already-completed flow")
         self._active.append(flow)
 
-    def flows_at_gateway(self, gateway_id: int) -> List[ActiveFlow]:
-        return [f for f in self._active if f.gateway_id == gateway_id]
-
     def gateways_with_traffic(self) -> Set[int]:
         return {f.gateway_id for f in self._active}
-
-    def demand_bps(self, gateway_id: int, horizon_s: float = 60.0) -> float:
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
-        flows = self.flows_at_gateway(gateway_id)
-        return sum(f.remaining_bytes * 8.0 for f in flows) / horizon_s
 
     def client_demand_bps(self, horizon_s: float = 60.0) -> Dict[int, float]:
         if horizon_s <= 0:
@@ -201,11 +195,6 @@ class ReferenceAccessNetworkSimulator:
             config=self._dslam_config(),
             line_ports=dict(scenario.gateway_port),
         )
-        self.channel = WirelessChannel(
-            home_capacity_bps=scenario.wireless.home_capacity_bps,
-            neighbour_capacity_bps=scenario.wireless.neighbour_capacity_bps,
-            seed=seed,
-        )
         self.scheduler = ReferenceFlowScheduler(backhaul_bps=scenario.wireless.backhaul_bps)
 
         self.selected_gateway: Dict[int, int] = dict(scenario.trace.home_gateway)
@@ -287,7 +276,7 @@ class ReferenceAccessNetworkSimulator:
         gateway_id = self._routing_gateway(client, now)
         home = self.scenario.trace.home_gateway[client]
         is_home = gateway_id == home
-        capacity = self.channel.capacity(client, gateway_id, is_home)
+        capacity = self.scenario.wireless.wireless_capacity(is_home)
         active = ActiveFlow(flow=flow, gateway_id=gateway_id, wireless_capacity_bps=capacity)
         self.scheduler.admit(active)
         gateway = self.gateways[gateway_id]
@@ -384,8 +373,8 @@ class ReferenceAccessNetworkSimulator:
         for client in demands:
             home = topology.home_gateway[client]
             for gateway in topology.reachable[client]:
-                wireless[(client, gateway)] = self.channel.capacity(
-                    client, gateway, gateway == home
+                wireless[(client, gateway)] = self.scenario.wireless.wireless_capacity(
+                    gateway == home
                 )
         problem = AggregationProblem(
             demands_bps=demands,
@@ -409,8 +398,8 @@ class ReferenceAccessNetworkSimulator:
             if primary is not None and primary != flow.gateway_id:
                 home = topology.home_gateway[client]
                 flow.gateway_id = primary
-                flow.wireless_capacity_bps = self.channel.capacity(
-                    client, primary, primary == home
+                flow.wireless_capacity_bps = self.scenario.wireless.wireless_capacity(
+                    primary == home
                 )
         for client in demands:
             primary = solution.primary_gateway(client)
@@ -540,7 +529,11 @@ def run_scheme_reference(
     power_model: AccessNetworkPowerModel = DEFAULT_POWER_MODEL,
     baseline_durations: Optional[Dict[int, float]] = None,
 ):
-    """Run one scheme once over a scenario with the preserved seed kernel."""
+    """Run one scheme once over a scenario with the preserved seed kernel.
+
+    The equivalence tests' oracle: they compare its result with
+    :func:`repro.simulation.runner.run_scheme`'s on the same inputs.
+    """
     simulator = ReferenceAccessNetworkSimulator(
         scenario=scenario,
         scheme=scheme,

@@ -75,7 +75,6 @@ from repro.topology.scenario import DslamConfig, Scenario
 from repro.traces.models import Flow
 from repro.wattopt.cost import WattCostModel
 from repro.wattopt.solver import WattGreedyAggregationSolver
-from repro.wireless.channel import WirelessChannel
 
 
 class LazyFlowRecords(_SequenceABC):
@@ -441,11 +440,6 @@ class AccessNetworkSimulator:
         self._switched = any(
             line.dslam.mode is not SwitchingMode.FIXED for line in self.lines
         )
-        self.channel = WirelessChannel(
-            home_capacity_bps=scenario.wireless.home_capacity_bps,
-            neighbour_capacity_bps=scenario.wireless.neighbour_capacity_bps,
-            seed=seed,
-        )
         self.scheduler = FlowScheduler(backhaul_bps=scenario.wireless.backhaul_bps)
 
         # --- watt-aware aggregation (repro.wattopt) ---------------------
@@ -526,10 +520,6 @@ class AccessNetworkSimulator:
         # --- caches -------------------------------------------------------
         self._home_gateway = scenario.trace.home_gateway
         self._simple_routing = scheme.aggregation is AggregationKind.NONE
-        self._home_capacity: Dict[int, float] = {
-            client: self.channel.capacity(client, home, True)
-            for client, home in self._home_gateway.items()
-        }
         self._dslam_version = self.gateway_array.version
         # What the DSLAM sync passes to Dslam.rewire, kept up to date for
         # the gateways that change state: whether a line is powered, and
@@ -679,9 +669,8 @@ class AccessNetworkSimulator:
         state = gateway_array.state
         last_traffic = gateway_array.last_traffic_at
         home_map = self._home_gateway
-        home_capacity = self._home_capacity
-        capacity_cache = self.channel._cache
-        capacity_of = self.channel.capacity
+        home_capacity = self.scenario.wireless.home_capacity_bps
+        neighbour_capacity = self.scenario.wireless.neighbour_capacity_bps
         simple = self._simple_routing
         selected_map = self.selected_gateway
         fallback_map = self.fallback_gateway
@@ -699,7 +688,7 @@ class AccessNetworkSimulator:
             if simple:
                 # Without aggregation every flow goes through the home gateway.
                 gateway_id = home_map[client]
-                capacity = home_capacity[client]
+                capacity = home_capacity
             else:
                 selected = selected_map[client]
                 if state[selected] == STATE_ACTIVE:
@@ -710,11 +699,9 @@ class AccessNetworkSimulator:
                 else:
                     gateway_id = self._routing_gateway(client, now)
                 if gateway_id == home_map[client]:
-                    capacity = home_capacity[client]
+                    capacity = home_capacity
                 else:
-                    capacity = capacity_cache.get((client, gateway_id))
-                    if capacity is None:
-                        capacity = capacity_of(client, gateway_id, False)
+                    capacity = neighbour_capacity
             if check_service and not in_service[gateway_id]:
                 # Chosen gateway is decommissioned/failed/undeployed:
                 # rescue onto an in-service gateway or drop the flow.
@@ -802,13 +789,10 @@ class AccessNetworkSimulator:
     # Fleet churn
     # ------------------------------------------------------------------
     def _capacity_for(self, client: int, gateway_id: int) -> float:
-        """Wireless capacity of a client↔gateway link, via the caches."""
-        if gateway_id == self._home_gateway[client]:
-            return self._home_capacity[client]
-        capacity = self.channel._cache.get((client, gateway_id))
-        if capacity is None:
-            capacity = self.channel.capacity(client, gateway_id, False)
-        return capacity
+        """Wireless capacity of a client↔gateway link."""
+        return self.scenario.wireless.wireless_capacity(
+            gateway_id == self._home_gateway[client]
+        )
 
     def _rescue_gateway(self, client: int) -> Optional[int]:
         """An in-service gateway to carry ``client``'s traffic.
@@ -1005,11 +989,11 @@ class AccessNetworkSimulator:
         cached = self._optimal_wireless_cache
         if cached is None:
             topology = self.scenario.topology
-            capacity_of = self.channel.capacity
+            capacity_of = self.scenario.wireless.wireless_capacity
             cached = {}
             for client, home in topology.home_gateway.items():
                 for gateway in topology.reachable[client]:
-                    cached[(client, gateway)] = capacity_of(client, gateway, gateway == home)
+                    cached[(client, gateway)] = capacity_of(gateway == home)
             self._optimal_wireless_cache = cached
         return cached
 
@@ -1052,7 +1036,6 @@ class AccessNetworkSimulator:
         # its demand there (otherwise a large backlog would look unservable).
         cap = self.scenario.wireless.backhaul_bps
         demands = {c: min(d, cap) for c, d in demands.items()}
-        topology = self.scenario.topology
         problem = AggregationProblem(
             demands_bps=demands,
             capacities_bps=self._optimal_capacities(),
@@ -1077,18 +1060,13 @@ class AccessNetworkSimulator:
             gateway_array.touch(gateway_id, now)
         # Migrate in-flight flows and update the routing of future flows.
         assignment = solution.assignment
-        home_gateway = topology.home_gateway
         for flow in self.scheduler.active_flows:
             client = flow[TRACE_FLOW].client_id
             assigned = assignment.get(client)
             if assigned:
                 primary = assigned[0]
                 if primary != flow[GATEWAY_ID]:
-                    self.scheduler.migrate(
-                        flow,
-                        primary,
-                        self.channel.capacity(client, primary, primary == home_gateway[client]),
-                    )
+                    self.scheduler.migrate(flow, primary, self._capacity_for(client, primary))
         selected_map = self.selected_gateway
         for client in demands:
             assigned = assignment.get(client)

@@ -98,7 +98,6 @@ class GatewayStatusServer:
             g: [] for g in range(config.num_gateways)
         }
         self.online_seconds: Dict[int, float] = {g: 0.0 for g in range(config.num_gateways)}
-        self._last_poll = 0.0
 
     # ------------------------------------------------------------------
     def status(self, gateway: int) -> str:

@@ -37,7 +37,11 @@ class TestbedResult:
         return float(np.mean(self.online_gateways)) if self.online_gateways else 0.0
 
     def mean_sleeping(self, num_gateways: int) -> float:
-        """Average number of sleeping gateways over the replay."""
+        """Average number of sleeping gateways over the replay.
+
+        Fig. 12 reports sleeping gateways; the tests compare BH2 with SoI
+        by this number.
+        """
         return num_gateways - self.mean_online()
 
 

@@ -109,14 +109,6 @@ class GatewayTopology:
             return 0.0
         return float(np.mean([len(s) for s in self.reachable.values()]))
 
-    def neighbours_of(self, client_id: int) -> FrozenSet[int]:
-        """Gateways a client can reach excluding its home gateway."""
-        return frozenset(self.reachable[client_id] - {self.home_gateway[client_id]})
-
-    def clients_reaching(self, gateway_id: int) -> List[int]:
-        """Clients that can associate with ``gateway_id``."""
-        return [c for c, s in self.reachable.items() if gateway_id in s]
-
 
 def generate_overlap_topology(
     home_gateway: Dict[int, int],

@@ -11,12 +11,11 @@ the generator the simulator replays; the ADSL utilisation model
 (:mod:`repro.traces.analysis`) are imported as submodules.
 """
 
-from repro.traces.models import Flow, Packet, ClientTrace, WirelessTrace, TraceStats
+from repro.traces.models import Flow, ClientTrace, WirelessTrace, TraceStats
 from repro.traces.synthetic import SyntheticTraceConfig, SyntheticTraceGenerator, generate_crawdad_like_trace
 
 __all__ = [
     "Flow",
-    "Packet",
     "ClientTrace",
     "WirelessTrace",
     "TraceStats",

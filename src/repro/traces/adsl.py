@@ -45,9 +45,6 @@ class AdslPopulationConfig:
     downlink_plans_bps: Sequence[float] = (1e6, 3e6, 6e6, 10e6, 20e6)
     downlink_plan_weights: Sequence[float] = (0.10, 0.20, 0.40, 0.20, 0.10)
 
-    #: Uplink plan speeds (bps) aligned with the downlink plans.
-    uplink_plans_bps: Sequence[float] = (256e3, 320e3, 512e3, 640e3, 1e6)
-
     #: Log-normal parameters of a subscriber's *peak-hour* average downlink
     #: utilisation (dimensionless fraction of the plan speed).
     peak_util_log_mean: float = np.log(0.012)
@@ -63,8 +60,6 @@ class AdslPopulationConfig:
             raise ValueError("num_subscribers must be positive")
         if len(self.downlink_plans_bps) != len(self.downlink_plan_weights):
             raise ValueError("plan speeds and weights must align")
-        if len(self.downlink_plans_bps) != len(self.uplink_plans_bps):
-            raise ValueError("uplink plans must align with downlink plans")
         if abs(sum(self.downlink_plan_weights) - 1.0) > 1e-6:
             raise ValueError("plan weights must sum to 1")
         if len(self.diurnal) != 24:
@@ -81,7 +76,6 @@ class AdslUtilizationModel:
         plan_idx = rng.choice(len(cfg.downlink_plans_bps), size=cfg.num_subscribers,
                               p=np.asarray(cfg.downlink_plan_weights, dtype=float))
         self.downlink_plan = np.asarray(cfg.downlink_plans_bps, dtype=float)[plan_idx]
-        self.uplink_plan = np.asarray(cfg.uplink_plans_bps, dtype=float)[plan_idx]
         # Per-subscriber peak-hour utilisation; heavy tailed, capped at 100 %.
         peak_util = rng.lognormal(cfg.peak_util_log_mean, cfg.peak_util_log_sigma,
                                   size=cfg.num_subscribers)
@@ -116,7 +110,11 @@ class AdslUtilizationModel:
         return averages, medians
 
     def average_downlink_speed_bps(self) -> float:
-        """Mean plan downlink speed of the population (paper: ~6 Mbps)."""
+        """Mean plan downlink speed of the population (paper: ~6 Mbps).
+
+        Nothing in the program reads it: the tests use it to pin the ~6 Mbps
+        mean plan of Sec. 2 that the Fig. 2 population is drawn from.
+        """
         return float(np.mean(self.downlink_plan))
 
     def figure2_data(self) -> Dict[str, List[float]]:

@@ -45,7 +45,11 @@ def write_trace(trace: WirelessTrace, flows_path: PathLike, meta_path: PathLike 
 
 
 def read_trace(flows_path: PathLike, meta_path: PathLike | None = None) -> WirelessTrace:
-    """Read a trace previously written by :func:`write_trace`."""
+    """Read a trace previously written by :func:`write_trace`.
+
+    The program never reads a trace back: this is the round-trip oracle
+    that the tests hold what ``repro-access trace`` writes to.
+    """
     flows_path = Path(flows_path)
     meta_path = Path(meta_path) if meta_path is not None else flows_path.with_suffix(".meta.json")
 

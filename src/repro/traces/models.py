@@ -2,8 +2,7 @@
 
 The simulator is flow-driven, mirroring the testbed methodology of the
 paper (Sec. 5.3): "for each flow, we record the timestamp t and the amount
-of bytes b reported in the traces and we replay it".  Packets are kept as a
-secondary representation for the inter-packet-gap analysis of Fig. 4.
+of bytes b reported in the traces and we replay it".
 
 A trace holds one :class:`Flow` per transfer (hundreds of thousands at
 paper scale), built once and shared by every simulation run over the
@@ -17,30 +16,9 @@ garbage collector (:mod:`repro.sweep.engine`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 SECONDS_PER_DAY = 24 * 3600.0
-
-
-@dataclass(frozen=True)
-class Packet:
-    """A single downlink packet observed at a client.
-
-    Attributes:
-        time: arrival time in seconds from trace start.
-        size: payload size in bytes.
-        client_id: identifier of the receiving client.
-    """
-
-    time: float
-    size: int
-    client_id: int
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"packet time must be non-negative, got {self.time}")
-        if self.size <= 0:
-            raise ValueError(f"packet size must be positive, got {self.size}")
 
 
 # typing.NamedTuple refuses a __new__ of its own, so Flow subclasses its
@@ -84,12 +62,6 @@ class Flow(_FlowFields):
             raise ValueError(f"flow size must be positive, got {size_bytes}")
         return tuple.__new__(cls, (flow_id, client_id, start_time, size_bytes, kind))
 
-    def duration_at(self, rate_bps: float) -> float:
-        """Transfer duration if served at a constant rate of ``rate_bps``."""
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
-        return self.size_bytes * 8.0 / rate_bps
-
 
 @dataclass
 class ClientTrace:
@@ -97,10 +69,6 @@ class ClientTrace:
 
     client_id: int
     flows: List[Flow] = field(default_factory=list)
-
-    def sorted_flows(self) -> List[Flow]:
-        """Flows ordered by start time."""
-        return sorted(self.flows, key=lambda f: f.start_time)
 
     @property
     def total_bytes(self) -> int:
@@ -217,10 +185,6 @@ class WirelessTrace:
             flows.sort(key=lambda f: f.start_time)
         return grouped
 
-    def clients_of_gateway(self, gateway_id: int) -> List[int]:
-        """Client ids whose home gateway is ``gateway_id``."""
-        return [c for c, g in self.home_gateway.items() if g == gateway_id]
-
     def restricted_to_window(self, t_start: float, t_end: float) -> "WirelessTrace":
         """A copy of the trace containing only flows in ``[t_start, t_end)``.
 
@@ -284,44 +248,3 @@ class TraceStats:
             peak_hour=peak_hour,
             peak_hour_utilization=per_hour_util[peak_hour],
         )
-
-
-def merge_traces(traces: Iterable[WirelessTrace]) -> WirelessTrace:
-    """Merge several traces over the same gateway set into one.
-
-    Client ids are re-numbered to avoid collisions; the duration is the
-    maximum of the inputs.
-    """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("merge_traces() requires at least one trace")
-    num_gateways = traces[0].num_gateways
-    if any(t.num_gateways != num_gateways for t in traces):
-        raise ValueError("all traces must share the same number of gateways")
-    clients: Dict[int, ClientTrace] = {}
-    home: Dict[int, int] = {}
-    next_id = 0
-    flow_id = 0
-    for trace in traces:
-        for client_id, client in trace.clients.items():
-            flows = []
-            for f in client.flows:
-                flows.append(
-                    Flow(
-                        flow_id=flow_id,
-                        client_id=next_id,
-                        start_time=f.start_time,
-                        size_bytes=f.size_bytes,
-                        kind=f.kind,
-                    )
-                )
-                flow_id += 1
-            clients[next_id] = ClientTrace(client_id=next_id, flows=flows)
-            home[next_id] = trace.home_gateway[client_id]
-            next_id += 1
-    return WirelessTrace(
-        duration=max(t.duration for t in traces),
-        clients=clients,
-        home_gateway=home,
-        num_gateways=num_gateways,
-    )

@@ -25,19 +25,14 @@ does not load it, because it pulls in :mod:`repro.regress`, which a sweep
 does not need.
 """
 
-from repro.wattopt.cost import WattCostModel, scenario_cost_model
+from repro.wattopt.cost import WattCostModel
 from repro.wattopt.solver import (
     ExactWattAggregationSolver,
     WattGreedyAggregationSolver,
-    count_vs_watt_gap,
-    watt_objective,
 )
 
 __all__ = [
     "ExactWattAggregationSolver",
     "WattCostModel",
     "WattGreedyAggregationSolver",
-    "count_vs_watt_gap",
-    "scenario_cost_model",
-    "watt_objective",
 ]

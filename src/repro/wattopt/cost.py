@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from repro.fleet.profile import FleetProfile, HOMOGENEOUS
+from repro.fleet.profile import FleetProfile
 from repro.power.models import AccessNetworkPowerModel, DEFAULT_POWER_MODEL
 
 
@@ -135,12 +135,18 @@ class WattCostModel:
         """Total marginal watts of an online set (the solver objective).
 
         Summed in ascending gateway-id order so equal sets always produce
-        the identical float.
+        the identical float.  The solvers rank sets by their own running
+        sums; the tests measure the greedy's and the exact solver's online
+        sets with this.
         """
         return sum(self.marginal_w(g) for g in sorted(online))
 
     def max_marginal_w(self) -> float:
-        """The costliest single device — the unit of the greedy's gap bound."""
+        """The costliest single device — the unit of the greedy's gap bound.
+
+        Only the tests read it: they bound the watt greedy's distance from
+        :class:`repro.wattopt.solver.ExactWattAggregationSolver` by it.
+        """
         return max(self.marginals())
 
     def bias(self) -> List[float]:
@@ -154,11 +160,3 @@ class WattCostModel:
         marginals = self.marginals()
         cheapest = min(marginals)
         return [cheapest / m for m in marginals]
-
-
-def scenario_cost_model(
-    scenario, power_model: AccessNetworkPowerModel = DEFAULT_POWER_MODEL
-) -> WattCostModel:
-    """The cost model implied by a scenario's attached fleet profile."""
-    fleet = scenario.fleet if scenario.fleet is not None else HOMOGENEOUS
-    return WattCostModel.from_fleet(fleet, scenario.num_gateways, power_model)

@@ -28,7 +28,7 @@ here reuse the feasibility/assignment machinery of
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.optimal import (
     AggregationProblem,
@@ -141,7 +141,11 @@ class WattGreedyAggregationSolver(GreedyAggregationSolver):
 
 
 class ExactWattAggregationSolver(ExactAggregationSolver):
-    """Minimum-watt online set by watt-ordered subset enumeration."""
+    """Minimum-watt online set by watt-ordered subset enumeration.
+
+    The watt-greedy solver's optimum oracle: the tests require the greedy's
+    watts to lie within one device's marginal draw of this solver's.
+    """
 
     def __init__(self, cost_model: WattCostModel, max_gateways: int = 14):
         super().__init__(max_gateways=max_gateways)
@@ -177,32 +181,3 @@ class ExactWattAggregationSolver(ExactAggregationSolver):
             online_gateways=frozenset(gateways),
             assignment={u: tuple(gws) for u, gws in assignment.items()},
         )
-
-
-def watt_objective(
-    solution: AggregationSolution, cost_model: WattCostModel
-) -> float:
-    """The watt objective value of a solution under a cost model."""
-    return cost_model.watt_objective(solution.online_gateways)
-
-
-def count_vs_watt_gap(
-    problem: AggregationProblem,
-    cost_model: WattCostModel,
-    count_solver: Optional[GreedyAggregationSolver] = None,
-    watt_solver: Optional[WattGreedyAggregationSolver] = None,
-) -> Dict[str, float]:
-    """Solve one instance under both objectives and report the watt gap."""
-    count_solver = count_solver or GreedyAggregationSolver()
-    watt_solver = watt_solver or WattGreedyAggregationSolver(cost_model)
-    count_solution = count_solver.solve(problem)
-    watt_solution = watt_solver.solve(problem)
-    count_watts = watt_objective(count_solution, cost_model)
-    watt_watts = watt_objective(watt_solution, cost_model)
-    return {
-        "count_online": float(count_solution.objective),
-        "watt_online": float(watt_solution.objective),
-        "count_watts": count_watts,
-        "watt_watts": watt_watts,
-        "watts_saved": count_watts - watt_watts,
-    }

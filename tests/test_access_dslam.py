@@ -45,8 +45,8 @@ def test_online_cards_counts_cards_with_active_lines():
     dslam = make_dslam(switch_size=None)
     # Lines 0-2 are on card 0, lines 3-5 on card 1, ...
     assert dslam.online_cards([0, 1]) == {0}
-    assert dslam.online_card_count([0, 3, 9]) == 3
-    assert dslam.online_card_count([]) == 0
+    assert len(dslam.online_cards([0, 3, 9])) == 3
+    assert len(dslam.online_cards([])) == 0
 
 
 def test_kswitch_packs_active_lines_onto_few_cards():
@@ -76,7 +76,7 @@ def test_full_switch_packs_minimally():
     dslam = make_dslam(full=True, switch_size=None)
     active_lines = [0, 4, 8, 9]
     dslam.rewire({line: line in active_lines for line in range(10)})
-    assert dslam.online_card_count(active_lines) == 2  # ceil(4 active / 3 ports)
+    assert len(dslam.online_cards(active_lines)) == 2  # ceil(4 active / 3 ports)
 
 
 def test_full_switch_with_pinned_lines():
@@ -87,7 +87,7 @@ def test_full_switch_with_pinned_lines():
     dslam.rewire(active, movable=set(range(1, 10)))
     assert dslam.card_of_line(0) == line_cards_before[0]
     # Line 9 moved next to line 0 so a single card suffices.
-    assert dslam.online_card_count([0, 9]) == 1
+    assert len(dslam.online_cards([0, 9])) == 1
 
 
 def test_rewire_keeps_unique_ports():
@@ -101,15 +101,6 @@ def test_rewire_keeps_unique_ports():
         ports = list(dslam.line_port.values())
         assert len(set(ports)) == len(ports)
         assert all(0 <= p < dslam.config.total_ports for p in ports)
-
-
-def test_accumulate_card_time():
-    dslam = make_dslam(switch_size=None)
-    dslam.accumulate_card_time([0], dt=10.0)
-    assert dslam.cards[0].online_seconds == pytest.approx(10.0)
-    assert dslam.cards[1].sleep_seconds == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        dslam.accumulate_card_time([0], dt=-1.0)
 
 
 # ----------------------------------------------------------------------

@@ -193,7 +193,6 @@ def test_kswitch_bank_packs_inactive_lines_low():
     assignment = bank.pack(active)
     # Every switch has exactly one active line, so only the last card hosts active lines.
     assert assignment.cards_with_active_lines == frozenset({3})
-    assert bank.sleeping_cards(active) == 3
 
 
 def test_kswitch_bank_all_active_keeps_all_cards_awake():
@@ -204,7 +203,7 @@ def test_kswitch_bank_all_active_keeps_all_cards_awake():
 
 def test_kswitch_bank_missing_lines_treated_inactive():
     bank = KSwitchBank(k=2, num_ports_per_card=1, line_ids=[0, 1])
-    assert bank.sleeping_cards({}) == 2
+    assert bank.pack({}).cards_with_active_lines == frozenset()
 
 
 def test_kswitch_bank_validation():

@@ -86,12 +86,6 @@ def test_report_render_key_values_and_summary():
     assert report.render_summary({}) == "(no results)"
 
 
-def test_report_render_series():
-    series = {"SoI": {"hours": [0.0, 1.0], "savings_percent": [10.0, 20.0]}}
-    text = report.render_series(series, "hours", "savings_percent")
-    assert "SoI" in text and "20.00" in text
-
-
 def test_cli_parser_has_all_commands():
     parser = build_parser()
     for command in ["trace", "simulate", "figure", "crosstalk", "testbed"]:

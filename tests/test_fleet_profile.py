@@ -9,7 +9,6 @@ from repro.fleet.profile import (
     GatewayGeneration,
     HOMOGENEOUS,
     fleet,
-    fleet_names,
 )
 from repro.power.models import DEFAULT_POWER_MODEL, DevicePower
 
@@ -18,7 +17,7 @@ def test_registry_has_the_documented_entries():
     for expected in ["legacy-9w", "efficient-5w", "deepsleep-7w"]:
         assert expected in GENERATIONS
     for expected in ["homogeneous", "legacy-efficient", "tri-mix", "efficient-only"]:
-        assert expected in fleet_names()
+        assert expected in FLEETS
 
 
 def test_legacy_generation_matches_the_paper_device():

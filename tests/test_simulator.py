@@ -18,9 +18,7 @@ from repro.simulation.metrics import (
     average_timeseries,
     cdf,
     completion_time_variation_cdf,
-    fraction_fully_sleeping,
     fraction_of_flows_affected,
-    hourly_average,
     online_time_variation_cdf,
     summarize_savings,
 )
@@ -151,8 +149,6 @@ def test_online_time_variation_cdf(results):
     values, probabilities = online_time_variation_cdf(results.first("BH2+k-switch"), results.first("SoI"))
     assert len(values) == results.first("SoI").num_gateways
     assert np.all(values >= -100.0 - 1e-9)
-    fully = fraction_fully_sleeping(results.first("BH2+k-switch"), results.first("SoI"))
-    assert 0.0 <= fully <= 1.0
 
 
 def test_cdf_helper():
@@ -163,15 +159,12 @@ def test_cdf_helper():
     assert len(empty_values) == 0 and len(empty_probabilities) == 0
 
 
-def test_average_timeseries_and_hourly_average():
+def test_average_timeseries():
     times = np.array([0.0, 60.0, 120.0])
     first = (times, np.array([1.0, 2.0, 3.0]))
     second = (times, np.array([3.0, 4.0, 5.0]))
     avg_times, averaged = average_timeseries([first, second])
     assert list(averaged) == [2.0, 3.0, 4.0]
-    hours, hourly = hourly_average(np.array([0.0, 1800.0, 3600.0]), np.array([2.0, 4.0, 6.0]))
-    assert list(hours) == [0, 1]
-    assert list(hourly) == [3.0, 6.0]
 
 
 def test_summarize_savings_keys(results):

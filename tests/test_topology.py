@@ -143,14 +143,6 @@ def test_gateway_topology_validation():
         GatewayTopology(num_gateways=2, home_gateway={0: 0}, reachable={0: frozenset({1})})
 
 
-def test_topology_helper_queries():
-    topology = binomial_connectivity(homes(20, 5), 5, mean_available=3.0, seed=1)
-    client = 0
-    assert topology.home_gateway[client] not in topology.neighbours_of(client)
-    reaching = topology.clients_reaching(topology.home_gateway[client])
-    assert client in reaching
-
-
 def test_wireless_parameters_validation_and_scaling():
     params = WirelessParameters()
     assert params.wireless_capacity(is_home=True) == 12e6
@@ -201,10 +193,3 @@ def test_scenario_rejects_too_many_gateways():
     topology = bc(trace.home_gateway, 60, mean_available=2.0)
     with pytest.raises(ValueError):
         Scenario(trace=trace, topology=topology, dslam=DslamConfig())
-
-
-def test_scenario_with_dslam_keeps_ports():
-    scenario = build_default_scenario(seed=5, num_clients=20, num_gateways=8, duration=3600.0)
-    other = scenario.with_dslam(scenario.dslam.with_switch(2))
-    assert other.gateway_port == scenario.gateway_port
-    assert other.dslam.switch_size == 2

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.traces.models import ClientTrace, Flow, Packet, TraceStats, WirelessTrace, merge_traces
+from repro.traces.models import ClientTrace, Flow, TraceStats, WirelessTrace
 
 
 def make_trace(flows_per_client=None, num_gateways=4, duration=3600.0):
@@ -20,13 +20,6 @@ def make_trace(flows_per_client=None, num_gateways=4, duration=3600.0):
         clients[client_id] = ClientTrace(client_id=client_id, flows=client_flows)
         home[client_id] = client_id % num_gateways
     return WirelessTrace(duration=duration, clients=clients, home_gateway=home, num_gateways=num_gateways)
-
-
-def test_packet_validation():
-    with pytest.raises(ValueError):
-        Packet(time=-1.0, size=100, client_id=0)
-    with pytest.raises(ValueError):
-        Packet(time=0.0, size=0, client_id=0)
 
 
 def test_flow_validation():
@@ -57,20 +50,12 @@ def test_flow_is_an_immutable_value_record():
     assert copy == flow and type(copy) is Flow
 
 
-def test_flow_duration_at_rate():
-    flow = Flow(flow_id=0, client_id=0, start_time=0.0, size_bytes=750_000)
-    assert flow.duration_at(6e6) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        flow.duration_at(0.0)
-
-
 def test_client_trace_totals_and_sorting():
     trace = ClientTrace(client_id=0, flows=[
         Flow(flow_id=1, client_id=0, start_time=5.0, size_bytes=10),
         Flow(flow_id=0, client_id=0, start_time=1.0, size_bytes=20),
     ])
     assert trace.total_bytes == 30
-    assert [f.flow_id for f in trace.sorted_flows()] == [0, 1]
     assert [f.flow_id for f in trace.flows_between(0.0, 2.0)] == [0]
 
 
@@ -107,11 +92,6 @@ def test_flows_by_gateway_partition():
     assert set(grouped) == set(range(trace.num_gateways))
 
 
-def test_clients_of_gateway():
-    trace = make_trace({0: [(0.0, 10)], 4: [(0.0, 10)]}, num_gateways=4)
-    assert set(trace.clients_of_gateway(0)) == {0, 4}
-
-
 def test_restricted_to_window_shifts_times():
     trace = make_trace({0: [(100.0, 10), (500.0, 20)]}, duration=1000.0)
     window = trace.restricted_to_window(90.0, 200.0)
@@ -133,25 +113,3 @@ def test_trace_stats_peak_hour():
     assert stats.peak_hour == 2
     assert stats.num_flows == 2
     assert 0 < stats.peak_hour_utilization <= 1.0
-
-
-def test_merge_traces_renumbers_clients():
-    first = make_trace({0: [(0.0, 10)]}, num_gateways=4)
-    second = make_trace({0: [(5.0, 20)]}, num_gateways=4)
-    merged = merge_traces([first, second])
-    assert merged.num_clients == 2
-    assert merged.total_bytes == first.total_bytes + second.total_bytes
-    flow_ids = [f.flow_id for f in merged.all_flows()]
-    assert len(set(flow_ids)) == len(flow_ids)
-
-
-def test_merge_traces_requires_same_gateways():
-    first = make_trace(num_gateways=4)
-    second = make_trace(num_gateways=5)
-    with pytest.raises(ValueError):
-        merge_traces([first, second])
-
-
-def test_merge_traces_empty_list():
-    with pytest.raises(ValueError):
-        merge_traces([])

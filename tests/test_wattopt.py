@@ -37,9 +37,6 @@ from repro.wattopt import (
     ExactWattAggregationSolver,
     WattCostModel,
     WattGreedyAggregationSolver,
-    count_vs_watt_gap,
-    scenario_cost_model,
-    watt_objective,
 )
 
 # ----------------------------------------------------------------------
@@ -84,17 +81,6 @@ def test_cost_model_validation():
         WattCostModel(online_w=(9.0,), standby_w=(-1.0,))
     with pytest.raises(ValueError):  # zero marginal draw
         WattCostModel(online_w=(1.0,), standby_w=(1.0,), modem_w=0.0)
-
-
-def test_scenario_cost_model_uses_attached_fleet():
-    scenario = build_default_scenario(
-        seed=5, num_clients=12, num_gateways=4, duration=600.0,
-        fleet=FLEETS["legacy-efficient"],
-    )
-    model = scenario_cost_model(scenario)
-    assert not model.is_uniform
-    plain = build_default_scenario(seed=5, num_clients=12, num_gateways=4, duration=600.0)
-    assert scenario_cost_model(plain).is_uniform
 
 
 # ----------------------------------------------------------------------
@@ -165,15 +151,6 @@ def test_exact_watt_matches_exact_count_on_uniform_models():
     assert verify_solution(problem, watt)
 
 
-def test_count_vs_watt_gap_reports_savings():
-    model = WattCostModel(online_w=(9.0, 5.0, 9.0), standby_w=(0.0, 0.3, 0.0), modem_w=1.0)
-    problem = _reach_all({u: 0.2e6 for u in range(6)}, 3)
-    gap = count_vs_watt_gap(problem, model)
-    assert gap["watt_watts"] <= gap["count_watts"]
-    assert gap["watts_saved"] == gap["count_watts"] - gap["watt_watts"]
-    assert gap["count_online"] == gap["watt_online"] == 1.0
-
-
 # ----------------------------------------------------------------------
 # Property: watt-greedy vs. exact watt optimum on random mixed instances
 # ----------------------------------------------------------------------
@@ -221,8 +198,8 @@ def test_watt_greedy_within_one_device_of_exact_on_random_instances():
         checked += 1
         greedy_solution = WattGreedyAggregationSolver(model).solve(problem)
         assert verify_solution(problem, greedy_solution)
-        exact_watts = watt_objective(exact_solution, model)
-        greedy_watts = watt_objective(greedy_solution, model)
+        exact_watts = model.watt_objective(exact_solution.online_gateways)
+        greedy_watts = model.watt_objective(greedy_solution.online_gateways)
         # Exact is a true lower bound; greedy lands within one device's
         # marginal draw of it on every generated instance.
         assert exact_watts <= greedy_watts + 1e-9
