@@ -128,10 +128,6 @@ class GatewayArray:
         self.last_traffic_at: List[float] = [0.0] * n
         self.online_seconds: List[float] = [0.0] * n
         self.waking_seconds: List[float] = [0.0] * n
-        self.sleeping_seconds: List[float] = [0.0] * n
-        self.wake_count: List[int] = [0] * n
-        self.sleep_count: List[int] = [0] * n
-        self.bits_served: List[float] = [0.0] * n
         #: Bumped on every state change; callers cache derived structures
         #: (online sets, DSLAM wiring, device counts) against it.
         self.version = 0
@@ -197,8 +193,6 @@ class GatewayArray:
         elif old_state == STATE_WAKING:
             self.waking_seconds[gateway_id] += elapsed
             self.waking_count -= 1
-        else:
-            self.sleeping_seconds[gateway_id] += elapsed
         self.state[gateway_id] = new_state
         self._entered_at[gateway_id] = now
         if new_state == STATE_ACTIVE:
@@ -226,7 +220,6 @@ class GatewayArray:
             self._wake_deadline[gateway_id] = deadline
             if deadline < self._min_wake_deadline:
                 self._min_wake_deadline = deadline
-            self.wake_count[gateway_id] += 1
 
     def force_sleep(self, gateway_id: int, now: float) -> None:
         """Put a gateway to sleep immediately, whatever it is doing.
@@ -244,7 +237,6 @@ class GatewayArray:
                 min(self._wake_deadline.values()) if self._wake_deadline else inf
             )
         self._change_state(gateway_id, STATE_SLEEPING, now)
-        self.sleep_count[gateway_id] += 1
         if self.track_load:
             self._sample_times[gateway_id].clear()
             self._sample_bits[gateway_id].clear()
@@ -288,15 +280,14 @@ class GatewayArray:
         """Report the bits served per gateway over the step ending at ``end``.
 
         Stores what a ``Gateway.record_traffic(bits, end)`` call per
-        gateway with traffic would: the served total, the last-traffic
-        instant and, while load is tracked, one ``(end, bits)`` sample.
+        gateway with traffic would, apart from its served total: the
+        last-traffic instant and, while load is tracked, one ``(end, bits)``
+        sample.
         """
         track = self.track_load
         last_traffic = self.last_traffic_at
-        bits_served = self.bits_served
         for gateway_id, bits in totals.items():
             if bits > 0:
-                bits_served[gateway_id] += bits
                 last_traffic[gateway_id] = end
                 if track:
                     self._sample_times[gateway_id].append(end)
@@ -342,10 +333,6 @@ class GatewayArray:
         window = min(window, max(now, 1e-9))
         load = bits / (self.backhaul_bps * window)
         return load if load < 1.0 else 1.0
-
-    def idle_for(self, gateway_id: int, now: float) -> float:
-        """Seconds since the last traffic through a gateway."""
-        return max(0.0, now - self.last_traffic_at[gateway_id])
 
     # ------------------------------------------------------------------
     # Time stepping
@@ -423,7 +410,6 @@ class GatewayArray:
                     deadline = end + timeout
                 elif end - last_traffic[gateway_id] >= timeout:
                     self._change_state(gateway_id, STATE_SLEEPING, end)
-                    self.sleep_count[gateway_id] += 1
                     if self.track_load:
                         self._sample_times[gateway_id].clear()
                         self._sample_bits[gateway_id].clear()
@@ -504,6 +490,4 @@ class GatewayArray:
                 self.online_seconds[gateway_id] += elapsed
             elif state == STATE_WAKING:
                 self.waking_seconds[gateway_id] += elapsed
-            else:
-                self.sleeping_seconds[gateway_id] += elapsed
             self._entered_at[gateway_id] = now

@@ -15,13 +15,13 @@ This module provides:
   the full binomial expression;
 * :func:`simulate_card_sleep_probability` — a Monte-Carlo estimate of the
   same probability from inactive-line counts;
-* :class:`KSwitchBank` — the packing machinery used by the DSLAM model.
+* :class:`KSwitchBank` — the partition of a batch's lines into k-switches
+  that the DSLAM model packs (``Dslam._pack_switch``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -126,21 +126,6 @@ def _validate_lkmp(l: int, k: int, m: int, p: float) -> None:
         raise ValueError("p must lie in [0, 1]")
 
 
-@dataclass
-class KSwitchAssignment:
-    """The outcome of one packing pass of a k-switch bank.
-
-    Attributes:
-        line_to_card: mapping of line id to the (0-indexed) card its port
-            belongs to after switching.
-        cards_with_active_lines: set of card indices hosting at least one
-            active line.
-    """
-
-    line_to_card: Dict[int, int]
-    cards_with_active_lines: frozenset
-
-
 class KSwitchBank:
     """All the k-switches in front of a batch of ``k`` line cards.
 
@@ -158,32 +143,7 @@ class KSwitchBank:
         if len(set(line_ids)) != len(line_ids):
             raise ValueError("line ids must be unique")
         self.k = k
-        self.ports_per_card = num_ports_per_card
         #: switch index -> list of line ids wired to that switch (≤ k each).
         self.switch_lines: Dict[int, List[int]] = {s: [] for s in range(num_ports_per_card)}
         for index, line_id in enumerate(line_ids):
             self.switch_lines[index % num_ports_per_card].append(line_id)
-
-    def pack(self, active: Dict[int, bool]) -> KSwitchAssignment:
-        """Re-terminate lines so inactive ones occupy the lowest cards.
-
-        ``active`` maps line id to whether the line currently carries (or is
-        about to carry) traffic.  Lines missing from the mapping are treated
-        as inactive.
-        """
-        line_to_card: Dict[int, int] = {}
-        cards_active: set = set()
-        for _switch_index, lines in self.switch_lines.items():
-            inactive_lines = [l for l in lines if not active.get(l, False)]
-            active_lines = [l for l in lines if active.get(l, False)]
-            # Inactive lines take cards 0, 1, ... ; active lines take the
-            # highest-numbered cards of the batch.
-            for offset, line_id in enumerate(inactive_lines):
-                line_to_card[line_id] = offset
-            for offset, line_id in enumerate(active_lines):
-                card = self.k - 1 - offset
-                line_to_card[line_id] = card
-                cards_active.add(card)
-        return KSwitchAssignment(
-            line_to_card=line_to_card, cards_with_active_lines=frozenset(cards_active)
-        )

@@ -15,6 +15,10 @@ Commands
 ``figure``     regenerate the data behind one of the paper's figures
 ``crosstalk``  run the Fig. 14 crosstalk speedup experiment
 ``testbed``    run the Fig. 12 testbed replay
+
+Each flag's ``type`` checks its value, so a bad value is a usage error
+(exit status 2) that names the flag; each command parser binds its
+handler with ``set_defaults(handler=...)``, which :func:`main` calls.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import report
@@ -32,159 +37,194 @@ from repro.traces.io import write_trace
 from repro.traces.models import TraceStats
 from repro.traces.synthetic import generate_crawdad_like_trace
 
+_STORE_HELP = "result-store directory (default: ./sweep-results)"
+_SHARED_STORE_HELP = "result-store directory shared with 'sweep' (default: ./sweep-results)"
 
+
+# ----------------------------------------------------------------------
+# Argument types
+# ----------------------------------------------------------------------
+def _checked(convert, requirement: str, holds):
+    """An argparse ``type``: ``convert`` the text, then reject a value that
+    does not satisfy ``holds`` (argparse prefixes the flag's name)."""
+
+    def check(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement} (got {value})")
+        return value
+
+    # argparse names the type in its "invalid int value: 'x'" message.
+    check.__name__ = convert.__name__
+    return check
+
+
+_positive_int = _checked(int, "positive", lambda value: value > 0)
+_positive_float = _checked(float, "positive", lambda value: value > 0)
+_non_negative_int = _checked(int, "non-negative", lambda value: value >= 0)
+_non_negative_float = _checked(float, "non-negative", lambda value: value >= 0)
+
+
+def _scheme(name: str):
+    """The registered scheme called ``name``."""
+    known = all_schemes()
+    if name not in known:
+        raise argparse.ArgumentTypeError(
+            f"unknown scheme '{name}'; known schemes: {', '.join(known)}"
+        )
+    return known[name]
+
+
+def _schemes(names: str):
+    """The registered schemes of a comma-separated list."""
+    return [_scheme(name.strip()) for name in names.split(",")]
+
+
+def _family(name: str) -> str:
+    """A registered scenario family name."""
+    from repro.sweep import family_names
+
+    known = family_names()
+    if name not in known:
+        raise argparse.ArgumentTypeError(
+            f"unknown scenario family '{name}'; known families: {', '.join(known)}"
+        )
+    return name
+
+
+def _churn_pattern(name: str) -> str:
+    """A registered churn pattern name."""
+    from repro.fleet import churn_pattern_names
+
+    known = churn_pattern_names()
+    if name not in known:
+        raise argparse.ArgumentTypeError(
+            f"unknown churn pattern '{name}'; known patterns: {', '.join(known)}"
+        )
+    return name
+
+
+# ----------------------------------------------------------------------
+# Shared flags
+# ----------------------------------------------------------------------
+def _add_command(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """Add the ``name`` subcommand and bind the handler :func:`main` calls."""
+    parser = subparsers.add_parser(name, **kwargs)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def _add_scale_options(parser, clients, gateways, hours, step, seed) -> None:
+    """The population flags; ``step=None`` leaves out ``--step``."""
+    parser.add_argument("--clients", type=_positive_int, default=clients)
+    parser.add_argument("--gateways", type=_positive_int, default=gateways)
+    parser.add_argument("--hours", type=_positive_float, default=hours)
+    if step is not None:
+        parser.add_argument("--step", type=_positive_float, default=step)
+    parser.add_argument("--seed", type=_non_negative_int, default=seed)
+
+
+def _add_store_option(parser, store_help: str) -> None:
+    parser.add_argument("--out", default="sweep-results", metavar="DIR", help=store_help)
+
+
+def _add_grid_options(parser, families_help: str, store_help: str) -> None:
+    """The sweep-grid flags of ``sweep``, ``regress`` and ``wattopt``."""
+    parser.add_argument("--family", action="append", type=_family, metavar="NAME",
+                        help=f"scenario family to include (repeatable; default: {families_help})")
+    parser.add_argument("--runs", type=_positive_int, default=1, help="repetitions per scheme")
+    parser.add_argument("--step", type=_positive_float, default=2.0, help="simulation step (s)")
+    parser.add_argument("--sample", type=_positive_float, default=60.0,
+                        help="metric sampling interval (s)")
+    parser.add_argument("--workers", type=_positive_int,
+                        help="shard the grid over this many processes "
+                        "(aggregates are identical to a serial run; default: serial)")
+    _add_store_option(parser, store_help)
+
+
+def _add_schemes_option(parser) -> None:
+    parser.add_argument("--schemes", type=_schemes,
+                        help="comma-separated scheme names (default: the Fig. 6 set); "
+                        f"known: {', '.join(all_schemes())}")
+
+
+def _add_json_option(parser, what: str) -> None:
+    parser.add_argument("--json", action="store_true", help=f"print {what} as JSON")
+
+
+# ----------------------------------------------------------------------
+# Parsers
+# ----------------------------------------------------------------------
 def _add_trace_parser(subparsers) -> None:
-    parser = subparsers.add_parser("trace", help="generate a synthetic wireless trace")
-    parser.add_argument("--clients", type=int, default=272)
-    parser.add_argument("--gateways", type=int, default=40)
-    parser.add_argument("--hours", type=float, default=24.0)
-    parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument("--output", type=str, default=None, help="write the trace as CSV")
+    parser = _add_command(subparsers, "trace", _cmd_trace,
+                          help="generate a synthetic wireless trace")
+    _add_scale_options(parser, clients=272, gateways=40, hours=24.0, step=None, seed=2011)
+    parser.add_argument("--output", help="write the trace as CSV")
 
 
 def _add_simulate_parser(subparsers) -> None:
-    parser = subparsers.add_parser("simulate", help="run the scheme comparison")
-    parser.add_argument("--clients", type=int, default=68)
-    parser.add_argument("--gateways", type=int, default=10)
-    parser.add_argument("--hours", type=float, default=4.0)
-    parser.add_argument("--runs", type=int, default=1)
-    parser.add_argument("--step", type=float, default=2.0)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--schemes",
-        type=str,
-        default=None,
-        help="comma-separated scheme names (default: the Fig. 6 set); "
-        f"known: {', '.join(all_schemes())}",
-    )
+    parser = _add_command(subparsers, "simulate", _cmd_simulate,
+                          help="run the scheme comparison")
+    _add_scale_options(parser, clients=68, gateways=10, hours=4.0, step=2.0, seed=7)
+    parser.add_argument("--runs", type=_positive_int, default=1)
+    _add_schemes_option(parser)
 
 
 def _add_sweep_parser(subparsers) -> None:
     from repro.sweep import family_names
 
-    parser = subparsers.add_parser(
-        "sweep",
+    parser = _add_command(
+        subparsers, "sweep", _cmd_sweep,
         help="run the scenario-catalog sweep with result-store caching",
         description="Expand the selected scenario families into their "
         "parameter grids, run every scenario x scheme x repetition cell "
         "(serving cached cells from the result store), and print "
         "cross-scenario savings tables.",
     )
-    parser.add_argument(
-        "--family",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="scenario family to include (repeatable; default: all); "
-        f"known: {', '.join(family_names())}",
-    )
+    _add_grid_options(parser, f"all; known: {', '.join(family_names())}", _STORE_HELP)
     parser.add_argument("--list-families", action="store_true",
                         help="list the registered scenario families and exit")
-    parser.add_argument("--runs", type=int, default=1, help="repetitions per scheme")
-    parser.add_argument("--step", type=float, default=2.0, help="simulation step (s)")
-    parser.add_argument("--sample", type=float, default=60.0, help="metric sampling interval (s)")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard the grid over this many processes "
-        "(aggregates are identical to a serial run; default: serial)",
-    )
-    parser.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="serve runs already in the result store from cache "
-        "(--no-resume forces recomputation; the store is still updated)",
-    )
-    parser.add_argument(
-        "--out",
-        type=str,
-        default="sweep-results",
-        metavar="DIR",
-        help="result-store directory (default: ./sweep-results)",
-    )
-    parser.add_argument(
-        "--schemes",
-        type=str,
-        default=None,
-        help="comma-separated scheme names (default: the Fig. 6 set); "
-        f"known: {', '.join(all_schemes())}",
-    )
-    parser.add_argument("--json", action="store_true",
-                        help="print the sweep result as JSON instead of tables")
-    parser.add_argument(
-        "--trace",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="record a structured trace of the sweep and write it here: "
-        "a .jsonl path gets JSONL events, anything else Chrome "
-        "trace-event JSON loadable in Perfetto (sim-time kernel events "
-        "are captured on serial sweeps; wall-clock spans always)",
-    )
-    parser.add_argument(
-        "--watch",
-        action="store_true",
-        help="render a live progress dashboard on stderr while the sweep "
-        "runs (in-place on a TTY; plain '[watch]' lines on pipes/CI); "
-        "purely observational — results and stored bytes are unchanged",
-    )
+    parser.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
+                        help="serve runs already in the result store from cache "
+                        "(--no-resume forces recomputation; the store is still updated)")
+    _add_schemes_option(parser)
+    _add_json_option(parser, "the sweep result")
+    parser.add_argument("--trace", metavar="PATH",
+                        help="record a structured trace of the sweep and write it here: "
+                        "a .jsonl path gets JSONL events, anything else Chrome "
+                        "trace-event JSON loadable in Perfetto (sim-time kernel events "
+                        "are captured on serial sweeps; wall-clock spans always)")
+    parser.add_argument("--watch", action="store_true",
+                        help="render a live progress dashboard on stderr while the sweep "
+                        "runs (in-place on a TTY; plain '[watch]' lines on pipes/CI); "
+                        "purely observational — results and stored bytes are unchanged")
     resilience = parser.add_argument_group(
         "resilience",
         "supervised execution: timeouts, retries, and deterministic chaos "
         "(retried cells reuse their seeds, so a rescued sweep's store is "
         "bit-identical to a clean run's)",
     )
-    resilience.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="kill and retry any task running longer than S seconds "
-        "(enforced on worker processes; unenforceable when serial)",
-    )
-    resilience.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retry budget per grid cell (default: 2)",
-    )
-    resilience.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="base of the deterministic exponential backoff before each "
-        "retry (default: 0, retry immediately)",
-    )
-    resilience.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="when a cell exhausts its retries, finish the rest of the "
-        "grid, print partial aggregates, and exit non-zero naming the "
-        "failed cells (default: abort on the first exhausted cell)",
-    )
-    resilience.add_argument(
-        "--chaos",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help="inject deterministic faults into the run, e.g. "
-        "'crash=1,hang=1,raise=1,torn=1' — a drill for the harness, "
-        "not the physics; pair with --task-timeout for hangs",
-    )
-    resilience.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="victim-selection seed of the chaos plan (default: 0)",
-    )
+    resilience.add_argument("--task-timeout", type=_positive_float, metavar="S",
+                            help="kill and retry any task running longer than S seconds "
+                            "(enforced on worker processes; unenforceable when serial)")
+    resilience.add_argument("--retries", type=_non_negative_int, default=2, metavar="N",
+                            help="retry budget per grid cell (default: 2)")
+    resilience.add_argument("--retry-backoff", type=_non_negative_float, default=0.0, metavar="S",
+                            help="base of the deterministic exponential backoff before each "
+                            "retry (default: 0, retry immediately)")
+    resilience.add_argument("--keep-going", action="store_true",
+                            help="when a cell exhausts its retries, finish the rest of the "
+                            "grid, print partial aggregates, and exit non-zero naming the "
+                            "failed cells (default: abort on the first exhausted cell)")
+    resilience.add_argument("--chaos", metavar="SPEC",
+                            help="inject deterministic faults into the run, e.g. "
+                            "'crash=1,hang=1,raise=1,torn=1' — a drill for the harness, "
+                            "not the physics; pair with --task-timeout for hangs")
+    resilience.add_argument("--chaos-seed", type=int, default=0, metavar="N",
+                            help="victim-selection seed of the chaos plan (default: 0)")
     sweep_sub = parser.add_subparsers(dest="sweep_command", metavar="[gc]")
-    gc_parser = sweep_sub.add_parser(
-        "gc",
+    gc_parser = _add_command(
+        sweep_sub, "gc", _cmd_sweep_gc,
         help="trim the result store (dry run unless --apply)",
         description="Garbage-collect the sweep result store, reading every "
         "record: --keep-families removes records of every other family, "
@@ -192,78 +232,22 @@ def _add_sweep_parser(subparsers) -> None:
         "record files (corrupt, stale store versions) are always removal "
         "candidates.  Dry run by default; pass --apply to actually delete.",
     )
-    gc_parser.add_argument(
-        "--out",
-        type=str,
-        default="sweep-results",
-        metavar="DIR",
-        help="result-store directory (default: ./sweep-results)",
-    )
-    gc_parser.add_argument(
-        "--keep-families",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="families to keep; records of any other family are removed",
-    )
-    gc_parser.add_argument(
-        "--max-age-days",
-        type=float,
-        default=None,
-        metavar="DAYS",
-        help="remove records older than this many days (by file mtime)",
-    )
-    gc_parser.add_argument(
-        "--tmp-grace",
-        type=float,
-        default=None,
-        metavar="S",
-        help="treat orphaned runs/*.tmp files older than S seconds as "
-        "removal candidates (default: 3600; younger ones may be a "
-        "concurrent sweep's in-flight write)",
-    )
-    gc_parser.add_argument(
-        "--apply",
-        action="store_true",
-        help="actually delete (default: dry run, print what would go)",
-    )
-
-
-def _add_regress_shared(parser, default_families_help: str) -> None:
-    """Flags shared by every ``regress`` subcommand."""
-    parser.add_argument(
-        "--family",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help=f"scenario family to cover (repeatable; default: {default_families_help})",
-    )
-    parser.add_argument("--runs", type=int, default=1, help="repetitions per scheme")
-    parser.add_argument("--step", type=float, default=2.0, help="simulation step (s)")
-    parser.add_argument("--sample", type=float, default=60.0,
-                        help="metric sampling interval (s)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="shard the sweep over this many processes")
-    parser.add_argument(
-        "--out",
-        type=str,
-        default="sweep-results",
-        metavar="DIR",
-        help="result-store directory shared with 'sweep' (default: ./sweep-results)",
-    )
-    parser.add_argument(
-        "--baselines",
-        type=str,
-        default="baselines",
-        metavar="DIR",
-        help="committed baseline directory (default: ./baselines)",
-    )
+    _add_store_option(gc_parser, _STORE_HELP)
+    gc_parser.add_argument("--keep-families", nargs="+", metavar="NAME",
+                           help="families to keep; records of any other family are removed")
+    gc_parser.add_argument("--max-age-days", type=_non_negative_float, metavar="DAYS",
+                           help="remove records older than this many days (by file mtime)")
+    gc_parser.add_argument("--tmp-grace", type=_non_negative_float, metavar="S",
+                           help="treat orphaned runs/*.tmp files older than S seconds as "
+                           "removal candidates (default: 3600; younger ones may be a "
+                           "concurrent sweep's in-flight write)")
+    gc_parser.add_argument("--apply", action="store_true",
+                           help="actually delete (default: dry run, print what would go)")
 
 
 def _add_regress_parser(subparsers) -> None:
     from repro.regress.baseline import DEFAULT_REGRESS_FAMILIES
 
-    default_families = ", ".join(DEFAULT_REGRESS_FAMILIES)
     parser = subparsers.add_parser(
         "regress",
         help="check/update committed metric baselines and Pareto fronts",
@@ -278,16 +262,21 @@ def _add_regress_parser(subparsers) -> None:
         dest="regress_command", required=True,
         metavar="check|update|pareto|history",
     )
+    baselines = argparse.ArgumentParser(add_help=False)
+    baselines.add_argument("--baselines", default="baselines", metavar="DIR",
+                           help="committed baseline directory (default: ./baselines)")
+    grid = argparse.ArgumentParser(add_help=False)
+    _add_grid_options(grid, ", ".join(DEFAULT_REGRESS_FAMILIES), _SHARED_STORE_HELP)
 
-    check = regress_sub.add_parser(
-        "check",
+    check = _add_command(
+        regress_sub, "check", _cmd_regress_check,
+        parents=[grid, baselines],
         help="diff a fresh run against the committed baselines (gate)",
         description="Exit 0 when every cell is identical / improved / "
         "new; exit 1 naming the offending cells "
         "when any metric regressed, a committed cell went missing, or a "
         "committed Pareto-front member fell off the front.",
     )
-    _add_regress_shared(check, default_families)
     check.add_argument("--no-families", action="store_true",
                        help="skip the sweep-family metric checks")
     check.add_argument("--no-pareto", action="store_true",
@@ -295,58 +284,49 @@ def _add_regress_parser(subparsers) -> None:
     check.add_argument("--strict", action="store_true",
                        help="treat 'improved' cells as gate failures too "
                        "(forces baselines to be updated in the same PR)")
-    check.add_argument("--report", type=str, default=None, metavar="PATH",
+    check.add_argument("--report", metavar="PATH",
                        help="write the machine-readable JSON report here")
-    check.add_argument("--summary", type=str, default=None, metavar="PATH",
+    check.add_argument("--summary", metavar="PATH",
                        help="append a markdown summary here (GITHUB_STEP_SUMMARY)")
     check.add_argument("--verbose", action="store_true",
                        help="tabulate identical cells too")
-    check.add_argument("--json", action="store_true",
-                       help="print the machine-readable report as JSON")
+    _add_json_option(check, "the machine-readable report")
     check.add_argument("--no-history", action="store_true",
                        help="do not append this run to baselines/history.jsonl")
 
-    update = regress_sub.add_parser(
-        "update",
+    _add_command(
+        regress_sub, "update", _cmd_regress_update,
+        parents=[grid, baselines],
         help="re-export the committed baselines from a fresh run",
         description="Run (or resume) the selected families and rewrite "
         "baselines/<family>.json plus baselines/pareto.json.  The diff of "
         "baselines/ is the reviewable record of the metric change.",
     )
-    _add_regress_shared(update, default_families)
 
-    pareto = regress_sub.add_parser(
-        "pareto",
+    pareto = _add_command(
+        regress_sub, "pareto", _cmd_regress_pareto,
+        parents=[grid, baselines],
         help="compute and print/export the cross-family Pareto fronts",
         description="Compute the savings-vs-peak-online and "
         "watt-energy-vs-served fronts over the selected families and "
         "print every point with its front membership.",
     )
-    _add_regress_shared(pareto, default_families)
-    pareto.add_argument("--export", type=str, default=None, metavar="PATH",
+    pareto.add_argument("--export", metavar="PATH",
                         help="write the fronts payload as JSON here")
-    pareto.add_argument("--json", action="store_true",
-                        help="print the fronts payload as JSON")
+    _add_json_option(pareto, "the fronts payload")
 
-    history = regress_sub.add_parser(
-        "history",
+    history = _add_command(
+        regress_sub, "history", _cmd_regress_history,
+        parents=[baselines],
         help="print the gate's historical trajectory",
         description="Print the baselines/history.jsonl ledger that "
         "'regress check' appends to — one record per gate run with its "
         "timestamp, commit sha, verdict and per-family metric-cell "
         "counts, so coverage shrinkage is visible over time.",
     )
-    history.add_argument(
-        "--baselines",
-        type=str,
-        default="baselines",
-        metavar="DIR",
-        help="committed baseline directory (default: ./baselines)",
-    )
-    history.add_argument("--last", type=int, default=None, metavar="N",
-                        help="show only the most recent N records")
-    history.add_argument("--json", action="store_true",
-                        help="print the records as JSON")
+    history.add_argument("--last", type=int, metavar="N",
+                         help="show only the most recent N records")
+    _add_json_option(history, "the records")
 
 
 def _add_obs_parser(subparsers) -> None:
@@ -368,59 +348,38 @@ def _add_obs_parser(subparsers) -> None:
         metavar="trace|summary|export|query|drift|explain|top",
     )
 
-    trace = obs_sub.add_parser(
-        "trace",
+    trace = _add_command(
+        obs_sub, "trace", _cmd_obs_trace,
         help="run one traced simulation and export the trace",
         description="Run a single scheme over the evaluation scenario with "
         "a SimTracer attached (traced runs are bit-identical to untraced "
         "ones), write the trace, and print its event counts.",
     )
-    trace.add_argument("--scheme", type=str, default="BH2+k-switch",
+    trace.add_argument("--scheme", type=_scheme, default="BH2+k-switch",
                        help=f"scheme to trace; known: {', '.join(all_schemes())}")
-    trace.add_argument("--clients", type=int, default=68)
-    trace.add_argument("--gateways", type=int, default=10)
-    trace.add_argument("--hours", type=float, default=4.0)
-    trace.add_argument("--step", type=float, default=2.0)
-    trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument("--max-events", type=int, default=None, metavar="N",
+    _add_scale_options(trace, clients=68, gateways=10, hours=4.0, step=2.0, seed=7)
+    trace.add_argument("--max-events", type=_positive_int, metavar="N",
                        help="trace buffer bound (excess events are counted, "
                        "not stored; default: 200000)")
-    trace.add_argument(
-        "--output",
-        type=str,
-        default="trace.json",
-        metavar="PATH",
-        help="where to write the trace: a .jsonl path gets JSONL events, "
-        "anything else Chrome trace-event JSON (default: ./trace.json)",
-    )
+    trace.add_argument("--output", default="trace.json", metavar="PATH",
+                       help="where to write the trace: a .jsonl path gets JSONL events, "
+                       "anything else Chrome trace-event JSON (default: ./trace.json)")
 
-    summary = obs_sub.add_parser(
-        "summary",
+    summary = _add_command(
+        obs_sub, "summary", _cmd_obs_summary,
         help="tabulate a sweep store's timings.jsonl ledger",
         description="Aggregate the per-run build/run wall-clock ledger of "
         "a sweep result store per family x scheme: runs, attempts, and "
         "where the wall-clock went.",
     )
-    summary.add_argument(
-        "--out",
-        type=str,
-        default="sweep-results",
-        metavar="DIR",
-        help="result-store directory shared with 'sweep' (default: ./sweep-results)",
-    )
-    summary.add_argument(
-        "--by",
-        type=str,
-        choices=("scheme", "family"),
-        default="scheme",
-        help="grouping: 'scheme' = one row per family x scheme (default); "
-        "'family' = one row per family",
-    )
-    summary.add_argument("--json", action="store_true",
-                         help="print the aggregate rows as JSON")
+    _add_store_option(summary, _SHARED_STORE_HELP)
+    summary.add_argument("--by", choices=("scheme", "family"), default="scheme",
+                         help="grouping: 'scheme' = one row per family x scheme (default); "
+                         "'family' = one row per family")
+    _add_json_option(summary, "the aggregate rows")
 
-    export = obs_sub.add_parser(
-        "export",
+    export = _add_command(
+        obs_sub, "export", _cmd_obs_export,
         help="convert a JSONL trace to Chrome trace-event JSON",
         description="Convert a JSONL event trace (from 'obs trace' or "
         "'sweep --trace') into Chrome trace-event JSON loadable in "
@@ -429,43 +388,41 @@ def _add_obs_parser(subparsers) -> None:
     export.add_argument("input", help="JSONL trace to read")
     export.add_argument("output", help="Chrome trace-event JSON to write")
 
-    query = obs_sub.add_parser(
-        "query",
+    query = _add_command(
+        obs_sub, "query", _cmd_obs_query,
         help="list the run records of one or more sweep stores",
         description="List the records of every --out store by family, "
         "scheme, scenario label or digest prefix; --metric pulls one "
         "stored metric column out of each run's metrics payload. Record "
         "files the store cannot read are skipped.",
     )
-    query.add_argument("--out", action="append", default=None, metavar="DIR",
+    query.add_argument("--out", action="append", metavar="DIR",
                        help="result-store directory, repeatable "
                        "(default: ./sweep-results)")
-    query.add_argument("--family", type=str, default=None)
-    query.add_argument("--scheme", type=str, default=None)
-    query.add_argument("--label", type=str, default=None)
-    query.add_argument("--digest", type=str, default=None, metavar="PREFIX")
-    query.add_argument("--metric", type=str, default=None, metavar="NAME",
+    query.add_argument("--family")
+    query.add_argument("--scheme")
+    query.add_argument("--label")
+    query.add_argument("--digest", metavar="PREFIX")
+    query.add_argument("--metric", metavar="NAME",
                        help="also show this metric from each run's payload")
-    query.add_argument("--limit", type=int, default=None, metavar="N",
+    query.add_argument("--limit", type=int, metavar="N",
                        help="show at most N rows (the count is still total)")
-    query.add_argument("--json", action="store_true",
-                       help="print the rows as JSON")
+    _add_json_option(query, "the rows")
 
-    drift = obs_sub.add_parser(
-        "drift",
+    drift = _add_command(
+        obs_sub, "drift", _cmd_obs_drift,
         help="flag digests whose stored metrics differ between stores",
         description="Compare every digest that two or more --out stores "
         "hold against the first store holding it: metrics must be "
         "bit-identical (a difference means the kernel silently changed "
         "its answers between the sweeps that wrote the stores).",
     )
-    drift.add_argument("--out", action="append", default=None, metavar="DIR",
+    drift.add_argument("--out", action="append", metavar="DIR",
                        help="result-store directory; give at least two")
-    drift.add_argument("--json", action="store_true",
-                       help="print the findings as JSON")
+    _add_json_option(drift, "the findings")
 
-    explain = obs_sub.add_parser(
-        "explain",
+    explain = _add_command(
+        obs_sub, "explain", _cmd_obs_explain,
         help="decompose a run's kWh savings vs its no-sleep twin",
         description="Run one grid cell and its no-sleep twin at the same "
         "seed, then decompose the kWh delta into a savings waterfall: "
@@ -473,127 +430,107 @@ def _add_obs_parser(subparsers) -> None:
         "churn-forced wakes per device generation, plus direct ISP-side "
         "deltas. The waterfall sums exactly to the total delta.",
     )
-    explain.add_argument("--family", type=str, default="smoke",
+    explain.add_argument("--family", type=_family, default="smoke",
                          help="scenario family providing the grid cell "
                          "(default: smoke)")
-    explain.add_argument("--label", type=str, default=None,
+    explain.add_argument("--label",
                          help="scenario label within the family "
                          "(default: the family's first scenario)")
-    explain.add_argument("--scheme", type=str, default="BH2+k-switch",
+    explain.add_argument("--scheme", type=_scheme, default="BH2+k-switch",
                          help=f"scheme to explain; known: {', '.join(all_schemes())}")
-    explain.add_argument("--run-index", type=int, default=0, metavar="N",
+    explain.add_argument("--run-index", type=_non_negative_int, default=0, metavar="N",
                          help="repetition index (seeds match 'sweep' cells)")
-    explain.add_argument("--step", type=float, default=2.0,
+    explain.add_argument("--step", type=_positive_float, default=2.0,
                          help="simulation step (s); match the sweep's --step")
-    explain.add_argument("--json", action="store_true",
-                         help="print the waterfall payload as JSON")
+    _add_json_option(explain, "the waterfall payload")
 
-    top = obs_sub.add_parser(
-        "top",
+    top = _add_command(
+        obs_sub, "top", _cmd_obs_top,
         help="render a sweep store's live progress from its records",
         description="Summarise a store's records and timings ledger as a "
         "progress frame — safe to point at a store another process is "
         "sweeping into. Repaints every --interval seconds; --once prints "
         "a single frame and exits (for CI and scripts).",
     )
-    top.add_argument("--out", type=str, default="sweep-results", metavar="DIR",
-                     help="result-store directory shared with 'sweep' "
-                     "(default: ./sweep-results)")
-    top.add_argument("--interval", type=float, default=2.0, metavar="S",
+    _add_store_option(top, _SHARED_STORE_HELP)
+    top.add_argument("--interval", type=_positive_float, default=2.0, metavar="S",
                      help="refresh interval in seconds (default: 2)")
     top.add_argument("--once", action="store_true",
                      help="print one frame and exit")
 
 
 def _add_schemes_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "schemes",
+    parser = _add_command(
+        subparsers, "schemes", _cmd_schemes,
         help="list every registered scheme and its behavioural axes",
         description="List the registered schemes with their sleep, "
         "aggregation, switching and watt-awareness axes — the names "
         "accepted by simulate/sweep --schemes, so a typo is "
         "self-diagnosable.",
     )
-    parser.add_argument("--json", action="store_true",
-                        help="print the scheme table as JSON")
+    _add_json_option(parser, "the scheme table")
 
 
 def _add_wattopt_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "wattopt",
+    parser = _add_command(
+        subparsers, "wattopt", _cmd_wattopt,
         help="count-vs-watt objective gap of the watt-aware schemes",
         description="Run (or resume from the result store) the watt-aware "
         "schemes beside their count-minimising twins over the selected "
         "scenario families and print the gateway energy each spent plus "
         "the watts_saved_vs_count_kwh gap per scenario.",
     )
-    parser.add_argument(
-        "--family",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="scenario family to include (repeatable; default: watt-aware)",
-    )
-    parser.add_argument("--runs", type=int, default=1, help="repetitions per scheme")
-    parser.add_argument("--step", type=float, default=2.0, help="simulation step (s)")
-    parser.add_argument("--sample", type=float, default=60.0, help="metric sampling interval (s)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="shard the grid over this many processes")
-    parser.add_argument(
-        "--out",
-        type=str,
-        default="sweep-results",
-        metavar="DIR",
-        help="result-store directory shared with 'sweep' (default: ./sweep-results)",
-    )
-    parser.add_argument("--json", action="store_true",
-                        help="print the gap rows as JSON instead of tables")
+    _add_grid_options(parser, "watt-aware", _SHARED_STORE_HELP)
+    _add_json_option(parser, "the gap rows")
     parser.add_argument("--front", action="store_true",
                         help="also print the watt Pareto front "
                         "(gateway kWh vs. served demand)")
 
 
 def _add_fleet_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "fleet",
+    parser = _add_command(
+        subparsers, "fleet", _cmd_fleet,
         help="inspect gateway generations, fleet mixes and churn patterns",
         description="List the registered gateway hardware generations, the "
         "named fleet mixes selectable via the mixed-fleet scenario family, "
         "and the named churn patterns; --churn previews the concrete event "
         "timeline a pattern produces for a given deployment.",
     )
-    parser.add_argument(
-        "--churn",
-        type=str,
-        default=None,
-        metavar="PATTERN",
-        help="preview the materialised timeline of a churn pattern",
-    )
-    parser.add_argument("--gateways", type=int, default=20)
-    parser.add_argument("--clients", type=int, default=136)
-    parser.add_argument("--hours", type=float, default=24.0)
-    parser.add_argument("--seed", type=int, default=2081)
+    parser.add_argument("--churn", type=_churn_pattern, metavar="PATTERN",
+                        help="preview the materialised timeline of a churn pattern")
+    _add_scale_options(parser, clients=136, gateways=20, hours=24.0, step=None, seed=2081)
+
+
+#: ``figure ID`` -> the :mod:`repro.analysis.figures` function and its arguments.
+_FIGURES = {
+    "2": ("figure2", {}),
+    "3": ("figure3", {}),
+    "4": ("figure4", {}),
+    "5": ("figure5", {}),
+    "14": ("figure14", {"num_sequences": 2}),
+    "15": ("figure15", {}),
+}
 
 
 def _add_figure_parser(subparsers) -> None:
-    parser = subparsers.add_parser("figure", help="regenerate the data behind a figure")
-    parser.add_argument(
-        "id",
-        choices=["2", "3", "4", "5", "14", "15"],
-        help="figure number (simulation figures 6-12 are produced by 'simulate')",
-    )
-    parser.add_argument("--json", action="store_true", help="print raw JSON instead of a table")
+    parser = _add_command(subparsers, "figure", _cmd_figure,
+                          help="regenerate the data behind a figure")
+    parser.add_argument("id", choices=list(_FIGURES),
+                        help="figure number (simulation figures 6-12 are produced by 'simulate')")
+    _add_json_option(parser, "the figure data")
 
 
 def _add_crosstalk_parser(subparsers) -> None:
-    parser = subparsers.add_parser("crosstalk", help="run the Fig. 14 experiment")
-    parser.add_argument("--sequences", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
+    parser = _add_command(subparsers, "crosstalk", _cmd_crosstalk,
+                          help="run the Fig. 14 experiment")
+    parser.add_argument("--sequences", type=_positive_int, default=3)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
 
 
 def _add_testbed_parser(subparsers) -> None:
-    parser = subparsers.add_parser("testbed", help="run the Fig. 12 testbed replay")
-    parser.add_argument("--seed", type=int, default=0)
+    parser = _add_command(subparsers, "testbed", _cmd_testbed,
+                          help="run the Fig. 12 testbed replay")
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,6 +555,61 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
+# Shared handler helpers
+# ----------------------------------------------------------------------
+def _open_stores(paths: List[str]):
+    """The existing result stores at ``paths``; None after printing an error.
+
+    Read-only commands open stores through this: ``ResultStore`` creates
+    ``runs/`` on open, which would turn a mistyped path into an empty store.
+    """
+    from repro.sweep import ResultStore
+
+    missing = [path for path in paths if not (Path(path) / "runs").is_dir()]
+    for path in missing:
+        print(f"no result store at {path} (no runs/ directory)", file=sys.stderr)
+    if missing:
+        return None
+    return [ResultStore(path) for path in paths]
+
+
+def _sweep_config(args):
+    """The :class:`SweepConfig` of the grid flags."""
+    from repro.sweep import SweepConfig
+
+    return SweepConfig(
+        runs_per_scheme=args.runs, step_s=args.step, sample_interval_s=args.sample
+    )
+
+
+def _evaluation_scale(args, runs: int):
+    """The :class:`EvaluationScale` of the population flags."""
+    from repro.analysis import figures
+
+    return figures.EvaluationScale(
+        num_clients=args.clients,
+        num_gateways=args.gateways,
+        duration_s=args.hours * 3600.0,
+        runs_per_scheme=runs,
+        step_s=args.step,
+        seed=args.seed,
+    )
+
+
+def _write_trace(tracer, path: str) -> None:
+    """Write a recorded trace: ``.jsonl`` paths get JSONL, else Chrome JSON."""
+    if path.endswith(".jsonl"):
+        tracer.write_jsonl(path)
+    else:
+        tracer.write_chrome(path)
+    dropped = f", {tracer.dropped} dropped" if tracer.dropped else ""
+    print(f"trace written to {path} ({len(tracer.events)} events{dropped})",
+          file=sys.stderr)
+
+
+# ----------------------------------------------------------------------
+# Handlers
+# ----------------------------------------------------------------------
 def _cmd_trace(args) -> int:
     trace = generate_crawdad_like_trace(
         seed=args.seed,
@@ -641,57 +633,13 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _resolve_schemes(spec: str):
-    """Comma-separated scheme names -> configs; None after printing an error."""
-    known = all_schemes()
-    try:
-        return [known[name.strip()] for name in spec.split(",")]
-    except KeyError as error:
-        print(f"unknown scheme {error}; known schemes: {', '.join(known)}", file=sys.stderr)
-        return None
-
-
-def _open_stores(paths: List[str]):
-    """The existing result stores at ``paths``; None after printing an error.
-
-    Read-only commands open stores through this: ``ResultStore`` creates
-    ``runs/`` on open, which would turn a mistyped path into an empty store.
-    """
-    from pathlib import Path as _Path
-
-    from repro.sweep import ResultStore
-
-    missing = [path for path in paths if not (_Path(path) / "runs").is_dir()]
-    for path in missing:
-        print(f"no result store at {path} (no runs/ directory)", file=sys.stderr)
-    if missing:
-        return None
-    return [ResultStore(path) for path in paths]
-
-
 def _cmd_simulate(args) -> int:
     from repro.analysis import figures
 
-    for flag, value in [("--clients", args.clients), ("--gateways", args.gateways),
-                        ("--hours", args.hours), ("--runs", args.runs), ("--step", args.step)]:
-        if value <= 0:
-            print(f"{flag} must be positive (got {value})", file=sys.stderr)
-            return 2
-    scale = figures.EvaluationScale(
-        num_clients=args.clients,
-        num_gateways=args.gateways,
-        duration_s=args.hours * 3600.0,
-        runs_per_scheme=args.runs,
-        step_s=args.step,
-        seed=args.seed,
+    comparison = figures.run_evaluation(
+        scale=_evaluation_scale(args, args.runs),
+        schemes=args.schemes or standard_schemes(),
     )
-    if args.schemes:
-        schemes = _resolve_schemes(args.schemes)
-        if schemes is None:
-            return 2
-    else:
-        schemes = standard_schemes()
-    comparison = figures.run_evaluation(scale=scale, schemes=schemes)
     summary = summarize_savings({name: comparison.first(name) for name in comparison.scheme_names})
     print(report.render_summary(summary))
     headline = figures.summary_savings(comparison)
@@ -737,22 +685,11 @@ def _cmd_schemes(args) -> int:
 
 
 def _cmd_sweep_gc(args) -> int:
-    if args.max_age_days is not None and args.max_age_days < 0:
-        print(f"--max-age-days must be non-negative (got {args.max_age_days})",
-              file=sys.stderr)
-        return 2
-    if args.tmp_grace is not None and args.tmp_grace < 0:
-        print(f"--tmp-grace must be non-negative (got {args.tmp_grace})",
-              file=sys.stderr)
-        return 2
     stores = _open_stores([args.out])
     if stores is None:
         return 2
-    store = stores[0]
-    gc_kwargs = {}
-    if args.tmp_grace is not None:
-        gc_kwargs["tmp_grace_s"] = args.tmp_grace
-    result = store.gc(
+    gc_kwargs = {} if args.tmp_grace is None else {"tmp_grace_s": args.tmp_grace}
+    result = stores[0].gc(
         keep_families=args.keep_families,
         max_age_days=args.max_age_days,
         apply=args.apply,
@@ -785,47 +722,20 @@ def _cmd_sweep_gc(args) -> int:
     return 0
 
 
-def _validate_sweep_args(args, selected_families) -> Optional[int]:
-    """Shared sweep/wattopt flag validation; an exit code, or None when OK."""
-    from repro.sweep import family_names
-
-    known = family_names()
-    for name in selected_families:
-        if name not in known:
-            print(f"unknown scenario family '{name}'; known families: {', '.join(known)}",
-                  file=sys.stderr)
-            return 2
-    for flag, value in [("--runs", args.runs), ("--step", args.step), ("--sample", args.sample)]:
-        if value <= 0:
-            print(f"{flag} must be positive (got {value})", file=sys.stderr)
-            return 2
-    if args.workers is not None and args.workers <= 0:
-        print(f"--workers must be positive (got {args.workers})", file=sys.stderr)
-        return 2
-    return None
-
-
 def _cmd_wattopt(args) -> int:
     from repro.core.schemes import watt_schemes
     from repro.sweep import (
         ResultStore,
-        SweepConfig,
         generation_table,
         run_sweep,
         watt_gap_rows,
         watt_gap_table,
     )
 
-    selected = args.family or ["watt-aware"]
-    error = _validate_sweep_args(args, selected)
-    if error is not None:
-        return error
     result = run_sweep(
-        family_names=selected,
+        family_names=args.family or ["watt-aware"],
         schemes=watt_schemes(),
-        config=SweepConfig(
-            runs_per_scheme=args.runs, step_s=args.step, sample_interval_s=args.sample
-        ),
+        config=_sweep_config(args),
         store=ResultStore(args.out),
         workers=args.workers,
     )
@@ -844,20 +754,18 @@ def _cmd_wattopt(args) -> int:
         print("== per-generation gateway energy ==")
         print(generations)
     if args.front:
-        from repro.wattopt.front import watt_front_rows
+        from repro.regress.pareto import WATT_FRONT, front_points, pareto_front
 
-        rows = watt_front_rows(result.aggregates())
+        points = front_points(result.aggregates(), WATT_FRONT)
+        members = set(pareto_front(points, WATT_FRONT))
         print()
         print("== watt Pareto front (min gateway kWh, max served demand) ==")
-        if rows:
+        if points:
             print(report.format_table(
                 ["point", "gateway kWh", "served GB", "status"],
                 [
-                    [
-                        row["point"], row["gateway_kwh"], row["served_demand_gb"],
-                        "front" if row["on_front"] else "dominated",
-                    ]
-                    for row in rows
+                    [key, kwh, served_gb, "front" if key in members else "dominated"]
+                    for key, (kwh, served_gb) in sorted(points.items())
                 ],
                 precision=4,
             ))
@@ -869,51 +777,39 @@ def _cmd_wattopt(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro import sweep as sweep_pkg
     from repro.sweep import (
         ChaosConfig,
         ResultStore,
         RetryPolicy,
-        SweepConfig,
         SweepExecutionError,
         SweepInterrupted,
+        family,
         family_names,
         render_sweep,
         run_sweep,
         sweep_to_json,
     )
 
-    if getattr(args, "sweep_command", None) == "gc":
-        return _cmd_sweep_gc(args)
     if args.list_families:
         rows = [
-            [name, len(sweep_pkg.family(name).expand()), sweep_pkg.family(name).description]
+            [name, len(family(name).expand()), family(name).description]
             for name in sorted(family_names())
         ]
         print(report.format_table(["family", "scenarios", "description"], rows))
         return 0
-    error = _validate_sweep_args(args, args.family or [])
-    if error is not None:
-        return error
-    if args.schemes:
-        schemes = _resolve_schemes(args.schemes)
-        if schemes is None:
-            return 2
-    else:
-        schemes = None
     try:
         chaos = (
             ChaosConfig.parse(args.chaos, seed=args.chaos_seed) if args.chaos else None
         )
-        retry = RetryPolicy(
-            task_timeout_s=args.task_timeout,
-            max_retries=args.retries,
-            backoff_base_s=args.retry_backoff,
-            keep_going=args.keep_going,
-        )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    retry = RetryPolicy(
+        task_timeout_s=args.task_timeout,
+        max_retries=args.retries,
+        backoff_base_s=args.retry_backoff,
+        keep_going=args.keep_going,
+    )
     tracer = None
     if args.trace:
         from repro.obs import SimTracer
@@ -927,10 +823,8 @@ def _cmd_sweep(args) -> int:
     try:
         result = run_sweep(
             family_names=args.family,
-            schemes=schemes,
-            config=SweepConfig(
-                runs_per_scheme=args.runs, step_s=args.step, sample_interval_s=args.sample
-            ),
+            schemes=args.schemes,
+            config=_sweep_config(args),
             store=ResultStore(args.out),
             workers=args.workers,
             use_cache=args.resume,
@@ -971,40 +865,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _write_trace(tracer, path: str) -> None:
-    """Write a recorded trace: ``.jsonl`` paths get JSONL, else Chrome JSON."""
-    if path.endswith(".jsonl"):
-        tracer.write_jsonl(path)
-    else:
-        tracer.write_chrome(path)
-    dropped = f", {tracer.dropped} dropped" if tracer.dropped else ""
-    print(f"trace written to {path} ({len(tracer.events)} events{dropped})",
-          file=sys.stderr)
-
-
 def _cmd_obs_trace(args) -> int:
     from repro.analysis import figures
     from repro.obs import SimTracer
     from repro.simulation.runner import run_scheme
 
-    scheme = all_schemes().get(args.scheme)
-    if scheme is None:
-        print(f"unknown scheme '{args.scheme}'; known schemes: "
-              f"{', '.join(all_schemes())}", file=sys.stderr)
-        return 2
-    for flag, value in [("--clients", args.clients), ("--gateways", args.gateways),
-                        ("--hours", args.hours), ("--step", args.step)]:
-        if value <= 0:
-            print(f"{flag} must be positive (got {value})", file=sys.stderr)
-            return 2
-    scale = figures.EvaluationScale(
-        num_clients=args.clients,
-        num_gateways=args.gateways,
-        duration_s=args.hours * 3600.0,
-        step_s=args.step,
-        seed=args.seed,
-    )
-    scenario = figures.build_scenario(scale)
+    scheme = args.scheme
+    scenario = figures.build_scenario(_evaluation_scale(args, runs=1))
     tracer = SimTracer(**({} if args.max_events is None
                           else {"max_events": args.max_events}))
     with tracer.wall_span("kernel.run", cat="cli", scheme=scheme.name):
@@ -1038,7 +905,7 @@ def _cmd_obs_summary(args) -> int:
         return 2
     store = stores[0]
     entries = store.read_timings()
-    by_family = getattr(args, "by", "scheme") == "family"
+    by_family = args.by == "family"
     groups: dict = {}
     order: list = []
     for entry in entries:
@@ -1077,7 +944,7 @@ def _cmd_obs_summary(args) -> int:
         print(json.dumps({
             "ledger": str(store.timings_path),
             "entries": len(entries),
-            "by": "family" if by_family else "scheme",
+            "by": args.by,
             "groups": rows,
         }, indent=1, sort_keys=True))
         return 0
@@ -1109,8 +976,6 @@ def _cmd_obs_summary(args) -> int:
 
 
 def _cmd_obs_export(args) -> int:
-    from pathlib import Path as _Path
-
     from repro.obs import chrome_trace_from_events, read_jsonl_events
 
     try:
@@ -1119,9 +984,7 @@ def _cmd_obs_export(args) -> int:
         print(f"cannot read {args.input!r}: {error}", file=sys.stderr)
         return 2
     payload = chrome_trace_from_events(events)
-    _Path(args.output).write_text(
-        json.dumps(payload, sort_keys=True) + "\n"
-    )
+    Path(args.output).write_text(json.dumps(payload, sort_keys=True) + "\n")
     print(f"wrote {args.output} ({len(events)} events)")
     if not events:
         print(f"warning: no parseable events in {args.input}", file=sys.stderr)
@@ -1200,30 +1063,12 @@ def _cmd_obs_drift(args) -> int:
 
 
 def _cmd_obs_explain(args) -> int:
-    from repro import sweep as sweep_pkg
     from repro.obs.explain import explain_run, render_waterfall
     from repro.simulation.runner import scheme_run_seed
-    from repro.sweep import family_names
+    from repro.sweep import family
 
-    scheme = all_schemes().get(args.scheme)
-    if scheme is None:
-        print(f"unknown scheme '{args.scheme}'; known schemes: "
-              f"{', '.join(all_schemes())}", file=sys.stderr)
-        return 2
-    try:
-        family = sweep_pkg.family(args.family)
-    except KeyError:
-        print(f"unknown family '{args.family}'; known families: "
-              f"{', '.join(family_names())}", file=sys.stderr)
-        return 2
-    if args.step <= 0:
-        print(f"--step must be positive (got {args.step})", file=sys.stderr)
-        return 2
-    if args.run_index < 0:
-        print(f"--run-index must be non-negative (got {args.run_index})",
-              file=sys.stderr)
-        return 2
-    specs = family.expand()
+    scheme = args.scheme
+    specs = family(args.family).expand()
     if args.label is None:
         spec = specs[0]
     else:
@@ -1249,10 +1094,6 @@ def _cmd_obs_explain(args) -> int:
 def _cmd_obs_top(args) -> int:
     from repro.obs.progress import render_store_top
 
-    if args.interval <= 0:
-        print(f"--interval must be positive (got {args.interval})",
-              file=sys.stderr)
-        return 2
     stores = _open_stores([args.out])
     if stores is None:
         return 2
@@ -1272,83 +1113,66 @@ def _cmd_obs_top(args) -> int:
         return 0
 
 
-def _cmd_obs(args) -> int:
-    handlers = {
-        "trace": _cmd_obs_trace,
-        "summary": _cmd_obs_summary,
-        "export": _cmd_obs_export,
-        "query": _cmd_obs_query,
-        "drift": _cmd_obs_drift,
-        "explain": _cmd_obs_explain,
-        "top": _cmd_obs_top,
-    }
-    return handlers[args.obs_command](args)
+def _regress_sweep(args):
+    """Run (or resume) the regress families: ``(families, config, result)``."""
+    from repro.regress.runner import default_family_names, run_regress_sweep
+    from repro.sweep import ResultStore
+
+    families = args.family or default_family_names()
+    config = _sweep_config(args)
+    result = run_regress_sweep(families, config, ResultStore(args.out), workers=args.workers)
+    return families, config, result
 
 
-def _cmd_regress(args) -> int:
+def _cmd_regress_history(args) -> int:
+    from repro.regress.runner import load_history, render_history
+
+    records = load_history(args.baselines)
+    if args.last is not None and args.last > 0:
+        records = records[-args.last:]
+    if args.json:
+        print(json.dumps(records, indent=1, sort_keys=True))
+    else:
+        print(render_history(records))
+    return 0
+
+
+def _cmd_regress_update(args) -> int:
+    from repro.regress.runner import update_baselines
+
+    families, config, result = _regress_sweep(args)
+    for path in update_baselines(result, families, args.baselines, config):
+        print(f"wrote {path}")
+    print(f"\ncommit the baselines/ diff to adopt the new values "
+          f"(cache hits: {result.cache_hits}/{result.total_runs})")
+    return 0
+
+
+def _cmd_regress_pareto(args) -> int:
+    from repro.regress.pareto import fronts_payload
+    from repro.regress.runner import render_fronts
+
+    families, _config, result = _regress_sweep(args)
+    payload = fronts_payload(result.aggregates(), families)
+    if args.export:
+        Path(args.export).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {args.export}", file=sys.stderr)
+    if args.json:
+        print(json.dumps(payload, indent=1, sort_keys=True))
+    else:
+        print(render_fronts(payload))
+    return 0
+
+
+def _cmd_regress_check(args) -> int:
     from repro.regress import runner as regress_runner
-    from repro.sweep import ResultStore, SweepConfig
-
-    if args.regress_command == "history":
-        records = regress_runner.load_history(args.baselines)
-        if args.last is not None and args.last > 0:
-            records = records[-args.last:]
-        if args.json:
-            print(json.dumps(records, indent=1, sort_keys=True))
-        else:
-            print(regress_runner.render_history(records))
-        return 0
-
-    families = args.family or regress_runner.default_family_names()
-    error = _validate_sweep_args(args, families)
-    if error is not None:
-        return error
-    config = SweepConfig(
-        runs_per_scheme=args.runs, step_s=args.step, sample_interval_s=args.sample
-    )
-
-    def sweep():
-        return regress_runner.run_regress_sweep(
-            families, config, ResultStore(args.out), workers=args.workers
-        )
-
-    if args.regress_command == "update":
-        result = sweep()
-        written = regress_runner.update_baselines(
-            result, families, args.baselines, config
-        )
-        for path in written:
-            print(f"wrote {path}")
-        print(f"\ncommit the baselines/ diff to adopt the new values "
-              f"(cache hits: {result.cache_hits}/{result.total_runs})")
-        return 0
-
-    if args.regress_command == "pareto":
-        from repro.regress.pareto import fronts_payload
-
-        result = sweep()
-        payload = fronts_payload(result.aggregates(), families)
-        if args.export:
-            from pathlib import Path as _Path
-
-            _Path(args.export).write_text(
-                json.dumps(payload, indent=1, sort_keys=True) + "\n"
-            )
-            print(f"wrote {args.export}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(payload, indent=1, sort_keys=True))
-        else:
-            print(regress_runner.render_fronts(payload))
-        return 0
-
-    # check
     from repro.regress.compare import RegressReport
 
     if args.no_families and args.no_pareto:
         print("nothing to check: --no-families and --no-pareto", file=sys.stderr)
         return 2
+    families, config, result = _regress_sweep(args)
     report_ = RegressReport(strict=args.strict)
-    result = sweep()
     if not args.no_families:
         report_.baselines.extend(families)
         report_.extend(regress_runner.check_families(
@@ -1367,9 +1191,7 @@ def _cmd_regress(args) -> int:
             args.baselines,
         )
     if args.report:
-        from pathlib import Path as _Path
-
-        _Path(args.report).write_text(
+        Path(args.report).write_text(
             json.dumps(report_.to_payload(), indent=1, sort_keys=True) + "\n"
         )
     if args.summary:
@@ -1383,22 +1205,9 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_fleet(args) -> int:
-    from repro.fleet import (
-        CHURN_PATTERNS,
-        FLEETS,
-        GENERATIONS,
-        build_churn,
-        churn_pattern_names,
-    )
+    from repro.fleet import FLEETS, GENERATIONS, build_churn, churn_pattern_names
 
     if args.churn is not None:
-        if args.churn not in CHURN_PATTERNS:
-            print(
-                f"unknown churn pattern '{args.churn}'; known patterns: "
-                f"{', '.join(churn_pattern_names())}",
-                file=sys.stderr,
-            )
-            return 2
         timeline = build_churn(
             args.churn,
             num_gateways=args.gateways,
@@ -1453,23 +1262,11 @@ def _cmd_fleet(args) -> int:
 def _cmd_figure(args) -> int:
     from repro.analysis import figures
 
-    if args.id == "2":
-        data = figures.figure2()
-    elif args.id == "3":
-        data = figures.figure3()
-    elif args.id == "4":
-        data = figures.figure4()
-    elif args.id == "5":
-        data = figures.figure5()
-    elif args.id == "14":
-        data = figures.figure14(num_sequences=2)
-    else:
-        data = figures.figure15()
-    if args.json:
-        print(json.dumps(data, indent=2, default=str))
-    else:
+    name, kwargs = _FIGURES[args.id]
+    data = getattr(figures, name)(**kwargs)
+    if not args.json:
         print(report.render_key_values({"figure": args.id}))
-        print(json.dumps(data, indent=2, default=str))
+    print(json.dumps(data, indent=2, default=str))
     return 0
 
 
@@ -1501,22 +1298,12 @@ def _cmd_testbed(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: parse ``argv`` and run the chosen command's handler.
+
+    A bad flag value raises ``SystemExit(2)`` from the parser.
+    """
     args = build_parser().parse_args(argv)
-    handlers = {
-        "trace": _cmd_trace,
-        "simulate": _cmd_simulate,
-        "schemes": _cmd_schemes,
-        "sweep": _cmd_sweep,
-        "regress": _cmd_regress,
-        "obs": _cmd_obs,
-        "wattopt": _cmd_wattopt,
-        "fleet": _cmd_fleet,
-        "figure": _cmd_figure,
-        "crosstalk": _cmd_crosstalk,
-        "testbed": _cmd_testbed,
-    }
-    return handlers[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

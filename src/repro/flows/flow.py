@@ -101,7 +101,7 @@ class ActiveFlow:
             self.completion_time = now + min(dt, served_for)
         return bits
 
-    def to_record(self, baseline_duration_s: Optional[float] = None) -> "FlowRecord":
+    def to_record(self) -> "FlowRecord":
         """Freeze the flow into an immutable result record."""
         if self.completion_time is None:
             raise ValueError("flow has not completed yet")
@@ -112,7 +112,6 @@ class ActiveFlow:
             size_bytes=self.flow.size_bytes,
             arrival_time=self.flow.start_time,
             completion_time=self.completion_time,
-            baseline_duration_s=baseline_duration_s,
         )
 
     def __repr__(self) -> str:
@@ -131,19 +130,8 @@ class FlowRecord(NamedTuple):
     size_bytes: int
     arrival_time: float
     completion_time: float
-    baseline_duration_s: Optional[float] = None
 
     @property
     def duration_s(self) -> float:
         """Observed completion time (arrival to last byte)."""
         return self.completion_time - self.arrival_time
-
-    def variation_vs_baseline_percent(self) -> Optional[float]:
-        """Percentage increase of the duration versus the no-sleep baseline.
-
-        This is the metric of Fig. 9a.  ``None`` when no baseline duration
-        was attached to the record.
-        """
-        if self.baseline_duration_s is None or self.baseline_duration_s <= 0:
-            return None
-        return 100.0 * (self.duration_s - self.baseline_duration_s) / self.baseline_duration_s

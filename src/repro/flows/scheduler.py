@@ -47,40 +47,16 @@ _DONE_BYTES = 1e-9
 def _water_fill(capacity_bps: float, caps_bps: Sequence[float]) -> List[float]:
     """The seed's iterative water-filling loop, without argument validation.
 
-    Used on the scheduler's hot path where the inputs are known valid; the
-    arithmetic (and therefore every produced rate) is bit-identical to the
-    seed's allocator, kept as
+    The scheduler runs it for an online gateway with two or more flows when
+    some flow's wireless cap is at or below the equal share; with the 12
+    and 6 Mb/s wireless links of Sec. 5.1 that takes a backhaul of at least
+    12 Mb/s (``backhaul_scale >= 2``).  The arithmetic, and so every
+    produced rate, is bit-identical to the seed's allocator, kept as
     :func:`repro.simulation.reference_kernel.reference_max_min_allocation`.
     """
     n = len(caps_bps)
     if capacity_bps <= 1e-12:
         return [0.0] * n
-    if n == 2:
-        # The two-flow case is by far the most common beyond singletons;
-        # this branch replays the reference loop's exact float operations.
-        a, b = caps_bps
-        if a > 0 and b > 0:
-            share = capacity_bps / 2
-            a_fits = a <= share
-            b_fits = b <= share
-            if a_fits and b_fits:
-                return [a, b]
-            if a_fits:
-                remaining = capacity_bps - a
-                if remaining > 1e-12:
-                    return [a, b if b <= remaining else remaining]
-                return [a, 0.0]
-            if b_fits:
-                remaining = capacity_bps - b
-                if remaining > 1e-12:
-                    return [a if a <= remaining else remaining, b]
-                return [0.0, b]
-            return [share, share]
-        if a > 0:
-            return [a if a <= capacity_bps else capacity_bps, 0.0]
-        if b > 0:
-            return [0.0, b if b <= capacity_bps else capacity_bps]
-        return [0.0, 0.0]
     allocation = [0.0] * n
     remaining = capacity_bps
     unsatisfied = [i for i in range(n) if caps_bps[i] > 0]
@@ -319,8 +295,7 @@ class FlowScheduler:
         # so this one carries two or more.
         capacity = self.backhaul_bps
         caps = [flow[WIRELESS_CAPACITY_BPS] for flow in group]
-        count = len(caps)
-        share = capacity / count
+        share = capacity / len(caps)
         if capacity > 1e-12 and min(caps) > share:
             # No flow is bottlenecked by its wireless hop: the reference
             # loop hands out one equal share in a single round (the common
@@ -329,16 +304,7 @@ class FlowScheduler:
                 flow[RATE_BPS] = share
             self._serving[gateway_id] = None
             return
-        first_cap = caps[0]
-        if first_cap > 0 and all(cap == first_cap for cap in caps):
-            # Equal caps degenerate to everyone's cap (or one share),
-            # replaying the reference loop's exact arithmetic.
-            uniform = first_cap if first_cap <= share else share
-            if capacity <= 1e-12:
-                uniform = 0.0
-            rates: Sequence[float] = (uniform,) * count
-        else:
-            rates = _water_fill(capacity, caps)
+        rates = _water_fill(capacity, caps)
         for flow, rate in zip(group, rates):
             flow[RATE_BPS] = rate
         if max(rates) > 0:
@@ -454,7 +420,7 @@ class FlowScheduler:
         """Completion records of all finished flows, in completion order."""
         make = FlowRecord._make  # tuple construction without __new__ overhead
         return [
-            make((flow_id, client_id, gateway_id, size_bytes, start_time, instant, None))
+            make((flow_id, client_id, gateway_id, size_bytes, start_time, instant))
             for (flow_id, client_id, start_time, size_bytes, _kind), gateway_id, instant
             in zip(self._done_flows, self._done_gateways, self._done_times)
         ]

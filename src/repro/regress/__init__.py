@@ -17,10 +17,9 @@ metric series.  This package *defends* them:
   with a machine-readable report and a non-zero exit on regression.
 * :mod:`repro.regress.pareto` — cross-family Pareto fronts
   (``mean_savings_percent`` vs. peak online gateways, and the watt
-  frontier ``gateway_kwh`` vs. served demand from
-  :mod:`repro.wattopt.front`); front membership is recorded in the
-  baselines so a scheme *falling off the front* is itself a detectable
-  regression.
+  frontier ``gateway_kwh`` vs. served demand); front membership is
+  recorded in the baselines so a scheme *falling off the front* is
+  itself a detectable regression.
 
 Entry point: ``repro-access regress check|update|pareto``; the CI gate
 job runs ``check`` on every PR against the committed smoke-scale
@@ -49,6 +48,7 @@ from repro.regress.compare import (
 )
 from repro.regress.pareto import (
     SAVINGS_FRONT,
+    WATT_FRONT,
     FrontSpec,
     compare_fronts,
     front_points,
@@ -74,6 +74,7 @@ __all__ = [
     "compare_cells",
     "compare_config",
     "SAVINGS_FRONT",
+    "WATT_FRONT",
     "FrontSpec",
     "compare_fronts",
     "front_points",

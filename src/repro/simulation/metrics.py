@@ -28,30 +28,25 @@ def cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
 
 def completion_time_variation_cdf(
     result: SimulationResult,
-    baseline_durations: Dict[int, float] | None = None,
+    baseline_durations: Dict[int, float],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """CDF of the per-flow completion time increase vs. no-sleep (percent).
 
-    Flows present in the result but missing from the baseline (or vice
-    versa) are ignored.  If the result's flow records already carry
-    baselines, ``baseline_durations`` may be omitted.
+    ``baseline_durations`` maps flow id to its no-sleep duration.  Flows
+    present in the result but missing from the baseline (or vice versa)
+    are ignored.
     """
     variations: List[float] = []
     for record in result.flow_records:
-        if baseline_durations is not None and record.flow_id in baseline_durations:
-            base = baseline_durations[record.flow_id]
-            if base > 0:
-                variations.append(100.0 * (record.duration_s - base) / base)
-        else:
-            variation = record.variation_vs_baseline_percent()
-            if variation is not None:
-                variations.append(variation)
+        base = baseline_durations.get(record.flow_id)
+        if base is not None and base > 0:
+            variations.append(100.0 * (record.duration_s - base) / base)
     return cdf(variations)
 
 
 def fraction_of_flows_affected(
     result: SimulationResult,
-    baseline_durations: Dict[int, float] | None = None,
+    baseline_durations: Dict[int, float],
     tolerance_percent: float = 1.0,
 ) -> float:
     """Fraction of flows whose completion time grew by more than the tolerance."""

@@ -143,12 +143,8 @@ class ReferenceFlowScheduler:
         return dict(served_per_gateway), completed
 
     # ------------------------------------------------------------------
-    def records(self, baselines: Optional[Dict[int, float]] = None) -> List[FlowRecord]:
-        records = []
-        for flow in self._completed:
-            baseline = baselines.get(flow.flow.flow_id) if baselines else None
-            records.append(flow.to_record(baseline_duration_s=baseline))
-        return records
+    def records(self) -> List[FlowRecord]:
+        return [flow.to_record() for flow in self._completed]
 
 
 class ReferenceAccessNetworkSimulator:
@@ -164,7 +160,6 @@ class ReferenceAccessNetworkSimulator:
         step_s: float = 1.0,
         sample_interval_s: float = 60.0,
         seed: int = 0,
-        baseline_durations: Optional[Dict[int, float]] = None,
     ):
         if step_s <= 0 or sample_interval_s <= 0:
             raise ValueError("step_s and sample_interval_s must be positive")
@@ -174,7 +169,6 @@ class ReferenceAccessNetworkSimulator:
         self.step_s = step_s
         self.sample_interval_s = sample_interval_s
         self.seed = seed
-        self.baseline_durations = baseline_durations or {}
         self._rng = np.random.default_rng(seed)
 
         soi = scheme.soi
@@ -490,7 +484,7 @@ class ReferenceAccessNetworkSimulator:
             modems_online=self.scenario.num_gateways,
             line_cards_online=self.scenario.dslam.num_line_cards,
         )
-        flow_records = self.scheduler.records(baselines=self.baseline_durations)
+        flow_records = self.scheduler.records()
         return SimulationResult(
             scheme_name=self.scheme.name,
             duration=horizon,
@@ -527,7 +521,6 @@ def run_scheme_reference(
     sample_interval_s: float = 60.0,
     until: Optional[float] = None,
     power_model: AccessNetworkPowerModel = DEFAULT_POWER_MODEL,
-    baseline_durations: Optional[Dict[int, float]] = None,
 ):
     """Run one scheme once over a scenario with the preserved seed kernel.
 
@@ -541,6 +534,5 @@ def run_scheme_reference(
         step_s=step_s,
         sample_interval_s=sample_interval_s,
         seed=seed,
-        baseline_durations=baseline_durations,
     )
     return simulator.run(until=until)

@@ -50,21 +50,24 @@ def generation_table(result: SweepResult) -> str:
     """Per-generation gateway energy for heterogeneous-fleet scenarios.
 
     One row per (scenario, scheme) aggregate that carries ``gen:*_kwh``
-    columns; empty string when the sweep contains no mixed fleets.
+    columns, one column per generation in name order (a fresh run's
+    metrics list the generations in fleet order, a stored record in key
+    order); empty string when the sweep contains no mixed fleets.
     """
-    rows: List[List[object]] = []
-    generation_names: List[str] = []
+    rows: List[Dict[str, object]] = []
+    names = set()
     for row in result.aggregates():
-        gen_keys = [key for key in row if str(key).startswith("gen:") and str(key).endswith("_kwh")]
-        if not gen_keys:
-            continue
-        for key in gen_keys:
-            name = str(key)[len("gen:"):-len("_kwh")]
-            if name not in generation_names:
-                generation_names.append(name)
-        rows.append(row)
+        gen_names = {
+            str(key)[len("gen:"):-len("_kwh")]
+            for key in row
+            if str(key).startswith("gen:") and str(key).endswith("_kwh")
+        }
+        if gen_names:
+            names |= gen_names
+            rows.append(row)
     if not rows:
         return ""
+    generation_names = sorted(names)
     headers = ["scenario", "scheme"] + [f"{name} kWh" for name in generation_names]
     table_rows = []
     for row in rows:

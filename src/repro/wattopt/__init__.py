@@ -17,12 +17,9 @@ efficient 5 W one.  This package makes the watts themselves the objective:
 Scheme wiring (``optimal-watts``, ``bh2-watts``, …) lives in
 :mod:`repro.core.schemes`; the ``watt-aware`` sweep family and the
 ``watts_saved_vs_count_kwh`` report column in :mod:`repro.sweep`; the
-``repro-access wattopt`` subcommand in :mod:`repro.cli`.
-
-The watt/served-demand Pareto front, :mod:`repro.wattopt.front`, is imported
-as a submodule (``from repro.wattopt.front import WATT_FRONT``): the package
-does not load it, because it pulls in :mod:`repro.regress`, which a sweep
-does not need.
+``repro-access wattopt`` subcommand in :mod:`repro.cli`; the watt
+(gateway kWh vs. served demand) Pareto front, ``WATT_FRONT``, in
+:mod:`repro.regress.pareto`.
 """
 
 from repro.wattopt.cost import WattCostModel

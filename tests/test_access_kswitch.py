@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.access.dslam import Dslam
 from repro.access.kswitch import (
     KSwitchBank,
     card_sleep_probability_exact,
@@ -17,6 +18,7 @@ from repro.access.kswitch import (
     full_switch_sleeping_cards,
     simulate_card_sleep_probability,
 )
+from repro.topology.scenario import DslamConfig
 
 
 def test_eq2_matches_paper_shape():
@@ -51,16 +53,18 @@ def _brute_force_sleep_probabilities(k, m, p):
     """Per-card sleep probability of a bank of ``m`` independent k-switches.
 
     Enumerates all 2^k activity patterns of one k-switch, packs each with
-    :class:`KSwitchBank` and adds the pattern's probability to every card
-    left without an active line; a card sleeps only if it does so on all
-    ``m`` switches.
+    the DSLAM code the kernel runs (one port per card, every line movable)
+    and adds the pattern's probability to every card left without an
+    active line; a card sleeps only if it does so on all ``m`` switches.
     """
-    bank = KSwitchBank(k=k, num_ports_per_card=1, line_ids=list(range(k)))
     one_switch = [0.0] * k
     for pattern in itertools.product((False, True), repeat=k):
+        dslam = Dslam(DslamConfig(num_line_cards=k, ports_per_card=1, switch_size=k),
+                      {line: line for line in range(k)})
+        dslam.rewire(dict(enumerate(pattern)), movable=set(range(k)))
+        busy = dslam.online_cards(line for line in range(k) if pattern[line])
         active = sum(pattern)
         weight = p ** active * (1.0 - p) ** (k - active)
-        busy = bank.pack(dict(enumerate(pattern))).cards_with_active_lines
         for card in range(k):
             if card not in busy:
                 one_switch[card] += weight
@@ -187,25 +191,6 @@ def test_bigger_switches_never_hurt_the_first_card(k, m, p):
     assert bigger >= smaller - 1e-12
 
 
-def test_kswitch_bank_packs_inactive_lines_low():
-    bank = KSwitchBank(k=4, num_ports_per_card=3, line_ids=list(range(12)))
-    active = {line: line % 4 == 0 for line in range(12)}  # one active line per switch
-    assignment = bank.pack(active)
-    # Every switch has exactly one active line, so only the last card hosts active lines.
-    assert assignment.cards_with_active_lines == frozenset({3})
-
-
-def test_kswitch_bank_all_active_keeps_all_cards_awake():
-    bank = KSwitchBank(k=2, num_ports_per_card=2, line_ids=[0, 1, 2, 3])
-    assignment = bank.pack({0: True, 1: True, 2: True, 3: True})
-    assert assignment.cards_with_active_lines == frozenset({0, 1})
-
-
-def test_kswitch_bank_missing_lines_treated_inactive():
-    bank = KSwitchBank(k=2, num_ports_per_card=1, line_ids=[0, 1])
-    assert bank.pack({}).cards_with_active_lines == frozenset()
-
-
 def test_kswitch_bank_validation():
     with pytest.raises(ValueError):
         KSwitchBank(k=0, num_ports_per_card=1, line_ids=[])
@@ -213,17 +198,3 @@ def test_kswitch_bank_validation():
         KSwitchBank(k=1, num_ports_per_card=1, line_ids=[0, 1])
     with pytest.raises(ValueError):
         KSwitchBank(k=2, num_ports_per_card=2, line_ids=[0, 0])
-
-
-@given(p=st.floats(min_value=0.0, max_value=1.0), seed=st.integers(min_value=0, max_value=1000))
-@settings(max_examples=30, deadline=None)
-def test_packing_never_loses_lines(p, seed):
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    lines = list(range(12))
-    bank = KSwitchBank(k=4, num_ports_per_card=3, line_ids=lines)
-    active = {line: bool(rng.random() < p) for line in lines}
-    assignment = bank.pack(active)
-    assert set(assignment.line_to_card) == set(lines)
-    assert all(0 <= card < 4 for card in assignment.line_to_card.values())

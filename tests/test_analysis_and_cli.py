@@ -1,5 +1,6 @@
 """Tests for the figure regeneration helpers, the report module and the CLI."""
 
+import argparse
 import json
 
 import pytest
@@ -93,6 +94,30 @@ def test_cli_parser_has_all_commands():
         assert args.command == command
 
 
+def _runnable_commands(parser, prefix=()):
+    """The argv prefix of every command that runs without a subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                path = prefix + (name,)
+                if not any(isinstance(a, argparse._SubParsersAction) and a.required
+                           for a in sub._actions):
+                    yield path
+                yield from _runnable_commands(sub, path)
+
+
+def test_every_command_parses_its_defaults_and_binds_a_handler():
+    positionals = {("figure",): ["5"], ("obs", "export"): ["in.jsonl", "out.json"]}
+    parser = build_parser()
+    commands = list(_runnable_commands(parser))
+    assert len(commands) == 21
+    for path in commands:
+        args = parser.parse_args(list(path) + positionals.get(path, []))
+        assert callable(args.handler), path
+    # String defaults go through the flag's type, as a typed value would.
+    assert parser.parse_args(["obs", "explain"]).scheme.name == "BH2+k-switch"
+
+
 def test_cli_trace_command(tmp_path, capsys):
     output = tmp_path / "trace.csv"
     code = main(["trace", "--clients", "10", "--gateways", "4", "--hours", "1", "--output", str(output)])
@@ -110,6 +135,7 @@ def test_cli_figure5_json(capsys):
 
 
 def test_cli_unknown_scheme_errors(capsys):
-    code = main(["simulate", "--clients", "6", "--gateways", "3", "--hours", "0.2",
-                 "--schemes", "does-not-exist"])
-    assert code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--clients", "6", "--gateways", "3", "--hours", "0.2",
+              "--schemes", "does-not-exist"])
+    assert excinfo.value.code == 2

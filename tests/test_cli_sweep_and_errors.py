@@ -18,27 +18,29 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # ----------------------------------------------------------------------
 # Error paths
 # ----------------------------------------------------------------------
+def _usage_error(capsys, argv):
+    """The stderr of a ``main(argv)`` that argparse rejects with status 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_simulate_unknown_scheme_exits_2_with_message(capsys):
-    code = main(["simulate", "--clients", "6", "--gateways", "3", "--hours", "0.2",
-                 "--schemes", "does-not-exist"])
-    assert code == 2
-    err = capsys.readouterr().err
+    err = _usage_error(capsys, ["simulate", "--clients", "6", "--gateways", "3",
+                                "--hours", "0.2", "--schemes", "does-not-exist"])
     assert "unknown scheme" in err
     assert "known schemes:" in err
 
 
 def test_sweep_unknown_family_exits_2_with_message(capsys):
-    code = main(["sweep", "--family", "does-not-exist"])
-    assert code == 2
-    err = capsys.readouterr().err
+    err = _usage_error(capsys, ["sweep", "--family", "does-not-exist"])
     assert "unknown scenario family" in err
     assert "paper-default" in err
 
 
 def test_sweep_unknown_scheme_exits_2_with_message(capsys):
-    code = main(["sweep", "--family", "smoke", "--schemes", "does-not-exist"])
-    assert code == 2
-    err = capsys.readouterr().err
+    err = _usage_error(capsys, ["sweep", "--family", "smoke", "--schemes", "does-not-exist"])
     assert "unknown scheme" in err
 
 
@@ -52,11 +54,35 @@ def test_sweep_unknown_scheme_exits_2_with_message(capsys):
     (["simulate", "--clients", "0"], "--clients"),
     (["simulate", "--gateways", "0"], "--gateways"),
     (["simulate", "--hours", "0"], "--hours"),
+    (["trace", "--clients", "0"], "--clients"),
+    (["trace", "--hours", "-1"], "--hours"),
+    (["fleet", "--gateways", "0"], "--gateways"),
+    (["crosstalk", "--sequences", "0"], "--sequences"),
+    (["obs", "trace", "--max-events", "0"], "--max-events"),
+    (["obs", "top", "--interval", "0"], "--interval"),
+    (["obs", "explain", "--step", "0"], "--step"),
 ])
 def test_sweep_invalid_numeric_flags_exit_2(capsys, argv, flag):
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert flag in err and "must be positive" in err
+    err = _usage_error(capsys, argv)
+    assert f"argument {flag}: must be positive" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["testbed", "--seed", "-1"], "--seed"),
+    (["obs", "explain", "--run-index", "-1"], "--run-index"),
+    (["sweep", "--retry-backoff", "-1"], "--retry-backoff"),
+])
+def test_negative_values_exit_2(capsys, argv, flag):
+    err = _usage_error(capsys, argv)
+    assert f"argument {flag}: must be non-negative" in err
+
+
+def test_bad_names_are_usage_errors(capsys):
+    assert "unknown churn pattern" in _usage_error(capsys, ["fleet", "--churn", "nope"])
+    assert "unknown scenario family" in _usage_error(
+        capsys, ["obs", "explain", "--family", "nope"])
+    assert "invalid int value" in _usage_error(capsys, ["sweep", "--runs", "x"])
 
 
 def test_unknown_command_is_an_argparse_error(capsys):
@@ -111,10 +137,10 @@ def test_sweep_rejects_bad_chaos_spec(capsys):
 
 
 def test_sweep_rejects_bad_retry_policy(capsys):
-    assert main(["sweep", "--family", "smoke", "--retries", "-1"]) == 2
-    assert "max_retries" in capsys.readouterr().err
-    assert main(["sweep", "--family", "smoke", "--task-timeout", "0"]) == 2
-    assert "task_timeout_s" in capsys.readouterr().err
+    err = _usage_error(capsys, ["sweep", "--family", "smoke", "--retries", "-1"])
+    assert "--retries" in err and "must be non-negative" in err
+    err = _usage_error(capsys, ["sweep", "--family", "smoke", "--task-timeout", "0"])
+    assert "--task-timeout" in err and "must be positive" in err
 
 
 def test_sweep_chaos_flags_end_to_end(tmp_path, capsys):
@@ -228,8 +254,7 @@ def test_obs_trace_end_to_end(tmp_path, capsys):
 
 
 def test_obs_trace_unknown_scheme_exits_2(capsys):
-    assert main(["obs", "trace", "--scheme", "nope"]) == 2
-    assert "unknown scheme" in capsys.readouterr().err
+    assert "unknown scheme" in _usage_error(capsys, ["obs", "trace", "--scheme", "nope"])
 
 
 def test_obs_summary_tabulates_ledger(tmp_path, capsys):

@@ -72,9 +72,8 @@ def test_active_flow_serve_and_complete():
     flow.serve(6e6, dt=0.5, now=0.5)
     assert flow.done
     assert flow.completion_time == pytest.approx(1.0)
-    record = flow.to_record(baseline_duration_s=1.0)
+    record = flow.to_record()
     assert record.duration_s == pytest.approx(1.0)
-    assert record.variation_vs_baseline_percent() == pytest.approx(0.0)
 
 
 def test_active_flow_record_before_completion_fails():

@@ -3,16 +3,20 @@
 A definition that only tests reach either backs a claim the repo makes (an
 independent oracle, or a paper figure's number) or it goes, with the tests
 that test only it.  This guard lists every top-level function and class
-and every non-dunder method in ``src/repro`` and counts each name as a
-word in the program's other text: ``src/`` outside the definition's own
-lines and outside the ``__init__`` re-exports, ``examples/``,
-``benchmarks/``, ``perfbench/`` and ``.github/workflows/``.  A name with
-no such use must be listed in :data:`ORACLES` with the reason it stays.
+and every non-dunder method in ``src/repro`` and counts each name's uses
+in the program's code: ``src/`` outside the definition's own lines and
+outside the ``__init__`` re-exports, ``examples/``, ``benchmarks/`` and
+``perfbench/``, plus the words of ``.github/workflows/``.  A name with no
+such use must be listed in :data:`ORACLES` with the reason it stays.
 
-The count is by name, so a common name (``run``, ``solve``) or a mention
-in a docstring can hide a dead definition; it never flags a live one.  An
-:data:`ORACLES` entry that gains a caller, or whose definition is gone,
-fails too, so the list does not rot.
+A use is read from the syntax tree: a name, an attribute, a keyword
+argument, an imported name, or a string constant that is an identifier
+(``notify(sink, "task_done")`` dispatches by name); names inside
+f-strings count.  Docstrings and comments do not, so prose cannot keep
+a dead definition alive.  The count is still by name, so a common name
+(``run``, ``solve``) can hide a dead definition; it never flags a live
+one.  An :data:`ORACLES` entry that gains a caller, or whose definition
+is gone, fails too, so the list does not rot.
 """
 
 import ast
@@ -31,6 +35,12 @@ ORACLES = {
     ),
     "simulation/reference_kernel.py:run_scheme_reference": (
         "runs the preserved seed kernel that the kernel-equivalence tests compare with"
+    ),
+    "flows/scheduler.py:max_min_allocation": (
+        "the checked max-min allocator the tests hold to the seed's allocator"
+    ),
+    "wattopt/solver.py:ExactWattAggregationSolver": (
+        "the exact watt optimum that bounds the watt greedy's distance from it"
     ),
     "access/kswitch.py:full_switch_sleeping_cards": (
         "the paper's floor(n(1-p)/m) sleeping cards under a full switch"
@@ -81,47 +91,65 @@ def _definitions(tree):
                     )
 
 
-def _reexport_lines(tree):
-    """Lines of an ``__init__``'s imports and ``__all__``."""
-    lines = set()
-    for node in tree.body:
-        exported = isinstance(node, (ast.Import, ast.ImportFrom)) or (
-            isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        )
-        if exported:
-            lines.update(range(node.lineno, node.end_lineno + 1))
-    return lines
+def _is_reexport(node):
+    """An ``__init__``'s import or ``__all__`` statement."""
+    return isinstance(node, (ast.Import, ast.ImportFrom)) or (
+        isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+
+
+def _uses(tree, skip=()):
+    """``(name, line)`` of every use in ``tree`` outside the ``skip`` nodes."""
+    strings = set()
+    stack = [node for node in ast.iter_child_nodes(tree) if node not in skip]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue  # a docstring, or another bare string
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg, node.value.lineno
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                yield part, node.lineno
+        elif isinstance(node, ast.JoinedStr):
+            strings.update(id(value) for value in node.values)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in strings
+        ):
+            yield node.value, node.lineno
 
 
 def _scan():
-    """Each definition's key and name, and the word counts of the program."""
+    """Each definition's key and name, and the use counts of the program."""
     definitions = []
     counts = Counter()
     for path in sorted(SRC.rglob("*.py")):
-        text = path.read_text()
-        tree = ast.parse(text)
+        tree = ast.parse(path.read_text())
         module = str(path.relative_to(SRC))
-        skipped = _reexport_lines(tree) if path.name == "__init__.py" else set()
-        lines = text.splitlines()
-        own = {}
+        skip = ()
+        if path.name == "__init__.py":
+            skip = [node for node in tree.body if _is_reexport(node)]
+        own = []
         for name, qualname, first, last in _definitions(tree):
             definitions.append((f"{module}:{qualname}", name))
-            own[(first, last)] = name
-        for number, line in enumerate(lines, start=1):
-            if number not in skipped:
-                counts.update(_WORD.findall(line))
-        # A definition's own lines do not use it.
-        for (first, last), name in own.items():
-            for line in lines[first - 1 : last]:
-                counts[name] -= _WORD.findall(line).count(name)
-    others = [
-        *(REPO / "examples").rglob("*.py"),
-        *(REPO / "benchmarks").rglob("*.py"),
-        *(REPO / "perfbench").rglob("*.py"),
-        *(REPO / ".github" / "workflows").glob("*.yml"),
-    ]
-    for path in others:
+            own.append((name, first, last))
+        for name, line in _uses(tree, skip):
+            # A definition's own lines do not use it.
+            if not any(name == n and first <= line <= last for n, first, last in own):
+                counts[name] += 1
+    for folder in ("examples", "benchmarks", "perfbench"):
+        for path in (REPO / folder).rglob("*.py"):
+            counts.update(name for name, _line in _uses(ast.parse(path.read_text())))
+    for path in (REPO / ".github" / "workflows").glob("*.yml"):
         counts.update(_WORD.findall(path.read_text()))
     return definitions, counts
 

@@ -13,12 +13,12 @@ from repro.regress.baseline import (
 )
 from repro.regress.compare import classify, compare_cells, compare_config
 from repro.regress.pareto import (
+    WATT_FRONT,
     FrontSpec,
     compare_fronts,
     front_points,
     pareto_front,
 )
-from repro.wattopt.front import WATT_FRONT, watt_front_rows
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +204,9 @@ def test_watt_front_rows_marks_non_dominated():
         {"family": "f", "scenario": "s", "scheme": "count",
          "gateway_kwh": 2.0, "served_demand_gb": 10.0},
     ]
-    annotated = {row["point"]: row["on_front"] for row in watt_front_rows(rows)}
-    assert annotated == {"f|s|watt": True, "f|s|count": False}
+    points = front_points(rows, WATT_FRONT)
+    assert points == {"f|s|watt": (1.0, 10.0), "f|s|count": (2.0, 10.0)}
+    assert pareto_front(points, WATT_FRONT) == ["f|s|watt"]
     assert WATT_FRONT.x_goal == "min" and WATT_FRONT.y_goal == "max"
 
 

@@ -157,12 +157,16 @@ def test_cli_sweep_gc_dry_run_then_apply(tmp_path, capsys):
 
 
 def test_cli_sweep_gc_rejects_negative_age(tmp_path, capsys):
-    assert main(["sweep", "gc", "--out", str(tmp_path), "--max-age-days", "-2"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "gc", "--out", str(tmp_path), "--max-age-days", "-2"])
+    assert excinfo.value.code == 2
     assert "--max-age-days" in capsys.readouterr().err
 
 
 def test_cli_sweep_gc_rejects_negative_tmp_grace(tmp_path, capsys):
-    assert main(["sweep", "gc", "--out", str(tmp_path), "--tmp-grace", "-1"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "gc", "--out", str(tmp_path), "--tmp-grace", "-1"])
+    assert excinfo.value.code == 2
     assert "--tmp-grace" in capsys.readouterr().err
 
 
@@ -210,5 +214,7 @@ def test_cli_wattopt_smoke_family(tmp_path, capsys):
 
 
 def test_cli_wattopt_unknown_family_exits_2(capsys):
-    assert main(["wattopt", "--family", "nope"]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["wattopt", "--family", "nope"])
+    assert excinfo.value.code == 2
     assert "unknown scenario family" in capsys.readouterr().err

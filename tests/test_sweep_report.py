@@ -5,7 +5,14 @@ import json
 from repro.core.schemes import no_sleep, soi
 from repro.sweep.catalog import ScenarioFamily, ScenarioSpec
 from repro.sweep.engine import SweepConfig, run_sweep
-from repro.sweep.report import family_tables, overview_table, render_sweep, sweep_to_json
+from repro.sweep.report import (
+    family_tables,
+    generation_table,
+    overview_table,
+    render_sweep,
+    sweep_to_json,
+)
+from repro.sweep.store import ResultStore
 
 FAMILY = ScenarioFamily(
     name="tiny-report",
@@ -51,3 +58,21 @@ def test_sweep_to_json_roundtrips():
     assert schemes == {"no-sleep", "SoI"}
     digests = {run["digest"] for run in payload["runs"]}
     assert len(digests) == 4
+
+
+def test_generation_table_is_the_same_fresh_and_resumed(tmp_path):
+    # A fresh run's metrics list the generations in fleet order and a
+    # stored record in key order: the table must not depend on which it read.
+    def sweep():
+        return run_sweep(
+            family_names=["smoke-watt"],
+            schemes=[no_sleep(), soi()],
+            config=SweepConfig(runs_per_scheme=1, step_s=10.0),
+            store=ResultStore(tmp_path / "store"),
+        )
+
+    fresh, resumed = sweep(), sweep()
+    assert fresh.cache_hits == 0 and resumed.cache_hits == resumed.total_runs
+    table = generation_table(fresh)
+    assert "legacy-9w kWh" in table
+    assert generation_table(resumed) == table
